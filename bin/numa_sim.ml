@@ -77,13 +77,6 @@ let topology_arg =
            pages striped over the CPU nodes) or multi-socket (two-tier 4-socket \
            distance matrix).")
 
-let config_of_topology ~topology (c : Numa_machine.Config.t) =
-  match
-    Numa_machine.Config.of_topology_name ~n_cpus:c.Numa_machine.Config.n_cpus topology
-  with
-  | Some c' -> c'
-  | None -> c
-
 let pt_mode_conv =
   let parse s =
     match Numa_machine.Pt.mode_of_string s with
@@ -283,21 +276,23 @@ let spec_of ?(topology = "ace") ?(faults = Numa_faults.Plan.empty) ?(paranoid = 
     ?(profiling = false) ?(victim = Numa_vm.Pageout.Clock)
     ?(pt_mode = Numa_machine.Pt.Off) ~policy ~cpus ~threads ~scale ~seed ~scheduler
     ~unix_master () =
-  {
-    Runner.policy;
-    n_cpus = cpus;
-    nthreads = Option.value threads ~default:cpus;
-    scale;
-    seed;
-    scheduler;
-    unix_master;
-    config_tweak = config_of_topology ~topology;
-    faults;
-    paranoid;
-    profiling;
-    victim;
-    pt_mode;
-  }
+  Runner.with_topology
+    {
+      Runner.policy;
+      n_cpus = cpus;
+      nthreads = Option.value threads ~default:cpus;
+      scale;
+      seed;
+      scheduler;
+      unix_master;
+      config_tweak = Fun.id;
+      faults;
+      paranoid;
+      profiling;
+      victim;
+      pt_mode;
+    }
+    topology
 
 let faults_conv =
   let parse s =

@@ -98,15 +98,17 @@ type line = {
   old_v : float;
   new_v : float;
   delta_pct : float;
+  exact : bool;
   regressed : bool;
 }
 
-(* [worse_when_higher]: gamma and run time regress upward, throughput
-   regresses downward. *)
-let mk_line ~max_regress ~worse_when_higher label old_v new_v =
+(* Throughput is wall-clock and regresses downward beyond [max_regress];
+   gamma and run time are virtual-time and deterministic, so any movement
+   at all, in either direction, is a semantic change. *)
+let mk_line ~max_regress ~exact label old_v new_v =
   let delta_pct = if old_v = 0. then 0. else (new_v -. old_v) /. old_v *. 100. in
-  let bad = if worse_when_higher then delta_pct else -.delta_pct in
-  { label; old_v; new_v; delta_pct; regressed = bad > max_regress }
+  let regressed = if exact then new_v <> old_v else -.delta_pct > max_regress in
+  { label; old_v; new_v; delta_pct; exact; regressed }
 
 let diff ~baseline ~current ~max_regress =
   if baseline.scale <> current.scale then
@@ -121,7 +123,7 @@ let diff ~baseline ~current ~max_regress =
     let throughput =
       match (baseline.events_per_sec, current.events_per_sec) with
       | Some o, Some n when o > 0. ->
-          [ mk_line ~max_regress ~worse_when_higher:false "events/sec" o n ]
+          [ mk_line ~max_regress ~exact:false "events/sec" o n ]
       | _ -> []
     in
     let per_app =
@@ -131,10 +133,8 @@ let diff ~baseline ~current ~max_regress =
           | None -> []
           | Some c ->
               [
-                mk_line ~max_regress ~worse_when_higher:true (b.app ^ " gamma")
-                  b.gamma c.gamma;
-                mk_line ~max_regress ~worse_when_higher:true (b.app ^ " t_numa")
-                  b.t_numa_s c.t_numa_s;
+                mk_line ~max_regress ~exact:true (b.app ^ " gamma") b.gamma c.gamma;
+                mk_line ~max_regress ~exact:true (b.app ^ " t_numa") b.t_numa_s c.t_numa_s;
               ])
         baseline.apps
     in
@@ -153,6 +153,9 @@ let render lines =
       Buffer.add_string buf
         (Printf.sprintf "%-28s %14.6g %14.6g %+8.2f%%%s\n" l.label l.old_v l.new_v
            l.delta_pct
-           (if l.regressed then "  REGRESSED" else "")))
+           (match (l.regressed, l.exact) with
+           | false, _ -> ""
+           | true, false -> "  REGRESSED"
+           | true, true -> "  CHANGED")))
     lines;
   Buffer.contents buf

@@ -6,8 +6,9 @@
     measurements. This module summarizes such a record down to the
     numbers worth gating on — events/sec (wall-clock, noisy) and each
     application's gamma expansion factor and NUMA-policy run time
-    (virtual-time, deterministic) — and diffs two summaries, flagging
-    any metric that moved in the bad direction by more than a threshold.
+    (virtual-time, deterministic) — and diffs two summaries. Throughput is
+    flagged when it drops by more than a threshold; the deterministic
+    metrics are flagged on any change at all, in either direction.
 
     Summaries round-trip through JSON, so a compact baseline can be
     committed to the repository and compared against fresh bench output
@@ -39,17 +40,22 @@ type line = {
   old_v : float;
   new_v : float;
   delta_pct : float;  (** (new - old) / old * 100 *)
-  regressed : bool;  (** moved in the bad direction beyond the threshold *)
+  exact : bool;  (** a deterministic metric, compared with zero tolerance *)
+  regressed : bool;
+      (** fails the gate: an [exact] metric that changed, or throughput
+          that dropped beyond the threshold *)
 }
 
 val diff : baseline:summary -> current:summary -> max_regress:float -> (line list, string) result
 (** One line per comparable metric. [Error] when the records are not
     comparable at all (different scale or CPU count, or no common
     applications); missing individual metrics are skipped silently.
-    [max_regress] is a percentage: events/sec may drop, and gamma and
-    t_numa may rise, by up to that much before a line is flagged. *)
+    [max_regress] is a percentage and governs events/sec only: it may
+    drop by up to that much before its line is flagged. Gamma and t_numa
+    are flagged on any difference. *)
 
 val regressed : line list -> bool
 
 val render : line list -> string
-(** Table with one row per metric, flagged rows marked [REGRESSED]. *)
+(** Table with one row per metric; flagged throughput rows are marked
+    [REGRESSED], flagged deterministic rows [CHANGED]. *)

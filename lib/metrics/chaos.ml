@@ -46,18 +46,10 @@ type row = {
   invariant_violations : int;
 }
 
-let mean xs =
-  match xs with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 let sum_robustness cells f =
-  List.fold_left
-    (fun acc c ->
-      match c.r.Numa_system.Report.robustness with
-      | None -> acc
-      | Some rb -> acc + f rb)
-    0 cells
+  Sweep.sum
+    (fun c -> match c.r.Numa_system.Report.robustness with None -> 0 | Some rb -> f rb)
+    cells
 
 let run ?jobs ?apps ?scenarios ?(spec = Runner.default_spec) () =
   let apps = match apps with Some l -> l | None -> Numa_apps.Registry.table4 in
@@ -71,105 +63,68 @@ let run ?jobs ?apps ?scenarios ?(spec = Runner.default_spec) () =
      invariant checker rides along with every injected fault batch AND the
      daemon tick — gamma numbers from a run that went incoherent would be
      worthless. *)
-  let locals =
+  let t_locals =
     Parallel.map ?jobs
       (fun app ->
-        Runner.run app
-          {
-            spec with
-            Runner.n_cpus = 1;
-            nthreads = 1;
-            faults = Plan.empty;
-            paranoid = false;
-          })
+        Numa_system.Report.total_user_s
+          (Runner.run app
+             {
+               spec with
+               Runner.n_cpus = 1;
+               nthreads = 1;
+               faults = Plan.empty;
+               paranoid = false;
+             }))
       apps
   in
-  let t_local = List.map Numa_system.Report.total_user_s locals in
-  let jobs_list =
-    List.concat_map (fun s -> List.map (fun app -> (s, app)) apps) scenarios
-  in
-  let measured =
-    Parallel.map ?jobs
-      (fun (s, app) ->
-        Runner.run app { spec with Runner.faults = s.plan; paranoid = true })
-      jobs_list
-  in
-  let rec group scenarios measured =
-    match scenarios with
-    | [] -> []
-    | s :: rest ->
-        let n = List.length apps in
-        let rs = List.filteri (fun i _ -> i < n) measured in
-        let remaining = List.filteri (fun i _ -> i >= n) measured in
-        let cells =
-          List.map2
-            (fun (app, tl) r ->
-              let user_s = Numa_system.Report.total_user_s r in
-              {
-                app_name = app.Numa_apps.App_sig.name;
-                gamma = (if tl > 0. then user_s /. tl else nan);
-                user_s;
-                r;
-              })
-            (List.combine apps t_local) rs
-        in
-        let open Numa_system.Report in
-        {
-          scenario = s;
-          cells;
-          mean_gamma = mean (List.map (fun c -> c.gamma) cells);
-          faults_injected = sum_robustness cells (fun rb -> rb.faults_injected);
-          node_drains = sum_robustness cells (fun rb -> rb.node_drains);
-          drained_pages = sum_robustness cells (fun rb -> rb.drained_pages);
-          reclaim_retries = sum_robustness cells (fun rb -> rb.reclaim_retries);
-          spurious_shootdowns =
-            sum_robustness cells (fun rb -> rb.spurious_shootdowns);
-          invariant_checks = sum_robustness cells (fun rb -> rb.invariant_checks);
-          invariant_violations =
-            sum_robustness cells (fun rb -> rb.invariant_violations);
-        }
-        :: group rest remaining
-  in
-  group scenarios measured
+  Sweep.grid ?jobs scenarios (List.combine apps t_locals) (fun s (app, tl) ->
+      let r = Runner.run app { spec with Runner.faults = s.plan; paranoid = true } in
+      let user_s = Numa_system.Report.total_user_s r in
+      {
+        app_name = app.Numa_apps.App_sig.name;
+        gamma = (if tl > 0. then user_s /. tl else nan);
+        user_s;
+        r;
+      })
+  |> List.map (fun (scenario, cells) ->
+         let open Numa_system.Report in
+         {
+           scenario;
+           cells;
+           mean_gamma = Sweep.mean (List.map (fun c -> c.gamma) cells);
+           faults_injected = sum_robustness cells (fun rb -> rb.faults_injected);
+           node_drains = sum_robustness cells (fun rb -> rb.node_drains);
+           drained_pages = sum_robustness cells (fun rb -> rb.drained_pages);
+           reclaim_retries = sum_robustness cells (fun rb -> rb.reclaim_retries);
+           spurious_shootdowns = sum_robustness cells (fun rb -> rb.spurious_shootdowns);
+           invariant_checks = Sweep.sum (fun c -> fst (Sweep.audits c.r)) cells;
+           invariant_violations = Sweep.sum (fun c -> snd (Sweep.audits c.r)) cells;
+         })
 
-let total_violations rows =
-  List.fold_left (fun acc r -> acc + r.invariant_violations) 0 rows
+let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
 
 let render ~topology rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let table =
-    Text_table.create
-      ~columns:
-        (("Scenario", Text_table.Left)
-        :: List.map (fun a -> (a, Text_table.Right)) apps
-        @ [
-            ("mean gamma", Text_table.Right);
-            ("faults", Text_table.Right);
-            ("drains", Text_table.Right);
-            ("reclaims", Text_table.Right);
-            ("violations", Text_table.Right);
-          ])
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        ((r.scenario.name
-         :: List.map (fun c -> Text_table.cell_f2 c.gamma) r.cells)
-        @ [
-            Text_table.cell_f2 r.mean_gamma;
-            Text_table.cell_int r.faults_injected;
-            Text_table.cell_int r.node_drains;
-            Text_table.cell_int r.reclaim_retries;
-            Text_table.cell_int r.invariant_violations;
-          ]))
-    rows;
+  let gamma_of i r = Text_table.cell_f2 (List.nth r.cells i).gamma in
   Printf.sprintf
     "Chaos sweep on %s: per-app and mean gamma under injected faults \
      (T_numa/T_local against the intact machine; the healthy row is the \
      fault-free reference). %d invariant violations across the matrix.\n%s"
-    topology (total_violations rows) (Text_table.render table)
+    topology (total_violations rows)
+    Text_table.(
+      of_rows rows
+        ~columns:
+          ((("Scenario", Left, fun r -> r.scenario.name)
+           :: List.mapi (fun i a -> (a, Right, gamma_of i)) apps)
+          @ [
+              ("mean gamma", Right, fun r -> cell_f2 r.mean_gamma);
+              ("faults", Right, fun r -> cell_int r.faults_injected);
+              ("drains", Right, fun r -> cell_int r.node_drains);
+              ("reclaims", Right, fun r -> cell_int r.reclaim_retries);
+              ("violations", Right, fun r -> cell_int r.invariant_violations);
+            ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
   let open Numa_obs.Json in

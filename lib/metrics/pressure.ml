@@ -64,11 +64,6 @@ type row = {
   invariant_violations : int;
 }
 
-let mean xs =
-  match xs with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 (* Pages the run ever gave content: everything the final placement sweep
    does not report as untouched. The ample baseline run never pages, so
    this is the program's working set in logical pages. *)
@@ -87,12 +82,6 @@ let paging_of_report (r : Report.t) =
                p.Report.sync_writebacks)
   | None -> (0, 0, 0, 0)
 
-let robustness_of_report (r : Report.t) =
-  match r.Report.robustness with
-  | Some rb -> (rb.Report.oom_faults, rb.Report.invariant_checks,
-                rb.Report.invariant_violations)
-  | None -> (0, 0, 0)
-
 (* Slowdown over user + system time: the point of pressure is the kernel
    work it induces (page-ins, writebacks, evictions), all of which is
    charged as system time — a user-time-only gamma would hide the disk. *)
@@ -102,7 +91,6 @@ let cell_of_run app ~baseline ~footprint ~ram (r : Report.t) =
   let time_s = run_time_s r in
   let base_s = run_time_s baseline in
   let page_ins, evictions, writebacks_started, sync_writebacks = paging_of_report r in
-  let oom_faults, _, invariant_violations = robustness_of_report r in
   {
     app_name = app.Numa_apps.App_sig.name;
     ram_pages = ram;
@@ -113,8 +101,9 @@ let cell_of_run app ~baseline ~footprint ~ram (r : Report.t) =
     evictions;
     writebacks_started;
     sync_writebacks;
-    oom_faults;
-    invariant_violations;
+    oom_faults =
+      (match r.Report.robustness with Some rb -> rb.Report.oom_faults | None -> 0);
+    invariant_violations = snd (Sweep.audits r);
     r;
   }
 
@@ -137,109 +126,68 @@ let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
       (fun app -> Runner.run app { spec with Runner.faults = Plan.empty })
       apps
   in
-  let footprints = List.map footprint_of_report baselines in
-  let jobs_list =
-    List.concat_map
-      (fun v ->
-        List.map2
-          (fun app (baseline, footprint) -> (v, app, baseline, footprint))
-          apps
-          (List.combine baselines footprints))
-      variants
-  in
-  let measured =
-    Parallel.map ?jobs
-      (fun (v, app, baseline, footprint) ->
-        let ram = max 8 ((footprint + v.ratio - 1) / v.ratio) in
-        let tweak c =
-          let c = spec.Runner.config_tweak c in
-          { c with Numa_machine.Config.global_pages = ram }
-        in
-        let r =
-          Runner.run app
-            {
-              spec with
-              Runner.config_tweak = tweak;
-              faults = (if v.squeeze then squeeze_plan else Plan.empty);
-              paranoid = true;
-              victim = v.victim;
-            }
-        in
-        cell_of_run app ~baseline ~footprint ~ram r)
-      jobs_list
-  in
-  let rec group variants measured =
-    match variants with
-    | [] -> []
-    | v :: rest ->
-        let n = List.length apps in
-        let cells = List.filteri (fun i _ -> i < n) measured in
-        let remaining = List.filteri (fun i _ -> i >= n) measured in
-        let sum f = List.fold_left (fun acc c -> acc + f c) 0 cells in
-        {
-          variant = v;
-          cells;
-          mean_slowdown = mean (List.map (fun c -> c.slowdown) cells);
-          page_ins = sum (fun c -> c.page_ins);
-          evictions = sum (fun c -> c.evictions);
-          writebacks_started = sum (fun c -> c.writebacks_started);
-          sync_writebacks = sum (fun c -> c.sync_writebacks);
-          oom_faults = sum (fun c -> c.oom_faults);
-          invariant_checks =
-            List.fold_left
-              (fun acc c ->
-                let _, checks, _ = robustness_of_report c.r in
-                acc + checks)
-              0 cells;
-          invariant_violations = sum (fun c -> c.invariant_violations);
-        }
-        :: group rest remaining
-  in
-  group variants measured
+  Sweep.grid ?jobs variants (List.combine apps baselines) (fun v (app, baseline) ->
+      let footprint = footprint_of_report baseline in
+      let ram = max 8 ((footprint + v.ratio - 1) / v.ratio) in
+      let tweak c =
+        let c = spec.Runner.config_tweak c in
+        { c with Numa_machine.Config.global_pages = ram }
+      in
+      let r =
+        Runner.run app
+          {
+            spec with
+            Runner.config_tweak = tweak;
+            faults = (if v.squeeze then squeeze_plan else Plan.empty);
+            paranoid = true;
+            victim = v.victim;
+          }
+      in
+      cell_of_run app ~baseline ~footprint ~ram r)
+  |> List.map (fun (variant, cells) ->
+         let sum f = Sweep.sum f cells in
+         {
+           variant;
+           cells;
+           mean_slowdown = Sweep.mean (List.map (fun c -> c.slowdown) cells);
+           page_ins = sum (fun c -> c.page_ins);
+           evictions = sum (fun c -> c.evictions);
+           writebacks_started = sum (fun c -> c.writebacks_started);
+           sync_writebacks = sum (fun c -> c.sync_writebacks);
+           oom_faults = sum (fun c -> c.oom_faults);
+           invariant_checks = sum (fun c -> fst (Sweep.audits c.r));
+           invariant_violations = sum (fun c -> c.invariant_violations);
+         })
 
-let total_violations rows =
-  List.fold_left (fun acc r -> acc + r.invariant_violations) 0 rows
-
-let total_oom rows = List.fold_left (fun acc r -> acc + r.oom_faults) 0 rows
+let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
+let total_oom rows = Sweep.sum (fun r -> r.oom_faults) rows
 
 let render ~topology rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let table =
-    Text_table.create
-      ~columns:
-        (("Pressure", Text_table.Left)
-        :: List.map (fun a -> (a, Text_table.Right)) apps
-        @ [
-            ("mean slowdown", Text_table.Right);
-            ("page-ins", Text_table.Right);
-            ("evictions", Text_table.Right);
-            ("writebacks", Text_table.Right);
-            ("oom", Text_table.Right);
-            ("violations", Text_table.Right);
-          ])
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        ((variant_name r.variant
-         :: List.map (fun c -> Text_table.cell_f2 c.slowdown) r.cells)
-        @ [
-            Text_table.cell_f2 r.mean_slowdown;
-            Text_table.cell_int r.page_ins;
-            Text_table.cell_int r.evictions;
-            Text_table.cell_int (r.writebacks_started + r.sync_writebacks);
-            Text_table.cell_int r.oom_faults;
-            Text_table.cell_int r.invariant_violations;
-          ]))
-    rows;
+  let slowdown_of i r = Text_table.cell_f2 (List.nth r.cells i).slowdown in
   Printf.sprintf
     "Pressure sweep on %s: per-app slowdown against the ample-memory run, \
      at working-set/RAM ratios under both victim policies (ratio/victim \
      rows; +squeeze adds a frame squeeze on top of the pressure). %d \
      invariant violations across the matrix.\n%s"
-    topology (total_violations rows) (Text_table.render table)
+    topology (total_violations rows)
+    Text_table.(
+      of_rows rows
+        ~columns:
+          ((("Pressure", Left, fun r -> variant_name r.variant)
+           :: List.mapi (fun i a -> (a, Right, slowdown_of i)) apps)
+          @ [
+              ("mean slowdown", Right, fun r -> cell_f2 r.mean_slowdown);
+              ("page-ins", Right, fun r -> cell_int r.page_ins);
+              ("evictions", Right, fun r -> cell_int r.evictions);
+              ( "writebacks",
+                Right,
+                fun r -> cell_int (r.writebacks_started + r.sync_writebacks) );
+              ("oom", Right, fun r -> cell_int r.oom_faults);
+              ("violations", Right, fun r -> cell_int r.invariant_violations);
+            ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
   let open Numa_obs.Json in

@@ -1,7 +1,6 @@
 open Numa_util
 module Report = Numa_system.Report
 module Pt = Numa_machine.Pt
-module Config = Numa_machine.Config
 
 type variant = { mode : Pt.mode; topology : string }
 
@@ -46,19 +45,9 @@ type row = {
   invariant_violations : int;
 }
 
-let mean xs =
-  match xs with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 (* User + system time: the walk and shootdown charges are kernel work, so
    a user-time-only slowdown would hide exactly the cost being measured. *)
 let run_time_s (r : Report.t) = Report.total_user_s r +. Report.total_system_s r
-
-let robustness_of_report (r : Report.t) =
-  match r.Report.robustness with
-  | Some rb -> (rb.Report.invariant_checks, rb.Report.invariant_violations)
-  | None -> (0, 0)
 
 let cell_of_run app ~baseline (r : Report.t) =
   let time_s = run_time_s r in
@@ -75,7 +64,6 @@ let cell_of_run app ~baseline (r : Report.t) =
           p.Report.global_pt_pages )
     | None -> (0, 0, 0., 0, 0, 0, 0)
   in
-  let _, invariant_violations = robustness_of_report r in
   let total_ns = r.Report.total_user_ns +. r.Report.total_system_ns in
   {
     app_name = app.Numa_apps.App_sig.name;
@@ -92,16 +80,9 @@ let cell_of_run app ~baseline (r : Report.t) =
     tlb_miss_rate =
       (let total = r.Report.tlb_hits + r.Report.tlb_misses in
        if total = 0 then 0. else float_of_int r.Report.tlb_misses /. float_of_int total);
-    invariant_violations;
+    invariant_violations = snd (Sweep.audits r);
     r;
   }
-
-let topology_tweak ~spec ~topology c =
-  match
-    Config.of_topology_name ~n_cpus:c.Config.n_cpus topology
-  with
-  | Some c -> spec.Runner.config_tweak c
-  | None -> invalid_arg (Printf.sprintf "Pt_sweep: unknown topology %S" topology)
 
 let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
   let apps = match apps with Some l -> l | None -> Numa_apps.Registry.table4 in
@@ -116,102 +97,43 @@ let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
      out. Every materialised run is paranoid, so the page-table relation
      (master = MMU image, replicas = master image) is audited from the
      daemon tick while tables churn. *)
+  let on = Runner.with_topology spec in
   let baselines =
-    Parallel.map ?jobs
-      (fun (topology, app) ->
-        ( (topology, app.Numa_apps.App_sig.name),
-          Runner.run app
-            {
-              spec with
-              Runner.config_tweak = topology_tweak ~spec ~topology;
-              pt_mode = Pt.Off;
-            } ))
-      (List.concat_map (fun t -> List.map (fun a -> (t, a)) apps) topologies)
+    Sweep.grid ?jobs topologies apps (fun topology app ->
+        (app, Runner.run app { (on topology) with Runner.pt_mode = Pt.Off }))
   in
-  let baseline_for ~topology app =
-    List.assoc (topology, app.Numa_apps.App_sig.name) baselines
-  in
-  let measured =
-    Parallel.map ?jobs
-      (fun (v, app) ->
-        let r =
-          match v.mode with
-          | Pt.Off -> baseline_for ~topology:v.topology app
-          | Pt.Shared | Pt.Replicated _ ->
-              Runner.run app
-                {
-                  spec with
-                  Runner.config_tweak = topology_tweak ~spec ~topology:v.topology;
-                  pt_mode = v.mode;
-                  paranoid = true;
-                }
-        in
-        cell_of_run app ~baseline:(baseline_for ~topology:v.topology app) r)
-      (List.concat_map (fun v -> List.map (fun a -> (v, a)) apps) variants)
-  in
-  let rec group variants measured =
-    match variants with
-    | [] -> []
-    | v :: rest ->
-        let n = List.length apps in
-        let cells = List.filteri (fun i _ -> i < n) measured in
-        let remaining = List.filteri (fun i _ -> i >= n) measured in
-        let sum f = List.fold_left (fun acc c -> acc + f c) 0 cells in
-        {
-          variant = v;
-          cells;
-          mean_slowdown = mean (List.map (fun c -> c.slowdown) cells);
-          mean_walk_share = mean (List.map (fun c -> c.walk_share) cells);
-          walks = sum (fun c -> c.walks);
-          pte_updates = sum (fun c -> c.pte_updates);
-          pte_shootdowns = sum (fun c -> c.pte_shootdowns);
-          replicas_built = sum (fun c -> c.replicas_built);
-          global_pt_pages = sum (fun c -> c.global_pt_pages);
-          invariant_checks =
-            List.fold_left
-              (fun acc c -> acc + fst (robustness_of_report c.r))
-              0 cells;
-          invariant_violations = sum (fun c -> c.invariant_violations);
-        }
-        :: group rest remaining
-  in
-  group variants measured
+  Sweep.grid ?jobs variants apps (fun v app ->
+      let baseline = List.assq app (List.assoc v.topology baselines) in
+      let r =
+        match v.mode with
+        | Pt.Off -> baseline
+        | Pt.Shared | Pt.Replicated _ ->
+            Runner.run app { (on v.topology) with Runner.pt_mode = v.mode; paranoid = true }
+      in
+      cell_of_run app ~baseline r)
+  |> List.map (fun (variant, cells) ->
+         let sum f = Sweep.sum f cells in
+         {
+           variant;
+           cells;
+           mean_slowdown = Sweep.mean (List.map (fun c -> c.slowdown) cells);
+           mean_walk_share = Sweep.mean (List.map (fun c -> c.walk_share) cells);
+           walks = sum (fun c -> c.walks);
+           pte_updates = sum (fun c -> c.pte_updates);
+           pte_shootdowns = sum (fun c -> c.pte_shootdowns);
+           replicas_built = sum (fun c -> c.replicas_built);
+           global_pt_pages = sum (fun c -> c.global_pt_pages);
+           invariant_checks = sum (fun c -> fst (Sweep.audits c.r));
+           invariant_violations = sum (fun c -> c.invariant_violations);
+         })
 
-let total_violations rows =
-  List.fold_left (fun acc r -> acc + r.invariant_violations) 0 rows
+let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
 
 let render rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let table =
-    Text_table.create
-      ~columns:
-        (("PT mode", Text_table.Left)
-        :: List.map (fun a -> (a, Text_table.Right)) apps
-        @ [
-            ("mean slowdown", Text_table.Right);
-            ("walk share", Text_table.Right);
-            ("walks", Text_table.Right);
-            ("shootdowns", Text_table.Right);
-            ("replicas", Text_table.Right);
-            ("violations", Text_table.Right);
-          ])
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        ((variant_name r.variant
-         :: List.map (fun c -> Text_table.cell_f2 c.slowdown) r.cells)
-        @ [
-            Text_table.cell_f2 r.mean_slowdown;
-            Printf.sprintf "%.1f%%" (100. *. r.mean_walk_share);
-            Text_table.cell_int r.walks;
-            Text_table.cell_int r.pte_shootdowns;
-            Text_table.cell_int r.replicas_built;
-            Text_table.cell_int r.invariant_violations;
-          ]))
-    rows;
+  let slowdown_of i r = Text_table.cell_f2 (List.nth r.cells i).slowdown in
   Printf.sprintf
     "Page-table sweep: per-app slowdown against the free-translation run \
      of the same topology (mode/topology rows). Walk share is the fraction \
@@ -219,7 +141,20 @@ let render rows =
      applications (TLB-hostile reference streams) from walk-light ones, \
      and replication earns its shootdown traffic exactly when that share \
      is large and remote. %d invariant violations across the matrix.\n%s"
-    (total_violations rows) (Text_table.render table)
+    (total_violations rows)
+    Text_table.(
+      of_rows rows
+        ~columns:
+          ((("PT mode", Left, fun r -> variant_name r.variant)
+           :: List.mapi (fun i a -> (a, Right, slowdown_of i)) apps)
+          @ [
+              ("mean slowdown", Right, fun r -> cell_f2 r.mean_slowdown);
+              ("walk share", Right, fun r -> Printf.sprintf "%.1f%%" (100. *. r.mean_walk_share));
+              ("walks", Right, fun r -> cell_int r.walks);
+              ("shootdowns", Right, fun r -> cell_int r.pte_shootdowns);
+              ("replicas", Right, fun r -> cell_int r.replicas_built);
+              ("violations", Right, fun r -> cell_int r.invariant_violations);
+            ]))
 
 let to_json rows : Numa_obs.Json.t =
   let open Numa_obs.Json in

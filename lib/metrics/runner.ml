@@ -36,6 +36,16 @@ let default_spec =
 
 let config_for spec ~n_cpus = spec.config_tweak (Config.ace ~n_cpus ())
 
+let with_topology spec name =
+  if not (List.mem name Config.builtin_topologies) then
+    invalid_arg
+      (Printf.sprintf "unknown topology %S; known: %s" name
+         (String.concat ", " Config.builtin_topologies));
+  let topology (c : Config.t) =
+    Option.get (Config.of_topology_name ~n_cpus:c.Config.n_cpus name)
+  in
+  { spec with config_tweak = (fun c -> spec.config_tweak (topology c)) }
+
 let run_with (app : Numa_apps.App_sig.t) spec ~policy ~n_cpus ~nthreads =
   let config = config_for spec ~n_cpus in
   let sys =

@@ -38,6 +38,12 @@ val config_for : run_spec -> n_cpus:int -> Config.t
 (** The machine configuration a spec runs on: the ACE at [n_cpus]
     processors with the spec's tweak applied. *)
 
+val with_topology : run_spec -> string -> run_spec
+(** [with_topology spec name] runs [spec] on the built-in topology [name]
+    ({!Numa_machine.Config.builtin_topologies}) at the spec's processor
+    count, with [spec]'s own [config_tweak] applied on top.
+    [Invalid_argument] naming the known topologies if [name] is not one. *)
+
 val run : Numa_apps.App_sig.t -> run_spec -> Numa_system.Report.t
 (** One run: build a fresh system, set the application up, run it. *)
 

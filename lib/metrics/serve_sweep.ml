@@ -1,7 +1,6 @@
 open Numa_util
 module Report = Numa_system.Report
 module Sys_ = Numa_system.System
-module Config = Numa_machine.Config
 module Plan = Numa_faults.Plan
 
 (* The slate: the paper's policy, both baselines it is judged against, and
@@ -44,11 +43,6 @@ type row = {
           policy alone opens on this machine *)
 }
 
-let robustness_of_report (r : Report.t) =
-  match r.Report.robustness with
-  | Some rb -> (rb.Report.invariant_checks, rb.Report.invariant_violations)
-  | None -> (0, 0)
-
 let serving_of_report ~policy (r : Report.t) =
   match r.Report.serving with
   | Some s -> s
@@ -58,13 +52,8 @@ let serving_of_report ~policy (r : Report.t) =
            "Serve_sweep: run under %s produced no serving section (not a serve app?)"
            (Sys_.policy_spec_name policy))
 
-let topology_tweak ~spec ~topology c =
-  match Config.of_topology_name ~n_cpus:c.Config.n_cpus topology with
-  | Some c -> spec.Runner.config_tweak c
-  | None -> invalid_arg (Printf.sprintf "Serve_sweep: unknown topology %S" topology)
-
 let cell_of_run ~policy ~faulted (r : Report.t) =
-  let invariant_checks, invariant_violations = robustness_of_report r in
+  let invariant_checks, invariant_violations = Sweep.audits r in
   {
     policy;
     faulted;
@@ -89,113 +78,71 @@ let run ?jobs ?app ?policies ?topologies ?(spec = Runner.default_spec) () =
      open-loop arrivals make the cells comparable: the offered load is
      identical everywhere, only the queues differ. *)
   let offline = offline_plan () in
-  let jobs_list =
-    List.concat_map
-      (fun topology ->
-        List.map (fun p -> (topology, p, false)) policies
-        @ [ (topology, List.hd policies, true) ])
-      topologies
+  let cols =
+    List.map (fun p -> (p, false)) policies @ [ (List.hd policies, true) ]
   in
-  let measured =
-    Parallel.map ?jobs
-      (fun (topology, policy, faulted) ->
-        let r =
-          Runner.run app
-            {
-              spec with
-              Runner.policy;
-              config_tweak = topology_tweak ~spec ~topology;
-              faults = (if faulted then offline else Plan.empty);
-              paranoid = true;
-            }
-        in
-        cell_of_run ~policy ~faulted r)
-      jobs_list
-  in
-  let rec group topologies measured =
-    match topologies with
-    | [] -> []
-    | topology :: rest ->
-        let n = List.length policies + 1 in
-        let mine = List.filteri (fun i _ -> i < n) measured in
-        let remaining = List.filteri (fun i _ -> i >= n) measured in
-        let cells = List.filter (fun c -> not c.faulted) mine in
-        let offline = List.find (fun c -> c.faulted) mine in
-        let p99s =
-          List.map (fun c -> float_of_int c.serving.Report.p99_us) cells
-        in
-        let best = List.fold_left Float.min infinity p99s in
-        let worst = List.fold_left Float.max 0. p99s in
-        {
-          topology;
-          cells;
-          offline;
-          p99_spread = (if best > 0. then worst /. best else nan);
-        }
-        :: group rest remaining
-  in
-  group topologies measured
+  Sweep.grid ?jobs topologies cols (fun topology (policy, faulted) ->
+      let r =
+        Runner.run app
+          {
+            (Runner.with_topology spec topology) with
+            Runner.policy;
+            faults = (if faulted then offline else Plan.empty);
+            paranoid = true;
+          }
+      in
+      cell_of_run ~policy ~faulted r)
+  |> List.map (fun (topology, mine) ->
+         let cells = List.filter (fun c -> not c.faulted) mine in
+         let offline = List.find (fun c -> c.faulted) mine in
+         let p99s = List.map (fun c -> float_of_int c.serving.Report.p99_us) cells in
+         let best = List.fold_left Float.min infinity p99s in
+         let worst = List.fold_left Float.max 0. p99s in
+         { topology; cells; offline; p99_spread = (if best > 0. then worst /. best else nan) })
 
 let all_cells rows =
   List.concat_map (fun row -> row.cells @ [ row.offline ]) rows
 
-let total_violations rows =
-  List.fold_left (fun acc c -> acc + c.invariant_violations) 0 (all_cells rows)
+let total_violations rows = Sweep.sum (fun c -> c.invariant_violations) (all_cells rows)
 
 let cell_label c =
   Sys_.policy_spec_name c.policy ^ if c.faulted then " +node-offline" else ""
 
 let render ~scale rows =
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("Topology", Text_table.Left);
-          ("Policy", Text_table.Left);
-          ("mean us", Text_table.Right);
-          ("p50", Text_table.Right);
-          ("p95", Text_table.Right);
-          ("p99", Text_table.Right);
-          ("p99.9", Text_table.Right);
-          ("max", Text_table.Right);
-          ("queue p99", Text_table.Right);
-          ("req/s", Text_table.Right);
-          ("violations", Text_table.Right);
-        ]
-  in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun c ->
-          let s = c.serving in
-          Text_table.add_row table
-            [
-              row.topology;
-              cell_label c;
-              Printf.sprintf "%.1f" s.Report.mean_us;
-              Text_table.cell_int s.Report.p50_us;
-              Text_table.cell_int s.Report.p95_us;
-              Text_table.cell_int s.Report.p99_us;
-              Text_table.cell_int s.Report.p999_us;
-              Text_table.cell_int s.Report.max_us;
-              Text_table.cell_int s.Report.queue_p99_us;
-              Printf.sprintf "%.0f" s.Report.throughput_rps;
-              Text_table.cell_int c.invariant_violations;
-            ])
-        (row.cells @ [ row.offline ]))
-    rows;
   let spreads =
     String.concat ", "
       (List.map
          (fun row -> Printf.sprintf "%s %.1fx" row.topology row.p99_spread)
          rows)
   in
+  let latency f (_, c) = Text_table.cell_int (f c.serving) in
   Printf.sprintf
     "Serve sweep at scale %g: open-loop request latency (microseconds) per \
      placement policy and machine; identical offered load in every cell, so \
      the spread is pure policy. p99 spread (worst/best fault-free policy): \
      %s. %d invariant violations across the grid.\n%s"
-    scale spreads (total_violations rows) (Text_table.render table)
+    scale spreads (total_violations rows)
+    Text_table.(
+      of_rows
+        (List.concat_map
+           (fun row -> List.map (fun c -> (row.topology, c)) (row.cells @ [ row.offline ]))
+           rows)
+        ~columns:
+          [
+            ("Topology", Left, fst);
+            ("Policy", Left, fun (_, c) -> cell_label c);
+            ("mean us", Right, fun (_, c) -> Printf.sprintf "%.1f" c.serving.Report.mean_us);
+            ("p50", Right, latency (fun s -> s.Report.p50_us));
+            ("p95", Right, latency (fun s -> s.Report.p95_us));
+            ("p99", Right, latency (fun s -> s.Report.p99_us));
+            ("p99.9", Right, latency (fun s -> s.Report.p999_us));
+            ("max", Right, latency (fun s -> s.Report.max_us));
+            ("queue p99", Right, latency (fun s -> s.Report.queue_p99_us));
+            ( "req/s",
+              Right,
+              fun (_, c) -> Printf.sprintf "%.0f" c.serving.Report.throughput_rps );
+            ("violations", Right, fun (_, c) -> cell_int c.invariant_violations);
+          ])
 
 let serving_to_json (s : Report.serving) : Numa_obs.Json.t =
   let open Numa_obs.Json in

@@ -19,68 +19,39 @@ let cell_alpha r =
   if alpha_is_meaningful r.m then Text_table.cell_f2 r.m.Runner.alpha else "na"
 
 let render rows =
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("Application", Text_table.Left);
-          ("Tglobal", Text_table.Right);
-          ("Tnuma", Text_table.Right);
-          ("Tlocal", Text_table.Right);
-          ("alpha", Text_table.Right);
-          ("beta", Text_table.Right);
-          ("gamma", Text_table.Right);
-          ("alpha(counted)", Text_table.Right);
-        ]
-  in
-  List.iter
-    (fun r ->
-      let t = r.m.Runner.times in
-      Text_table.add_row table
-        [
-          r.m.Runner.app_name;
-          Text_table.cell_f1 t.Model.t_global;
-          Text_table.cell_f1 t.Model.t_numa;
-          Text_table.cell_f1 t.Model.t_local;
-          cell_alpha r;
-          Text_table.cell_f2 r.m.Runner.beta;
-          Text_table.cell_f2 r.m.Runner.gamma;
-          Text_table.cell_f2 r.alpha_counted;
-        ])
-    rows;
   "Table 3: measured user times (simulated seconds) and computed model parameters\n"
-  ^ Text_table.render table
+  ^ Text_table.(
+      of_rows rows
+        ~columns:
+          [
+            ("Application", Left, fun r -> r.m.Runner.app_name);
+            ("Tglobal", Right, fun r -> cell_f1 r.m.Runner.times.Model.t_global);
+            ("Tnuma", Right, fun r -> cell_f1 r.m.Runner.times.Model.t_numa);
+            ("Tlocal", Right, fun r -> cell_f1 r.m.Runner.times.Model.t_local);
+            ("alpha", Right, cell_alpha);
+            ("beta", Right, fun r -> cell_f2 r.m.Runner.beta);
+            ("gamma", Right, fun r -> cell_f2 r.m.Runner.gamma);
+            ("alpha(counted)", Right, fun r -> cell_f2 r.alpha_counted);
+          ])
 
 let render_comparison rows =
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("Application", Text_table.Left);
-          ("alpha meas", Text_table.Right);
-          ("alpha paper", Text_table.Right);
-          ("beta meas", Text_table.Right);
-          ("beta paper", Text_table.Right);
-          ("gamma meas", Text_table.Right);
-          ("gamma paper", Text_table.Right);
-        ]
+  let with_paper =
+    List.filter_map
+      (fun r -> Option.map (fun p -> (r, p)) (Paper_values.find_table3 r.m.Runner.app_name))
+      rows
   in
-  List.iter
-    (fun r ->
-      match Paper_values.find_table3 r.m.Runner.app_name with
-      | None -> ()
-      | Some p ->
-          Text_table.add_row table
-            [
-              r.m.Runner.app_name;
-              cell_alpha r;
-              (match p.Paper_values.alpha with
-              | None -> "na"
-              | Some a -> Text_table.cell_f2 a);
-              Text_table.cell_f2 r.m.Runner.beta;
-              Text_table.cell_f2 p.Paper_values.beta;
-              Text_table.cell_f2 r.m.Runner.gamma;
-              Text_table.cell_f2 p.Paper_values.gamma;
-            ])
-    rows;
-  "Measured vs paper (Table 3 model parameters)\n" ^ Text_table.render table
+  "Measured vs paper (Table 3 model parameters)\n"
+  ^ Text_table.(
+      of_rows with_paper
+        ~columns:
+          [
+            ("Application", Left, fun (r, _) -> r.m.Runner.app_name);
+            ("alpha meas", Right, fun (r, _) -> cell_alpha r);
+            ( "alpha paper",
+              Right,
+              fun (_, p) -> match p.Paper_values.alpha with None -> "na" | Some a -> cell_f2 a );
+            ("beta meas", Right, fun (r, _) -> cell_f2 r.m.Runner.beta);
+            ("beta paper", Right, fun (_, p) -> cell_f2 p.Paper_values.beta);
+            ("gamma meas", Right, fun (r, _) -> cell_f2 r.m.Runner.gamma);
+            ("gamma paper", Right, fun (_, p) -> cell_f2 p.Paper_values.gamma);
+          ])

@@ -40,55 +40,33 @@ let run ?(spec = Runner.default_spec) () =
   of_measurements (Table3.run ~apps:Numa_apps.Registry.table4 ~spec ())
 
 let render rows =
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("Application", Text_table.Left);
-          ("Snuma", Text_table.Right);
-          ("Sglobal", Text_table.Right);
-          ("dS", Text_table.Right);
-          ("Tnuma", Text_table.Right);
-          ("dS/Tnuma", Text_table.Right);
-        ]
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        [
-          r.app_name;
-          Text_table.cell_f1 r.s_numa;
-          Text_table.cell_f1 r.s_global;
-          (match r.delta_s with Some d -> Text_table.cell_f1 d | None -> "na");
-          Text_table.cell_f1 r.t_numa;
-          (match r.delta_s with
-          | Some _ -> Text_table.cell_pct r.overhead_pct
-          | None -> "0%");
-        ])
-    rows;
   "Table 4: total system time for runs on 7 processors (simulated seconds)\n"
-  ^ Text_table.render table
+  ^ Text_table.(
+      of_rows rows
+        ~columns:
+          [
+            ("Application", Left, fun r -> r.app_name);
+            ("Snuma", Right, fun r -> cell_f1 r.s_numa);
+            ("Sglobal", Right, fun r -> cell_f1 r.s_global);
+            ("dS", Right, fun r -> match r.delta_s with Some d -> cell_f1 d | None -> "na");
+            ("Tnuma", Right, fun r -> cell_f1 r.t_numa);
+            ( "dS/Tnuma",
+              Right,
+              fun r -> match r.delta_s with Some _ -> cell_pct r.overhead_pct | None -> "0%" );
+          ])
 
 let render_comparison rows =
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("Application", Text_table.Left);
-          ("dS/Tnuma meas", Text_table.Right);
-          ("dS/Tnuma paper", Text_table.Right);
-        ]
+  let with_paper =
+    List.filter_map
+      (fun r -> Option.map (fun p -> (r, p)) (Paper_values.find_table4 r.app_name))
+      rows
   in
-  List.iter
-    (fun r ->
-      match Paper_values.find_table4 r.app_name with
-      | None -> ()
-      | Some p ->
-          Text_table.add_row table
-            [
-              r.app_name;
-              Text_table.cell_pct r.overhead_pct;
-              Text_table.cell_pct p.Paper_values.overhead_pct;
-            ])
-    rows;
-  "Measured vs paper (Table 4 NUMA-management overhead)\n" ^ Text_table.render table
+  "Measured vs paper (Table 4 NUMA-management overhead)\n"
+  ^ Text_table.(
+      of_rows with_paper
+        ~columns:
+          [
+            ("Application", Left, fun (r, _) -> r.app_name);
+            ("dS/Tnuma meas", Right, fun (r, _) -> cell_pct r.overhead_pct);
+            ("dS/Tnuma paper", Right, fun (_, p) -> cell_pct p.Paper_values.overhead_pct);
+          ])

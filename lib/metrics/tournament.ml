@@ -13,15 +13,10 @@ type row = {
   total_pins : int;
 }
 
-let mean xs =
-  match xs with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
 (* Mean over the cells where the paper would print a number at all;
    ParMult-style apps with no writable sharing make alpha "na" (nan), and
    one nan would otherwise poison the whole policy's column. *)
-let mean_defined xs = mean (List.filter (fun x -> not (Float.is_nan x)) xs)
+let mean_defined xs = Sweep.mean (List.filter (fun x -> not (Float.is_nan x)) xs)
 
 let run ?jobs ?policies ?apps ?(spec = Runner.default_spec) () =
   let policies = match policies with Some l -> l | None -> Sys_.builtin_policy_specs in
@@ -31,78 +26,49 @@ let run ?jobs ?policies ?apps ?(spec = Runner.default_spec) () =
   (* Fan the full policy x app product through the domain pool at once:
      the matrix is embarrassingly parallel and the long pole is whichever
      single measurement is slowest, not whichever policy is. *)
-  let jobs_list =
-    List.concat_map (fun p -> List.map (fun app -> (p, app)) apps) policies
-  in
-  let measured =
-    Parallel.map ?jobs
-      (fun (p, app) ->
-        let m = Runner.measure app { spec with Runner.policy = p } in
-        { app_name = m.Runner.app_name; m })
-      jobs_list
-  in
-  let rec group policies measured =
-    match policies with
-    | [] -> []
-    | p :: rest ->
-        let n = List.length apps in
-        let cells = List.filteri (fun i _ -> i < n) measured in
-        let remaining = List.filteri (fun i _ -> i >= n) measured in
-        let gammas = List.map (fun c -> c.m.Runner.gamma) cells in
-        let alphas = List.map (fun c -> c.m.Runner.alpha) cells in
-        let betas = List.map (fun c -> c.m.Runner.beta) cells in
-        let sum f = List.fold_left (fun acc c -> acc + f c.m.Runner.r_numa) 0 cells in
-        {
-          policy = p;
-          cells;
-          mean_gamma = mean gammas;
-          mean_alpha = mean_defined alphas;
-          mean_beta = mean betas;
-          total_moves = sum (fun r -> r.Numa_system.Report.numa_moves);
-          total_pins = sum (fun r -> r.Numa_system.Report.pins);
-        }
-        :: group rest remaining
-  in
-  let rows = group policies measured in
+  Sweep.grid ?jobs policies apps (fun p app ->
+      let m = Runner.measure app { spec with Runner.policy = p } in
+      { app_name = m.Runner.app_name; m })
+  |> List.map (fun (policy, cells) ->
+         let each f = List.map (fun c -> f c.m) cells in
+         let sum f = Sweep.sum (fun c -> f c.m.Runner.r_numa) cells in
+         {
+           policy;
+           cells;
+           mean_gamma = Sweep.mean (each (fun m -> m.Runner.gamma));
+           mean_alpha = mean_defined (each (fun m -> m.Runner.alpha));
+           mean_beta = Sweep.mean (each (fun m -> m.Runner.beta));
+           total_moves = sum (fun r -> r.Numa_system.Report.numa_moves);
+           total_pins = sum (fun r -> r.Numa_system.Report.pins);
+         })
   (* Best policy first: gamma is the user-time expansion over all-local
      (equation 1), so smaller is better. The sort is stable, so ties keep
      registration order. *)
-  List.stable_sort (fun a b -> Float.compare a.mean_gamma b.mean_gamma) rows
+  |> List.stable_sort (fun a b -> Float.compare a.mean_gamma b.mean_gamma)
 
 let render ~topology rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let table =
-    Text_table.create
-      ~columns:
-        (("Policy", Text_table.Left)
-        :: List.map (fun a -> (a, Text_table.Right)) apps
-        @ [
-            ("mean gamma", Text_table.Right);
-            ("mean alpha", Text_table.Right);
-            ("mean beta", Text_table.Right);
-            ("moves", Text_table.Right);
-            ("pins", Text_table.Right);
-          ])
-  in
-  List.iter
-    (fun r ->
-      Text_table.add_row table
-        ((Sys_.policy_spec_name r.policy
-         :: List.map (fun c -> Text_table.cell_f2 c.m.Runner.gamma) r.cells)
-        @ [
-            Text_table.cell_f2 r.mean_gamma;
-            (if Float.is_nan r.mean_alpha then "na" else Text_table.cell_f2 r.mean_alpha);
-            Text_table.cell_f2 r.mean_beta;
-            Text_table.cell_int r.total_moves;
-            Text_table.cell_int r.total_pins;
-          ]))
-    rows;
+  let gamma_of i r = Text_table.cell_f2 (List.nth r.cells i).m.Runner.gamma in
   Printf.sprintf
     "Policy tournament on %s: per-app and mean gamma (T_numa/T_local; 1.00 is \
      all-local speed, smaller is better), best policy first\n%s"
-    topology (Text_table.render table)
+    topology
+    Text_table.(
+      of_rows rows
+        ~columns:
+          ((("Policy", Left, fun r -> Sys_.policy_spec_name r.policy)
+           :: List.mapi (fun i a -> (a, Right, gamma_of i)) apps)
+          @ [
+              ("mean gamma", Right, fun r -> cell_f2 r.mean_gamma);
+              ( "mean alpha",
+                Right,
+                fun r -> if Float.is_nan r.mean_alpha then "na" else cell_f2 r.mean_alpha );
+              ("mean beta", Right, fun r -> cell_f2 r.mean_beta);
+              ("moves", Right, fun r -> cell_int r.total_moves);
+              ("pins", Right, fun r -> cell_int r.total_pins);
+            ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
   let open Numa_obs.Json in

@@ -333,6 +333,28 @@ let counts_to_json c =
 
 let float_array a = Json.List (Array.to_list (Array.map (fun f -> Json.Float f) a))
 
+let resilience_to_json r =
+  Json.Obj
+    [
+      ("spec", Json.String r.res_spec);
+      ("deadline_us", Json.Int r.deadline_us);
+      ("arrived", Json.Int r.arrived);
+      ("served_in_deadline", Json.Int r.served_in_deadline);
+      ("timed_out", Json.Int r.timed_out);
+      ("shed", Json.Int r.shed);
+      ("timeouts", Json.Int r.timeouts);
+      ( "attempts_started",
+        Json.List (Array.to_list (Array.map (fun n -> Json.Int n) r.attempts_started)) );
+      ("hedges", Json.Int r.hedges);
+      ("hedge_wins", Json.Int r.hedge_wins);
+      ("breaker_opens", Json.Int r.breaker_opens);
+      ("breaker_transitions", Json.Int r.breaker_transitions);
+      ("shard_failovers", Json.Int r.shard_failovers);
+      ("goodput_rps", Json.Float r.goodput_rps);
+      ("slo_pct", Json.Float r.slo_pct);
+      ("conservation_violations", Json.Int r.conservation_violations);
+    ]
+
 let to_json t =
   Json.Obj
     ([
@@ -418,34 +440,7 @@ let to_json t =
               ] );
         ])
     @
-    (match t.resilience with
-    | None -> []
-    | Some r ->
-        [
-          ( "resilience",
-            Json.Obj
-              [
-                ("spec", Json.String r.res_spec);
-                ("deadline_us", Json.Int r.deadline_us);
-                ("arrived", Json.Int r.arrived);
-                ("served_in_deadline", Json.Int r.served_in_deadline);
-                ("timed_out", Json.Int r.timed_out);
-                ("shed", Json.Int r.shed);
-                ("timeouts", Json.Int r.timeouts);
-                ( "attempts_started",
-                  Json.List
-                    (Array.to_list
-                       (Array.map (fun n -> Json.Int n) r.attempts_started)) );
-                ("hedges", Json.Int r.hedges);
-                ("hedge_wins", Json.Int r.hedge_wins);
-                ("breaker_opens", Json.Int r.breaker_opens);
-                ("breaker_transitions", Json.Int r.breaker_transitions);
-                ("shard_failovers", Json.Int r.shard_failovers);
-                ("goodput_rps", Json.Float r.goodput_rps);
-                ("slo_pct", Json.Float r.slo_pct);
-                ("conservation_violations", Json.Int r.conservation_violations);
-              ] );
-        ])
+    (match t.resilience with None -> [] | Some r -> [ ("resilience", resilience_to_json r) ])
     @
     (match t.profile with
     | None -> []

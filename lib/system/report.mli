@@ -190,6 +190,9 @@ val summary_line : t -> string
 
 val counts_to_json : ref_counts -> Numa_obs.Json.t
 
+val resilience_to_json : resilience -> Numa_obs.Json.t
+(** The [resilience] section's JSON object, as {!to_json} embeds it. *)
+
 val to_json : t -> Numa_obs.Json.t
 (** The whole report as a JSON object: every counter {!pp} prints (and the
     per-CPU time arrays it does not), keyed stably for downstream tools. *)

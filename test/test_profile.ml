@@ -176,14 +176,23 @@ let test_bench_compare_directions () =
   let worse_gamma = summary ~gamma:2.0 () in
   Alcotest.(check bool) "gamma rise flagged" true
     (BC.regressed (lines_exn (BC.diff ~baseline ~current:worse_gamma ~max_regress:25.)));
-  let better = summary ~gamma:1.0 ~t_numa:8. () in
-  Alcotest.(check bool) "improvement fine" false
-    (BC.regressed (lines_exn (BC.diff ~baseline ~current:better ~max_regress:25.)));
   let slow_app = summary ~t_numa:20. () in
   let d = lines_exn (BC.diff ~baseline ~current:slow_app ~max_regress:25.) in
   Alcotest.(check bool) "t_numa rise flagged" true (BC.regressed d);
-  Alcotest.(check bool) "render marks the row" true
-    (contains ~sub:"REGRESSED" (BC.render d))
+  Alcotest.(check bool) "render marks the changed row" true
+    (contains ~sub:"CHANGED" (BC.render d));
+  let d = lines_exn (BC.diff ~baseline ~current:slower ~max_regress:25.) in
+  Alcotest.(check bool) "render marks the throughput row" true
+    (contains ~sub:"REGRESSED" (BC.render d));
+  (* Gamma and t_numa are deterministic: --max-regress does not cover them,
+     so the smallest move either way fails even at CI's 90% tolerance. *)
+  let flagged current = BC.regressed (lines_exn (BC.diff ~baseline ~current ~max_regress:90.)) in
+  Alcotest.(check bool) "0.1% gamma rise flagged at 90%" true
+    (flagged (summary ~gamma:(1.2 *. 1.001) ()));
+  Alcotest.(check bool) "gamma drop flagged at 90%" true
+    (flagged (summary ~gamma:1.0 ~t_numa:8. ()));
+  Alcotest.(check bool) "throughput within tolerance passes at 90%" false
+    (flagged (summary ~events:(Some 200.) ()))
 
 let test_bench_compare_tolerance_and_missing () =
   let baseline = summary () in
