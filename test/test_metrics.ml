@@ -225,6 +225,38 @@ let test_paper_values_lookup () =
   | Some r -> Alcotest.(check bool) "primes1 na" true (r.Paper_values.delta_s = None)
   | None -> Alcotest.fail "primes1 missing"
 
+(* --- sweep mechanism ----------------------------------------------------------- *)
+
+let test_sweep_grid () =
+  let module Sweep = Numa_metrics.Sweep in
+  let grid = Alcotest.(list (pair string (list string))) in
+  let rows = [ "a"; "b"; "c" ] and cols = [ 1; 2; 3; 4 ] in
+  let f r c = Printf.sprintf "%s%d" r c in
+  let expected = List.map (fun r -> (r, List.map (f r) cols)) rows in
+  List.iter
+    (fun jobs ->
+      Alcotest.check grid
+        (Printf.sprintf "row order, cells in column order (jobs %d)" jobs)
+        expected (Sweep.grid ~jobs rows cols f))
+    [ 1; 3 ];
+  Alcotest.check grid "no columns" [ ("a", []); ("b", []); ("c", []) ] (Sweep.grid rows [] f);
+  Alcotest.check grid "no rows" [] (Sweep.grid [] cols f);
+  Alcotest.(check bool) "mean of nothing is nan" true (Float.is_nan (Sweep.mean []));
+  Alcotest.(check (float 1e-12)) "mean" 2. (Sweep.mean [ 1.; 2.; 3. ])
+
+let test_with_topology () =
+  let spec = small_spec () in
+  let config = Runner.config_for (Runner.with_topology spec "multi-socket") ~n_cpus:4 in
+  Alcotest.(check bool) "topology applied at the spec's CPU count" true
+    (config = Option.get (Numa_machine.Config.of_topology_name ~n_cpus:4 "multi-socket"));
+  let pages_9 c = { c with Numa_machine.Config.global_pages = 9 } in
+  let tweaked = Runner.with_topology { spec with Runner.config_tweak = pages_9 } "butterfly" in
+  Alcotest.(check int) "the spec's own tweak applies on top" 9
+    (Runner.config_for tweaked ~n_cpus:4).Numa_machine.Config.global_pages;
+  match Runner.with_topology spec "hypercube" with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "unknown topology accepted"
+
 let suite =
   [
     Alcotest.test_case "equations recover paper's parameters" `Quick
@@ -245,4 +277,6 @@ let suite =
       test_tournament_small_matrix;
     Alcotest.test_case "policy tournament JSON artifact" `Quick
       test_tournament_json_artifact;
+    Alcotest.test_case "sweep grid regroups in order" `Quick test_sweep_grid;
+    Alcotest.test_case "runner topology override" `Quick test_with_topology;
   ]

@@ -234,6 +234,15 @@ let test_text_table_cells () =
   Alcotest.(check string) "pct" "24.9%" (Text_table.cell_pct 24.91);
   Alcotest.(check string) "int" "42" (Text_table.cell_int 42)
 
+let test_text_table_of_rows () =
+  let rows = [ ("x", 10); ("longer", 3) ] in
+  let t = Text_table.create ~columns:[ ("name", Text_table.Left); ("n", Text_table.Right) ] in
+  List.iter (fun (name, n) -> Text_table.add_row t [ name; string_of_int n ]) rows;
+  Alcotest.(check string) "same bytes as create/add_row/render" (Text_table.render t)
+    (Text_table.of_rows rows
+       ~columns:
+         [ ("name", Text_table.Left, fst); ("n", Text_table.Right, fun (_, n) -> string_of_int n) ])
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suite =
@@ -261,4 +270,5 @@ let suite =
     Alcotest.test_case "text table render" `Quick test_text_table_render;
     Alcotest.test_case "text table arity" `Quick test_text_table_arity;
     Alcotest.test_case "text table cells" `Quick test_text_table_cells;
+    Alcotest.test_case "text table of_rows" `Quick test_text_table_of_rows;
   ]
