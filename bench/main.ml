@@ -193,10 +193,46 @@ let bench_optimal =
   Test.make ~name:"optimal/per-page-dp"
     (Staged.stage (fun () -> ignore (Numa_trace.Optimal.page_optimal_ns ~config events)))
 
+(* Serving-latency kernel: one histogram add per run, over a warm table of
+   clustered microsecond latencies (what serve records twice per request). *)
+let bench_histogram =
+  let rng = Numa_util.Prng.create ~seed:1L in
+  let keys = Array.init 1024 (fun _ -> 900 + Numa_util.Prng.int rng 200) in
+  let h = Numa_util.Histogram.create () in
+  Array.iter (Numa_util.Histogram.add h) keys;
+  let i = ref 0 in
+  Test.make ~name:"histogram/add-clustered"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land 1023;
+         Numa_util.Histogram.add h keys.(!i)))
+
+(* Trace-export kernel: streaming a 1000-event Chrome trace to a file. *)
+let bench_trace_save =
+  let tr = Numa_obs.Chrome_trace.create ~n_cpus:4 in
+  for i = 0 to 999 do
+    Numa_obs.Chrome_trace.record tr ~ts:(float_of_int (i * 250))
+      (if i mod 2 = 0 then
+         Numa_obs.Event.Refs
+           { cpu = i mod 4; n = 16; write = i mod 3 = 0; loc = Numa_obs.Event.Local; node = i mod 4 }
+       else
+         Numa_obs.Event.Request_served
+           {
+             client = i;
+             key = i * 7;
+             cpu = i mod 4;
+             queue_ns = float_of_int i *. 1.5;
+             service_ns = 2_000.25;
+           })
+  done;
+  let path = Filename.temp_file "bench-trace" ".json" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  Test.make ~name:"chrome-trace/save"
+    (Staged.stage (fun () -> Numa_obs.Chrome_trace.save tr path))
+
 let micro_tests =
   [
     bench_table1; bench_table2; bench_figure1; bench_figure2; bench_table3;
-    bench_table4; bench_optimal;
+    bench_table4; bench_optimal; bench_histogram; bench_trace_save;
   ]
 
 let run_micro () =

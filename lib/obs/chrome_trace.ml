@@ -71,20 +71,43 @@ let event_to_json { ts; lane; ev } =
       ("args", Json.Obj (Event.args ev));
     ]
 
+let other_data t =
+  Json.Obj
+    [ ("clock", Json.String "virtual-ns"); ("cpus", Json.Int t.n_cpus); ("events", Json.Int t.n) ]
+
 let to_json t =
   Json.Obj
     [
       ("traceEvents", Json.List (metadata_events t @ List.rev_map event_to_json t.events));
       ("displayTimeUnit", Json.String "ns");
-      ( "otherData",
-        Json.Obj
-          [
-            ("clock", Json.String "virtual-ns");
-            ("cpus", Json.Int t.n_cpus);
-            ("events", Json.Int t.n);
-          ] );
+      ("otherData", other_data t);
     ]
 
-let save t path = Json.save (to_json t) path
+(* The bytes of [Json.save (to_json t)], streamed one trace event at a
+   time through a reused buffer that is flushed as it fills, so neither
+   the whole tree nor the whole string ever exists. *)
+let save t path =
+  let chunk = 65536 in
+  Out_channel.with_open_text path (fun oc ->
+      let buf = Buffer.create (2 * chunk) in
+      let first = ref true in
+      let item json =
+        if !first then first := false else Buffer.add_char buf ',';
+        Json.to_buffer buf json;
+        if Buffer.length buf >= chunk then begin
+          Buffer.output_buffer oc buf;
+          Buffer.clear buf
+        end
+      in
+      Buffer.add_string buf "{\"traceEvents\":[";
+      List.iter item (metadata_events t);
+      let events = Array.of_list t.events in
+      for i = Array.length events - 1 downto 0 do
+        item (event_to_json events.(i))
+      done;
+      Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",\"otherData\":";
+      Json.to_buffer buf (other_data t);
+      Buffer.add_string buf "}\n";
+      Buffer.output_buffer oc buf)
 
 let iter t f = List.iter (fun r -> f ~ts:r.ts ~lane:r.lane r.ev) (List.rev t.events)

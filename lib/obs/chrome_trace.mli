@@ -27,7 +27,10 @@ val protocol_lane : t -> int
 (** The lane index of the protocol lane (= [n_cpus]). *)
 
 val to_json : t -> Json.t
+
 val save : t -> string -> unit
+(** Write [Json.to_string (to_json t) ^ "\n"] to the file, streamed one
+    event at a time through a fixed-size buffer. *)
 
 val iter : t -> (ts:float -> lane:int -> Event.t -> unit) -> unit
 (** Recorded events in recording order, with their clamped stamps. *)

@@ -7,28 +7,45 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let rec plain s i =
+  i = String.length s
+  || (match String.unsafe_get s i with '"' | '\\' | '\000' .. '\031' -> false | _ -> true)
+     && plain s (i + 1)
+
+(* Most keys and values need no escaping and are copied in one go. *)
+let add_escaped buf s =
+  if plain s 0 then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s;
   Buffer.contents buf
+
+(* The C primitive behind Printf's float conversions, without the format
+   interpreter in front of it. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr f =
   (* JSON has no inf/nan literals; a cost that overflowed the model is a
      bug upstream, but the export must stay loadable. *)
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.12g" f
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    (* What "%.1f" prints for an integral value, -0.0 included. *)
+    if f = 0. && Float.sign_bit f then "-0.0" else string_of_int (int_of_float f) ^ ".0"
+  else format_float "%.12g" f
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
@@ -37,7 +54,7 @@ let rec to_buffer buf = function
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | List items ->
       Buffer.add_char buf '[';
@@ -53,7 +70,7 @@ let rec to_buffer buf = function
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           to_buffer buf v)
         fields;

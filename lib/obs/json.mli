@@ -22,6 +22,11 @@ type t =
 val escape : string -> string
 (** JSON string-body escaping (quotes, backslash, control characters). *)
 
+val float_repr : float -> string
+(** How {!to_buffer} prints a [Float]: [null] when not finite, the
+    [Printf "%.1f"] text for integral values below [1e15] in magnitude
+    ([-0.0] included), and the [Printf "%.12g"] text otherwise. *)
+
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 

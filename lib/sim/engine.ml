@@ -592,7 +592,11 @@ let total_system_ns t = Array.fold_left ( +. ) 0. t.system
 let elapsed_ns t = Array.fold_left Float.max 0. t.clock
 let n_events t = t.n_events
 let n_threads t = Hashtbl.length t.threads
-let thread_cpu t ~tid = (Hashtbl.find t.threads tid).cpu
+(* Hot on serving paths: the flat index once [run] has built it, the table
+   before that. *)
+let thread_cpu t ~tid =
+  if tid >= 0 && tid < Array.length t.thread_by_tid then t.thread_by_tid.(tid).cpu
+  else (Hashtbl.find t.threads tid).cpu
 
 let rehome t ~tid ~cpu =
   if cpu < 0 || cpu >= t.config.n_cpus then invalid_arg "Engine.rehome: bad cpu";

@@ -1,7 +1,11 @@
-(** Integer-valued histogram with unbounded keys.
+(** Integer-valued histogram with unbounded keys and exact counts.
 
     Used for per-page move-count distributions (how many ownership transfers
-    each page suffered before pinning) and fault-kind breakdowns. *)
+    each page suffered before pinning), fault-kind breakdowns, and serving
+    latencies in microseconds. Memory grows with the number of distinct
+    keys, not their size. {!add} on a key already present allocates
+    nothing; the ordered queries sort the distinct keys once and reuse that
+    order until a new key arrives. *)
 
 type t
 
@@ -11,7 +15,8 @@ val add : t -> int -> unit
 (** Increment the count of the given key by one. *)
 
 val add_many : t -> int -> int -> unit
-(** [add_many t key n] increments the count of [key] by [n]. *)
+(** [add_many t key n] increments the count of [key] by [n]. [n = 0] is a
+    no-op: the key is not recorded. [Invalid_argument] for [n < 0]. *)
 
 val count : t -> int -> int
 (** Count recorded for a key (0 if never seen). *)
@@ -32,7 +37,7 @@ val percentile : t -> float -> int
 (** [percentile t p] is the nearest-rank [p]-th percentile of the
     distribution ([p] in [\[0,100\]]): the smallest key whose cumulative
     count reaches [ceil (p/100 * total)]. [0] for an empty histogram;
-    [Invalid_argument] for [p] outside the range. *)
+    [Invalid_argument] for [p] outside the range or [nan]. *)
 
 val to_sorted_list : t -> (int * int) list
 (** (key, count) pairs in increasing key order. *)

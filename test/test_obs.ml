@@ -434,6 +434,128 @@ let test_report_json_roundtrip () =
   Alcotest.(check bool) "policy name round-trips" true
     (contains s (Printf.sprintf "\"policy\":%S" report.Report.policy_name))
 
+(* --- streaming save and the float/string fast paths ------------------------ *)
+
+(* One of every Event.t constructor. Strings carry a quote, a backslash, a
+   newline and a control character; floats cover -0.0, fractions, values
+   at and beyond 1e15, nan and both infinities. *)
+let every_event =
+  let s = "q\"b\\n\nc\001" in
+  let f = [| -0.0; 0.1; 1e15; -3.7e19; Float.nan; Float.infinity; Float.neg_infinity |] in
+  let fl i = f.(i mod Array.length f) in
+  Event.
+    [
+      Fault_resolved { cpu = 0; vpage = 1; lpage = 2; write = true; state = s };
+      Policy_decision { lpage = 2; cpu = 1; global = false; reason = s };
+      Page_move { lpage = 2; to_node = 1; moves = 3 };
+      Page_pin { lpage = 2; cpu = 1; reason = s };
+      Page_unpin { lpage = 2 };
+      Replica_create { lpage = 2; node = 0 };
+      Replica_flush { lpage = 2; node = 0 };
+      Sync_to_global { lpage = 2; node = 1 };
+      Zero_fill { lpage = 2; node = Some 1 };
+      Zero_fill { lpage = 3; node = None };
+      Local_fallback { lpage = 2; cpu = 0 };
+      Page_freed { lpage = 2; moves = 4 };
+      Refs { cpu = 1; n = 16; write = false; loc = Remote; node = 0 };
+      Bus_queued { cpu = 0; words = 8; delay_ns = fl 0 };
+      Lock_acquired { lock_id = 1; cpu = 0; tid = 2 };
+      Lock_contended { lock_id = 1; cpu = 1; tid = 3 };
+      Lock_released { lock_id = 1; cpu = 0; tid = 2 };
+      Dispatch { tid = 2; cpu = 0; name = s };
+      Syscall { tid = 2; cpu = 0; service_ns = fl 1 };
+      Tlb_shootdown { cpu = 1; vpage = 1; lpage = 2 };
+      Thread_migrated { tid = 2; from_cpu = 0; to_cpu = 1 };
+      Reconsider_scan { expired = 2 };
+      Fault_injected { kind = s; detail = s };
+      Node_offline { node = 1 };
+      Node_online { node = 1 };
+      Node_drained { node = 1; pages = 5; threads = 1 };
+      Link_degraded { src = 0; dst = 1; factor = fl 2 };
+      Invariant_checked { violations = 0 };
+      Out_of_memory { cpu = 0; vpage = 9 };
+      Page_in { lpage = 2 };
+      Page_evicted { lpage = 2; dirty = true };
+      Writeback_started { lpage = 2 };
+      Writeback_done { lpage = 2; redirtied = false };
+      Pt_walk { cpu = 0; vpage = 1; lpage = 2; levels = 3; ns = fl 3 };
+      Pt_shootdown { cpu = 0; vpage = 1; lpage = 2; node = 1 };
+      Pt_replica_create { pmap = 0; node = 1; frames = 3 };
+      Pt_replica_drop { pmap = 0; node = 1 };
+      Request_arrived { client = 7; key = 8; worker = 1 };
+      Request_served { client = 7; key = 8; cpu = 1; queue_ns = fl 4; service_ns = fl 5 };
+      Request_timeout { client = 7; key = 8; cpu = 1; attempt = 0 };
+      Request_retry { client = 7; key = 8; cpu = 1; attempt = 1; backoff_ns = fl 6 };
+      Request_hedged { client = 7; key = 8; cpu = 1 };
+      Request_shed { client = 7; key = 8; worker = 1 };
+      Breaker_transition { worker = 1; from_state = s; to_state = "open" };
+      Shard_failover { worker = 1; from_cpu = 1; to_cpu = 0 };
+    ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_chrome_trace_save_streams_same_bytes () =
+  let tr = Chrome_trace.create ~n_cpus:2 in
+  let expect () = Json.to_string (Chrome_trace.to_json tr) ^ "\n" in
+  let path = Filename.temp_file "trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Chrome_trace.save tr path;
+      Alcotest.(check string) "empty trace" (expect ()) (read_file path);
+      (* Enough rounds to flush the buffer many times over. *)
+      for round = 0 to 399 do
+        List.iteri
+          (fun i ev ->
+            let ts = [| 0.5; 1e15; 2.5e17 |].(i mod 3) +. float_of_int round in
+            Chrome_trace.record tr ~ts ev)
+          every_event
+      done;
+      Chrome_trace.save tr path;
+      let got = read_file path in
+      Alcotest.(check bool) "several buffers' worth" true (String.length got > 4 * 65536);
+      Alcotest.(check bool) "same bytes as the whole document" true (String.equal (expect ()) got))
+
+(* The Printf-based emitters the fast paths replace. *)
+let printf_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.12g" f
+
+let printf_escape s =
+  String.concat ""
+    (List.map
+       (function
+         | '"' -> "\\\""
+         | '\\' -> "\\\\"
+         | '\n' -> "\\n"
+         | '\r' -> "\\r"
+         | '\t' -> "\\t"
+         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+         | c -> String.make 1 c)
+       (List.of_seq (String.to_seq s)))
+
+let prop_float_repr_matches_printf =
+  let special =
+    [ 0.; -0.; 1e15; -1e15; 999999999999999.; 1e15 +. 2.; 0.1; -2.5; 1e-300; Float.nan;
+      Float.infinity; Float.neg_infinity; max_float; min_float; 4503599627370496.5 ]
+  in
+  QCheck.Test.make ~name:"float_repr = Printf %.1f / %.12g" ~count:2000
+    QCheck.(
+      oneof
+        [
+          oneofl special;
+          float;
+          map float_of_int int;
+          map (fun (m, e) -> Float.ldexp (float_of_int m) e) (pair small_signed_int (int_range (-60) 60));
+        ])
+    (fun f -> String.equal (Json.float_repr f) (printf_float_repr f))
+
+let prop_escape_matches_printf =
+  QCheck.Test.make ~name:"escape = per-character reference" ~count:500
+    QCheck.(string_gen_of_size Gen.(0 -- 40) Gen.(oneof [ char; oneofl [ '"'; '\\'; '\n'; 'a' ] ]))
+    (fun s -> String.equal (Json.escape s) (printf_escape s))
+
 let suite =
   [
     Alcotest.test_case "json rendering" `Quick test_json_to_string;
@@ -460,4 +582,8 @@ let suite =
     Alcotest.test_case "json parse round-trip" `Quick test_json_parse_roundtrip;
     Alcotest.test_case "json parse rejects garbage" `Quick test_json_parse_rejects;
     Alcotest.test_case "report json round-trip" `Quick test_report_json_roundtrip;
+    Alcotest.test_case "chrome trace save streams the same bytes" `Quick
+      test_chrome_trace_save_streams_same_bytes;
+    QCheck_alcotest.to_alcotest prop_float_repr_matches_printf;
+    QCheck_alcotest.to_alcotest prop_escape_matches_printf;
   ]

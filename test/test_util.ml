@@ -192,7 +192,10 @@ let test_histogram_percentile_invalid () =
       ignore (Histogram.percentile h 100.1));
   Alcotest.check_raises "p < 0"
     (Invalid_argument "Histogram.percentile: p must be in [0,100]") (fun () ->
-      ignore (Histogram.percentile h (-1.)))
+      ignore (Histogram.percentile h (-1.)));
+  Alcotest.check_raises "p = nan"
+    (Invalid_argument "Histogram.percentile: p must be in [0,100]") (fun () ->
+      ignore (Histogram.percentile h Float.nan))
 
 let test_histogram_percentile_single_key () =
   let h = Histogram.create () in
@@ -201,6 +204,69 @@ let test_histogram_percentile_single_key () =
     (fun p -> Alcotest.(check int) "all percentiles hit the one key" 4 (Histogram.percentile h p))
     [ 0.; 1.; 50.; 99.; 100. ];
   Alcotest.(check (float 1e-9)) "mean of constant" 4. (Histogram.mean h)
+
+(* The map-based histogram the open-addressing table replaced, as a model:
+   the same random ops drive both, compared after every step. *)
+module Int_map = Map.Make (Int)
+
+let model_percentile m total p =
+  if total = 0 then 0
+  else
+    let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int total))) in
+    let rec go cum = function
+      | [] -> 0
+      | (k, n) :: rest -> if cum + n >= rank then k else go (cum + n) rest
+    in
+    go 0 (Int_map.bindings m)
+
+let model_mean m total =
+  if total = 0 then 0.
+  else
+    Int_map.fold (fun k n acc -> acc +. (float_of_int k *. float_of_int n)) m 0.
+    /. float_of_int total
+
+let prop_histogram_model =
+  let key =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-3) 3;
+          int_range 900 1100;
+          map (fun k -> k * 64) (int_range (-50) 50);
+          oneofl [ min_int; max_int; 1 lsl 40; -(1 lsl 40); 109_000_000 ];
+          int;
+        ])
+  in
+  let op =
+    QCheck.Gen.(triple key (frequency [ (3, return 1); (1, int_range 0 5) ]) (float_range 0. 100.))
+  in
+  QCheck.Test.make ~name:"histogram agrees with a map model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple int int float))
+       QCheck.Gen.(list_size (int_range 0 600) op))
+    (fun ops ->
+      let h = Histogram.create () in
+      let model = ref Int_map.empty and total = ref 0 in
+      List.for_all
+        (fun (k, n, p) ->
+          if n = 1 then Histogram.add h k else Histogram.add_many h k n;
+          if n > 0 then begin
+            model := Int_map.update k (fun c -> Some (Option.value c ~default:0 + n)) !model;
+            total := !total + n
+          end;
+          let m = !model in
+          Histogram.count h k = Option.value (Int_map.find_opt k m) ~default:0
+          && Histogram.total h = !total
+          && Histogram.keys h = List.map fst (Int_map.bindings m)
+          && Histogram.to_sorted_list h = Int_map.bindings m
+          && Histogram.max_key h
+             = (match Int_map.max_binding_opt m with Some (k, _) -> k | None -> 0)
+          && Histogram.percentile h p = model_percentile m !total p
+          && Histogram.percentile h 100. = model_percentile m !total 100.
+          && Int64.equal
+               (Int64.bits_of_float (Histogram.mean h))
+               (Int64.bits_of_float (model_mean m !total)))
+        ops)
 
 (* --- text table ----------------------------------------------------------------- *)
 
@@ -271,4 +337,5 @@ let suite =
     Alcotest.test_case "text table arity" `Quick test_text_table_arity;
     Alcotest.test_case "text table cells" `Quick test_text_table_cells;
     Alcotest.test_case "text table of_rows" `Quick test_text_table_of_rows;
+    qcheck prop_histogram_model;
   ]
