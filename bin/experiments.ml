@@ -215,15 +215,12 @@ let false_sharing c =
 
 (* Run [name] under the live policy with a trace buffer attached. *)
 let traced_run { spec; _ } name ~scale =
-  let app = Option.get (Numa_apps.Registry.find name) in
-  let config = Numa_machine.Config.ace ~n_cpus:spec.Runner.n_cpus () in
-  let sys = System.create ~policy:spec.Runner.policy ~config () in
+  let spec = { spec with Runner.scale } in
+  let sys = Runner.system (Option.get (Numa_apps.Registry.find name)) spec in
   let buffer = Numa_trace.Trace_buffer.create () in
   Numa_trace.Trace_buffer.attach buffer sys;
-  app.Numa_apps.App_sig.setup sys
-    { Numa_apps.App_sig.nthreads = spec.Runner.nthreads; scale; seed = spec.Runner.seed };
   ignore (System.run sys);
-  (config, buffer)
+  (Runner.config_for spec, buffer)
 
 let optimal_study c =
   (* Trace an imatmult numa run and compare against the DP optimum. *)

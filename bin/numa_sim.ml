@@ -1,24 +1,56 @@
 (* Command-line driver: run one application on the simulated ACE, or run
-   the paper's three-measurement protocol for it. *)
+   the paper's three-measurement protocol for it. run, profile and measure
+   share one flag set, [spec_term]; trace takes its machine-and-workload
+   part, [workload_term]. *)
 
 open Cmdliner
 module System = Numa_system.System
 module Report = Numa_system.Report
 module Runner = Numa_metrics.Runner
 module Model = Numa_metrics.Model
+module Sweep = Numa_metrics.Sweep
 
-let policy_conv =
-  let parse s =
-    match System.policy_spec_of_string s with
-    | Ok spec -> Ok spec
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf p = Format.pp_print_string ppf (System.policy_spec_name p) in
-  Arg.conv (parse, print)
+let ( let* ) = Result.bind
+
+(* Every option value is parsed and printed by a library's own pair. *)
+let conv parse print = Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
+let unknown what known s =
+  Printf.sprintf "unknown %s %S; known: %s" what s (String.concat ", " known)
+
+let policy_conv = conv System.policy_spec_of_string System.policy_spec_name
 
 let scheduler_conv =
   Arg.enum
     [ ("affinity", Numa_sim.Engine.Affinity); ("single-queue", Numa_sim.Engine.Single_queue) ]
+
+let topology_conv =
+  let known = Numa_machine.Config.builtin_topologies in
+  conv (fun s -> if List.mem s known then Ok s else Error (unknown "topology" known s)) Fun.id
+
+let pt_mode_conv = conv Numa_machine.Pt.mode_of_string Numa_machine.Pt.mode_to_string
+let arrival_conv = conv Numa_util.Dist.arrival_of_string Numa_util.Dist.arrival_to_string
+
+let retry_conv =
+  conv Numa_apps.Resilience.retry_of_string Numa_apps.Resilience.retry_to_string
+
+let hedge_conv =
+  conv Numa_apps.Resilience.hedge_of_string Numa_apps.Resilience.hedge_to_string
+
+let breaker_conv =
+  conv Numa_apps.Resilience.breaker_of_string Numa_apps.Resilience.breaker_to_string
+
+let faults_conv = conv Numa_faults.Plan.of_string Numa_faults.Plan.to_string
+
+let victim_conv =
+  let parse s =
+    Option.to_result
+      ~none:(unknown "victim policy" [ "clock"; "lru" ] s)
+      (Numa_vm.Pageout.victim_of_string s)
+  in
+  conv parse Numa_vm.Pageout.victim_name
+
+(* --- the machine and workload ------------------------------------------ *)
 
 let app_arg =
   let doc = "Application to run (see the list command)." in
@@ -56,16 +88,38 @@ let unix_master_arg =
     value & flag
     & info [ "unix-master" ] ~doc:"Serialise system calls on CPU 0 (section 4.6).")
 
-let topology_conv =
-  let parse s =
-    if List.mem s Numa_machine.Config.builtin_topologies then Ok s
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown topology %S; known: %s" s
-             (String.concat ", " Numa_machine.Config.builtin_topologies)))
+let find_app name =
+  match Numa_apps.Registry.find name with
+  | Some app -> Ok app
+  | None -> Error (unknown "application" (Numa_apps.Registry.names ()) name)
+
+(* The application and its run on the ACE: what every subcommand that
+   simulates takes. *)
+let workload_term =
+  let make name policy cpus threads scale seed scheduler unix_master =
+    let* app = find_app name in
+    match threads with
+    | Some n when n <= 0 -> Error "--threads must be positive"
+    | _ ->
+        let nthreads = Option.value threads ~default:cpus in
+        Ok
+          ( app,
+            {
+              Runner.default_spec with
+              Runner.policy;
+              n_cpus = cpus;
+              nthreads;
+              scale;
+              seed;
+              scheduler;
+              unix_master;
+            } )
   in
-  Arg.conv (parse, Format.pp_print_string)
+  Term.(
+    const make $ app_arg $ policy_arg $ cpus_arg $ threads_arg $ scale_arg $ seed_arg
+    $ scheduler_arg $ unix_master_arg)
+
+(* --- the machine's variants and its faults ----------------------------- *)
 
 let topology_arg =
   Arg.(
@@ -76,15 +130,6 @@ let topology_arg =
            level repriced at remote speed), butterfly (no shared board; global \
            pages striped over the CPU nodes) or multi-socket (two-tier 4-socket \
            distance matrix).")
-
-let pt_mode_conv =
-  let parse s =
-    match Numa_machine.Pt.mode_of_string s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Format.pp_print_string ppf (Numa_machine.Pt.mode_to_string m) in
-  Arg.conv (parse, print)
 
 let pt_mode_arg =
   Arg.(
@@ -99,24 +144,53 @@ let pt_mode_arg =
            coherent by PTE shootdowns) or replicated:N (replicas built on demand \
            by the first local walk, at most N per address space).")
 
-let find_app name =
-  match Numa_apps.Registry.find name with
-  | Some app -> Ok app
-  | None ->
-      Error
-        (Printf.sprintf "unknown application %S; known: %s" name
-           (String.concat ", " (Numa_apps.Registry.names ())))
+let faults_arg =
+  Arg.(
+    value
+    & opt faults_conv Numa_faults.Plan.empty
+    & info [ "faults" ] ~docv:"PLAN"
+        ~doc:
+          "Deterministic fault schedule, comma-separated: \
+           node-offline:NODE\\@MS, node-online:NODE\\@MS, \
+           node-flap:NODE:PERIOD_MS\\@MS..MS (sugar for alternating \
+           offline/online), link-degrade:SRC:DST:FACTOR\\@MS..MS, \
+           frame-squeeze:NODE:FRAC\\@MS, \
+           stale-pte:LPAGE\\@MS (needs --pt-mode replicated), \
+           spurious-shootdown:RATE (times in milliseconds of simulated time). \
+           The same plan and workload seed reproduce the run byte for byte.")
+
+let victim_arg =
+  Arg.(
+    value
+    & opt victim_conv Numa_vm.Pageout.Clock
+    & info [ "victim" ] ~docv:"POLICY"
+        ~doc:
+          "Pageout victim selection: clock (second-chance hand over the object \
+           list, the default) or lru (approximate least-recently-used over \
+           fault-time use stamps). Only matters under memory pressure.")
+
+let pages_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "pages" ] ~docv:"N"
+        ~doc:
+          "Cap the logical-page pool at $(docv) pages (default: the machine's \
+           full global memory). A pool smaller than the working set makes the \
+           pageout daemon carry the run — one pressure-sweep cell as a single \
+           run, useful with --paranoid and --victim.")
+
+let paranoid_arg =
+  Arg.(
+    value & flag
+    & info [ "paranoid" ]
+        ~doc:
+          "Audit the coherence protocol's invariants from the periodic daemon \
+           tick (single owner, replicas only when read-only, no mapping into a \
+           freed or offline frame, cached cells coherent, pinned pages hold no \
+           local copies). The run exits nonzero if any audit finds a violation.")
 
 (* --- served-traffic knobs (only meaningful for the serve app) ----------- *)
-
-let arrival_conv =
-  let parse s =
-    match Numa_util.Dist.arrival_of_string s with
-    | Ok a -> Ok a
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf a = Format.pp_print_string ppf (Numa_util.Dist.arrival_to_string a) in
-  Arg.conv (parse, print)
 
 let arrival_arg =
   Arg.(
@@ -157,39 +231,6 @@ let rw_mix_arg =
            values churn the placement protocol.")
 
 (* --- resilience knobs (serve app only) ---------------------------------- *)
-
-let retry_conv =
-  let parse s =
-    match Numa_apps.Resilience.retry_of_string s with
-    | Ok r -> Ok r
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf r =
-    Format.pp_print_string ppf (Numa_apps.Resilience.retry_to_string r)
-  in
-  Arg.conv (parse, print)
-
-let hedge_conv =
-  let parse s =
-    match Numa_apps.Resilience.hedge_of_string s with
-    | Ok h -> Ok h
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf h =
-    Format.pp_print_string ppf (Numa_apps.Resilience.hedge_to_string h)
-  in
-  Arg.conv (parse, print)
-
-let breaker_conv =
-  let parse s =
-    match Numa_apps.Resilience.breaker_of_string s with
-    | Ok b -> Ok b
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf b =
-    Format.pp_print_string ppf (Numa_apps.Resilience.breaker_to_string b)
-  in
-  Arg.conv (parse, print)
 
 let deadline_arg =
   Arg.(
@@ -237,126 +278,82 @@ let breaker_arg =
            when the node returns, after failing the shard over to the nearest \
            online node.")
 
-let resolve_app name ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge ~breaker =
-  match find_app name with
-  | Error _ as e -> e
-  | Ok app ->
-      let resilient =
-        deadline <> None || retry <> None || hedge <> None || breaker <> None
+(* [app] itself when no serve flag is given, else the serve app they shape. *)
+let serve_app app ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge ~breaker =
+  let resilient = deadline <> None || retry <> None || hedge <> None || breaker <> None in
+  let bad p = Option.fold ~none:false ~some:p in
+  if arrival = None && zipf = None && clients = None && rw_mix = None && not resilient then
+    Ok app
+  else if app.Numa_apps.App_sig.name <> "serve" then
+    Error
+      (Printf.sprintf
+         "--arrival/--zipf/--clients/--rw-mix/--deadline/--retry/--hedge/--breaker \
+          shape served traffic and only apply to the serve app, not %S"
+         app.Numa_apps.App_sig.name)
+  else if bad (fun t -> t < 0.) zipf then Error "--zipf must be >= 0"
+  else if bad (fun c -> c <= 0) clients then Error "--clients must be positive"
+  else if bad (fun f -> f < 0. || f > 1.) rw_mix then Error "--rw-mix must be in [0,1]"
+  else if bad (fun d -> d <= 0) deadline then
+    Error "--deadline must be a positive number of microseconds"
+  else
+    let resilience =
+      if resilient then
+        Some (Numa_apps.Resilience.make ?deadline_us:deadline ?retry ?hedge ?breaker ())
+      else None
+    in
+    Ok (Numa_apps.Serve.make ?arrival ?theta:zipf ?clients ?rw_mix ?resilience ())
+
+(* The one flag set of run, profile and measure: the workload on its
+   machine, with its faults, audits and page tables, and serve's knobs. *)
+let spec_term =
+  let make workload topology faults paranoid victim pt_mode pages arrival zipf clients
+      rw_mix deadline retry hedge breaker =
+    let* app, spec = workload in
+    let* app =
+      serve_app app ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge ~breaker
+    in
+    let spec =
+      Runner.with_topology { spec with Runner.faults; paranoid; victim; pt_mode } topology
+    in
+    let tweak = spec.Runner.config_tweak in
+    let cap (c : Numa_machine.Config.t) =
+      match pages with Some n -> { c with global_pages = n } | None -> c
+    in
+    Ok (app, { spec with Runner.config_tweak = (fun c -> cap (tweak c)) })
+  in
+  Term.(
+    const make $ workload_term $ topology_arg $ faults_arg $ paranoid_arg $ victim_arg
+    $ pt_mode_arg $ pages_arg $ arrival_arg $ zipf_arg $ clients_arg $ rw_mix_arg
+    $ deadline_arg $ retry_arg $ hedge_arg $ breaker_arg)
+
+(* The one exit path of the simulating subcommands. [f ~save app spec]
+   writes its artifacts through [save] and returns the reports of its runs.
+   The exit status is 1, with a message on stderr, for a usage error, an
+   [Invalid_argument] (how [Runner.system] rejects a bad machine or fault
+   plan), any invariant violation in those reports, or any failed save;
+   else 0. *)
+let simulate f = function
+  | Error msg ->
+      prerr_endline msg;
+      1
+  | Ok (app, spec) -> (
+      let failed_saves = ref 0 in
+      let save what path write =
+        try write ()
+        with Sys_error msg ->
+          incr failed_saves;
+          Printf.eprintf "numa_sim: cannot write %s %s: %s\n" what path msg
       in
-      if
-        arrival = None && zipf = None && clients = None && rw_mix = None
-        && not resilient
-      then Ok app
-      else if app.Numa_apps.App_sig.name <> "serve" then
-        Error
-          (Printf.sprintf
-             "--arrival/--zipf/--clients/--rw-mix/--deadline/--retry/--hedge/--breaker \
-              shape served traffic and only apply to the serve app, not %S"
-             name)
-      else if (match zipf with Some t -> t < 0. | None -> false) then
-        Error "--zipf must be >= 0"
-      else if (match clients with Some c -> c <= 0 | None -> false) then
-        Error "--clients must be positive"
-      else if (match rw_mix with Some f -> f < 0. || f > 1. | None -> false) then
-        Error "--rw-mix must be in [0,1]"
-      else if (match deadline with Some d -> d <= 0 | None -> false) then
-        Error "--deadline must be a positive number of microseconds"
-      else
-        let resilience =
-          if resilient then
-            Some
-              (Numa_apps.Resilience.make ?deadline_us:deadline ?retry ?hedge ?breaker
-                 ())
-          else None
-        in
-        Ok (Numa_apps.Serve.make ?arrival ?theta:zipf ?clients ?rw_mix ?resilience ())
+      match f ~save app spec with
+      | exception Invalid_argument msg ->
+          Printf.eprintf "numa_sim: %s\n" msg;
+          1
+      | reports ->
+          let n = Sweep.sum (fun r -> snd (Sweep.audits r)) reports in
+          if n > 0 then Printf.eprintf "numa_sim: %d protocol invariant violations\n" n;
+          if n > 0 || !failed_saves > 0 then 1 else 0)
 
-let spec_of ?(topology = "ace") ?(faults = Numa_faults.Plan.empty) ?(paranoid = false)
-    ?(profiling = false) ?(victim = Numa_vm.Pageout.Clock)
-    ?(pt_mode = Numa_machine.Pt.Off) ~policy ~cpus ~threads ~scale ~seed ~scheduler
-    ~unix_master () =
-  Runner.with_topology
-    {
-      Runner.policy;
-      n_cpus = cpus;
-      nthreads = Option.value threads ~default:cpus;
-      scale;
-      seed;
-      scheduler;
-      unix_master;
-      config_tweak = Fun.id;
-      faults;
-      paranoid;
-      profiling;
-      victim;
-      pt_mode;
-    }
-    topology
-
-let faults_conv =
-  let parse s =
-    match Numa_faults.Plan.of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf p = Format.pp_print_string ppf (Numa_faults.Plan.to_string p) in
-  Arg.conv (parse, print)
-
-let faults_arg =
-  Arg.(
-    value
-    & opt faults_conv Numa_faults.Plan.empty
-    & info [ "faults" ] ~docv:"PLAN"
-        ~doc:
-          "Deterministic fault schedule, comma-separated: \
-           node-offline:NODE\\@MS, node-online:NODE\\@MS, \
-           node-flap:NODE:PERIOD_MS\\@MS..MS (sugar for alternating \
-           offline/online), link-degrade:SRC:DST:FACTOR\\@MS..MS, \
-           frame-squeeze:NODE:FRAC\\@MS, \
-           stale-pte:LPAGE\\@MS (needs --pt-mode replicated), \
-           spurious-shootdown:RATE (times in milliseconds of simulated time). \
-           The same plan and workload seed reproduce the run byte for byte.")
-
-let victim_conv =
-  let parse s =
-    match Numa_vm.Pageout.victim_of_string s with
-    | Some v -> Ok v
-    | None -> Error (`Msg (Printf.sprintf "unknown victim policy %S; known: clock, lru" s))
-  in
-  let print ppf v = Format.pp_print_string ppf (Numa_vm.Pageout.victim_name v) in
-  Arg.conv (parse, print)
-
-let victim_arg =
-  Arg.(
-    value
-    & opt victim_conv Numa_vm.Pageout.Clock
-    & info [ "victim" ] ~docv:"POLICY"
-        ~doc:
-          "Pageout victim selection: clock (second-chance hand over the object \
-           list, the default) or lru (approximate least-recently-used over \
-           fault-time use stamps). Only matters under memory pressure.")
-
-let pages_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "pages" ] ~docv:"N"
-        ~doc:
-          "Cap the logical-page pool at $(docv) pages (default: the machine's \
-           full global memory). A pool smaller than the working set makes the \
-           pageout daemon carry the run — one pressure-sweep cell as a single \
-           run, useful with --paranoid and --victim.")
-
-let paranoid_arg =
-  Arg.(
-    value & flag
-    & info [ "paranoid" ]
-        ~doc:
-          "Audit the coherence protocol's invariants from the periodic daemon \
-           tick (single owner, replicas only when read-only, no mapping into a \
-           freed or offline frame, cached cells coherent, pinned pages hold no \
-           local copies). The run exits nonzero if any audit finds a violation.")
+(* --- exports of run ------------------------------------------------------ *)
 
 let trace_out_arg =
   Arg.(
@@ -405,129 +402,66 @@ let profile_out_arg =
            (category tree in virtual nanoseconds plus hot pages, locks, links \
            and threads). The text and JSON reports also gain a profile section.")
 
+(* --- subcommands --------------------------------------------------------- *)
+
 let run_cmd =
-  let action app_name policy cpus threads scale seed scheduler unix_master topology
-      faults paranoid victim pt_mode pages trace_out metrics_out report_json
-      explain_page profile_out arrival zipf clients rw_mix deadline retry hedge
-      breaker =
-    match
-      resolve_app app_name ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge
-        ~breaker
-    with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok app ->
-        let spec =
-          spec_of ~topology ~faults ~paranoid ~victim ~pt_mode ~policy ~cpus ~threads
-            ~scale ~seed ~scheduler ~unix_master ()
-        in
-        let spec =
-          match pages with
-          | None -> spec
-          | Some n ->
-              let base = spec.Runner.config_tweak in
-              {
-                spec with
-                Runner.config_tweak =
-                  (fun c -> { (base c) with Numa_machine.Config.global_pages = n });
-              }
-        in
-        let config = Runner.config_for spec ~n_cpus:spec.Runner.n_cpus in
+  let action trace_out metrics_out report_json explain_page profile_out =
+    simulate (fun ~save app spec ->
         let obs = Numa_obs.Hub.create () in
+        (* A sink on the hub for each export asked for, paired with its flag. *)
+        let sink create attach =
+          Option.map (fun arg ->
+              let s = create arg in
+              attach s obs;
+              (s, arg))
+        in
         let chrome =
-          match trace_out with
-          | None -> None
-          | Some path ->
-              let tr = Numa_obs.Chrome_trace.create ~n_cpus:spec.Runner.n_cpus in
-              Numa_obs.Chrome_trace.attach tr obs;
-              Some (tr, path)
+          sink
+            (fun _ -> Numa_obs.Chrome_trace.create ~n_cpus:spec.Runner.n_cpus)
+            Numa_obs.Chrome_trace.attach trace_out
         in
         let series =
-          match metrics_out with
-          | None -> None
-          | Some path ->
-              let ts = Numa_obs.Timeseries.create () in
-              Numa_obs.Timeseries.attach ts obs;
-              Some (ts, path)
+          sink (fun _ -> Numa_obs.Timeseries.create ()) Numa_obs.Timeseries.attach metrics_out
         in
         let audit =
-          match explain_page with
-          | None -> None
-          | Some lpage ->
-              let a = Numa_obs.Page_audit.create ~lpage in
-              Numa_obs.Page_audit.attach a obs;
-              Some a
+          sink (fun lpage -> Numa_obs.Page_audit.create ~lpage) Numa_obs.Page_audit.attach
+            explain_page
         in
-        match
-          System.create ~obs ~policy:spec.Runner.policy ~scheduler:spec.Runner.scheduler
-            ~chunk_refs:2048 ~unix_master:spec.Runner.unix_master
-            ~faults:spec.Runner.faults ~paranoid:spec.Runner.paranoid
-            ~profiling:(profile_out <> None) ~victim:spec.Runner.victim
-            ~pt_mode:spec.Runner.pt_mode ~config ()
-        with
-        | exception Invalid_argument msg ->
-            (* A fault plan can be well-formed yet name a node the chosen
-               machine does not have; that is a usage error, not a crash. *)
-            Printf.eprintf "numa_sim: %s\n" msg;
-            1
-        | sys ->
-        app.Numa_apps.App_sig.setup sys
-          {
-            Numa_apps.App_sig.nthreads = spec.Runner.nthreads;
-            scale = spec.Runner.scale;
-            seed = spec.Runner.seed;
-          };
-        let report = System.run sys in
+        let report =
+          System.run
+            (Runner.system ~obs app { spec with Runner.profiling = profile_out <> None })
+        in
         Format.printf "%a@." Report.pp report;
-        let save_errors = ref 0 in
-        let saving what path f =
-          try f () with Sys_error msg ->
-            incr save_errors;
-            Printf.eprintf "numa_sim: cannot write %s %s: %s\n" what path msg
-        in
-        (match chrome with
-        | None -> ()
-        | Some (tr, path) ->
-            saving "trace" path (fun () ->
+        Option.iter
+          (fun (tr, path) ->
+            save "trace" path (fun () ->
                 Numa_obs.Chrome_trace.save tr path;
                 Printf.printf "trace: wrote %d events to %s\n"
                   (Numa_obs.Chrome_trace.length tr)
-                  path));
-        (match series with
-        | None -> ()
-        | Some (ts, path) ->
-            saving "metrics" path (fun () ->
+                  path))
+          chrome;
+        Option.iter
+          (fun (ts, path) ->
+            save "metrics" path (fun () ->
                 Numa_obs.Timeseries.save_csv ts path;
                 Printf.printf "metrics: wrote %d epochs to %s\n"
                   (List.length (Numa_obs.Timeseries.rows ts))
-                  path));
-        (match report_json with
-        | None -> ()
-        | Some path ->
-            saving "report" path (fun () ->
+                  path))
+          series;
+        Option.iter
+          (fun path ->
+            save "report" path (fun () ->
                 Numa_obs.Json.save (Report.to_json report) path;
-                Printf.printf "report: wrote JSON to %s\n" path));
+                Printf.printf "report: wrote JSON to %s\n" path))
+          report_json;
         (match (profile_out, report.Report.profile) with
         | None, _ | _, None -> ()
         | Some path, Some snap ->
-            saving "profile" path (fun () ->
+            save "profile" path (fun () ->
                 Numa_obs.Json.save (Numa_obs.Profile.snapshot_to_json snap) path;
                 Printf.printf "profile: wrote JSON to %s\n" path));
-        (match audit with
-        | None -> ()
-        | Some a -> print_string (Numa_obs.Page_audit.explain a));
-        let violations =
-          match report.Report.robustness with
-          | Some r -> r.Report.invariant_violations
-          | None -> 0
-        in
-        if violations > 0 then begin
-          Printf.eprintf "numa_sim: %d protocol invariant violations\n" violations;
-          1
-        end
-        else if !save_errors > 0 then 1
-        else 0
+        Option.iter (fun (a, _) -> print_string (Numa_obs.Page_audit.explain a)) audit;
+        [ report ])
   in
   Cmd.v
     (Cmd.info "run"
@@ -536,11 +470,8 @@ let run_cmd =
           injection and invariant auditing; optional exports: Chrome trace \
           timeline, per-epoch metrics CSV, JSON report, per-page audit.")
     Term.(
-      const action $ app_arg $ policy_arg $ cpus_arg $ threads_arg $ scale_arg $ seed_arg
-      $ scheduler_arg $ unix_master_arg $ topology_arg $ faults_arg $ paranoid_arg
-      $ victim_arg $ pt_mode_arg $ pages_arg $ trace_out_arg $ metrics_out_arg
-      $ report_json_arg $ explain_page_arg $ profile_out_arg $ arrival_arg $ zipf_arg
-      $ clients_arg $ rw_mix_arg $ deadline_arg $ retry_arg $ hedge_arg $ breaker_arg)
+      const action $ trace_out_arg $ metrics_out_arg $ report_json_arg $ explain_page_arg
+      $ profile_out_arg $ spec_term)
 
 let profile_cmd =
   let top_arg =
@@ -563,67 +494,26 @@ let profile_cmd =
       & opt (some string) None
       & info [ "json-out" ] ~docv:"FILE" ~doc:"Also write the profile snapshot as JSON.")
   in
-  let action app_name policy cpus threads scale seed scheduler unix_master topology
-      faults pt_mode top folded_out json_out arrival zipf clients rw_mix deadline
-      retry hedge breaker =
-    match
-      resolve_app app_name ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge
-        ~breaker
-    with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok app -> (
-        let spec =
-          spec_of ~topology ~faults ~profiling:true ~pt_mode ~policy ~cpus ~threads
-            ~scale ~seed ~scheduler ~unix_master ()
-        in
-        let config = Runner.config_for spec ~n_cpus:spec.Runner.n_cpus in
-        match
-          System.create ~policy:spec.Runner.policy ~scheduler:spec.Runner.scheduler
-            ~chunk_refs:2048 ~unix_master:spec.Runner.unix_master
-            ~faults:spec.Runner.faults ~profiling:true ~pt_mode:spec.Runner.pt_mode
-            ~config ()
-        with
-        | exception Invalid_argument msg ->
-            Printf.eprintf "numa_sim: %s\n" msg;
-            1
-        | sys -> (
-            app.Numa_apps.App_sig.setup sys
-              {
-                Numa_apps.App_sig.nthreads = spec.Runner.nthreads;
-                scale = spec.Runner.scale;
-                seed = spec.Runner.seed;
-              };
-            let report = System.run sys in
-            match (System.profile sys, report.Report.profile) with
-            | None, _ | _, None ->
-                prerr_endline "numa_sim: profiler was not attached (internal error)";
-                1
-            | Some p, Some _ ->
-                let snap = Numa_obs.Profile.snapshot ~top p in
-                print_string (Numa_obs.Profile.render snap);
-                let save_errors = ref 0 in
-                let saving what path f =
-                  try f ()
-                  with Sys_error msg ->
-                    incr save_errors;
-                    Printf.eprintf "numa_sim: cannot write %s %s: %s\n" what path msg
-                in
-                (match folded_out with
-                | None -> ()
-                | Some path ->
-                    saving "folded profile" path (fun () ->
-                        Out_channel.with_open_text path (fun oc ->
-                            Out_channel.output_string oc (Numa_obs.Profile.folded snap));
-                        Printf.printf "profile: wrote folded stacks to %s\n" path));
-                (match json_out with
-                | None -> ()
-                | Some path ->
-                    saving "profile JSON" path (fun () ->
-                        Numa_obs.Json.save (Numa_obs.Profile.snapshot_to_json snap) path;
-                        Printf.printf "profile: wrote JSON to %s\n" path));
-                if !save_errors > 0 then 1 else 0))
+  let action top folded_out json_out =
+    simulate (fun ~save app spec ->
+        let sys = Runner.system app { spec with Runner.profiling = true } in
+        let report = System.run sys in
+        let snap = Numa_obs.Profile.snapshot ~top (Option.get (System.profile sys)) in
+        print_string (Numa_obs.Profile.render snap);
+        Option.iter
+          (fun path ->
+            save "folded profile" path (fun () ->
+                Out_channel.with_open_text path (fun oc ->
+                    Out_channel.output_string oc (Numa_obs.Profile.folded snap));
+                Printf.printf "profile: wrote folded stacks to %s\n" path))
+          folded_out;
+        Option.iter
+          (fun path ->
+            save "profile JSON" path (fun () ->
+                Numa_obs.Json.save (Numa_obs.Profile.snapshot_to_json snap) path;
+                Printf.printf "profile: wrote JSON to %s\n" path))
+          json_out;
+        [ report ])
   in
   Cmd.v
     (Cmd.info "profile"
@@ -633,27 +523,11 @@ let profile_cmd =
           destination and class, bus queueing per link, kernel work by cause, lock \
           spin/hold, idle — plus the hottest pages, locks, links and threads. The \
           category totals are guaranteed to sum to the CPUs' elapsed time.")
-    Term.(
-      const action $ app_arg $ policy_arg $ cpus_arg $ threads_arg $ scale_arg $ seed_arg
-      $ scheduler_arg $ unix_master_arg $ topology_arg $ faults_arg $ pt_mode_arg
-      $ top_arg $ folded_out_arg $ json_out_arg $ arrival_arg $ zipf_arg $ clients_arg
-      $ rw_mix_arg $ deadline_arg $ retry_arg $ hedge_arg $ breaker_arg)
+    Term.(const action $ top_arg $ folded_out_arg $ json_out_arg $ spec_term)
 
 let measure_cmd =
-  let action app_name policy cpus threads scale seed scheduler unix_master topology
-      pt_mode arrival zipf clients rw_mix deadline retry hedge breaker =
-    match
-      resolve_app app_name ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge
-        ~breaker
-    with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok app ->
-        let spec =
-          spec_of ~topology ~pt_mode ~policy ~cpus ~threads ~scale ~seed ~scheduler
-            ~unix_master ()
-        in
+  let action =
+    simulate (fun ~save:_ app spec ->
         let m = Runner.measure app spec in
         let t = m.Runner.times in
         Format.printf
@@ -664,16 +538,12 @@ let measure_cmd =
           m.Runner.app_name m.Runner.gl t.Model.t_global t.Model.t_numa t.Model.t_local
           m.Runner.alpha m.Runner.beta m.Runner.gamma
           m.Runner.r_numa.Report.alpha_counted;
-        0
+        [ m.Runner.r_numa; m.Runner.r_global; m.Runner.r_local ])
   in
   Cmd.v
     (Cmd.info "measure"
        ~doc:"Run the three-measurement protocol (Tnuma/Tglobal/Tlocal) and the model.")
-    Term.(
-      const action $ app_arg $ policy_arg $ cpus_arg $ threads_arg $ scale_arg $ seed_arg
-      $ scheduler_arg $ unix_master_arg $ topology_arg $ pt_mode_arg $ arrival_arg
-      $ zipf_arg $ clients_arg $ rw_mix_arg $ deadline_arg $ retry_arg $ hedge_arg
-      $ breaker_arg)
+    Term.(const action $ spec_term)
 
 let trace_cmd =
   let path_arg =
@@ -682,41 +552,23 @@ let trace_cmd =
       & opt (some string) None
       & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Where to write the trace (TSV).")
   in
-  let action app_name policy cpus threads scale seed scheduler unix_master path =
-    match find_app app_name with
-    | Error msg ->
-        prerr_endline msg;
-        1
-    | Ok app ->
-        let spec =
-          spec_of ~policy ~cpus ~threads ~scale ~seed ~scheduler ~unix_master ()
-        in
-        let config = Numa_machine.Config.ace ~n_cpus:spec.Runner.n_cpus () in
-        let sys =
-          System.create ~policy:spec.Runner.policy ~scheduler:spec.Runner.scheduler
-            ~unix_master:spec.Runner.unix_master ~config ()
-        in
+  let action path =
+    simulate (fun ~save app spec ->
+        let sys = Runner.system app spec in
         let buffer = Numa_trace.Trace_buffer.create () in
         Numa_trace.Trace_buffer.attach buffer sys;
-        app.Numa_apps.App_sig.setup sys
-          {
-            Numa_apps.App_sig.nthreads = spec.Runner.nthreads;
-            scale = spec.Runner.scale;
-            seed = spec.Runner.seed;
-          };
-        ignore (System.run sys);
-        Numa_trace.Trace_buffer.save buffer path;
-        Printf.printf "wrote %d events (%d references) to %s\n"
-          (Numa_trace.Trace_buffer.length buffer)
-          (Numa_trace.Trace_buffer.total_references buffer)
-          path;
-        0
+        let report = System.run sys in
+        save "trace" path (fun () ->
+            Numa_trace.Trace_buffer.save buffer path;
+            Printf.printf "wrote %d events (%d references) to %s\n"
+              (Numa_trace.Trace_buffer.length buffer)
+              (Numa_trace.Trace_buffer.total_references buffer)
+              path);
+        [ report ])
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run one application and save its reference trace.")
-    Term.(
-      const action $ app_arg $ policy_arg $ cpus_arg $ threads_arg $ scale_arg $ seed_arg
-      $ scheduler_arg $ unix_master_arg $ path_arg)
+    Term.(const action $ path_arg $ workload_term)
 
 let replay_cmd =
   let path_arg =
@@ -790,8 +642,7 @@ let topology_cmd =
     end
     else if render name then 0
     else begin
-      Printf.eprintf "unknown topology %S; known: all, %s\n" name
-        (String.concat ", " Numa_machine.Config.builtin_topologies);
+      prerr_endline (unknown "topology" ("all" :: Numa_machine.Config.builtin_topologies) name);
       1
     end
   in

@@ -34,7 +34,7 @@ let default_spec =
     pt_mode = Pt.Off;
   }
 
-let config_for spec ~n_cpus = spec.config_tweak (Config.ace ~n_cpus ())
+let config_for spec = spec.config_tweak (Config.ace ~n_cpus:spec.n_cpus ())
 
 let with_topology spec name =
   if not (List.mem name Config.builtin_topologies) then
@@ -46,19 +46,18 @@ let with_topology spec name =
   in
   { spec with config_tweak = (fun c -> spec.config_tweak (topology c)) }
 
-let run_with (app : Numa_apps.App_sig.t) spec ~policy ~n_cpus ~nthreads =
-  let config = config_for spec ~n_cpus in
+let system ?obs (app : Numa_apps.App_sig.t) spec =
   let sys =
-    System.create ~policy ~scheduler:spec.scheduler ~unix_master:spec.unix_master
-      ~faults:spec.faults ~paranoid:spec.paranoid ~profiling:spec.profiling
-      ~victim:spec.victim ~pt_mode:spec.pt_mode ~config ()
+    System.create ?obs ~policy:spec.policy ~scheduler:spec.scheduler
+      ~unix_master:spec.unix_master ~faults:spec.faults ~paranoid:spec.paranoid
+      ~profiling:spec.profiling ~victim:spec.victim ~pt_mode:spec.pt_mode
+      ~config:(config_for spec) ()
   in
   app.Numa_apps.App_sig.setup sys
-    { Numa_apps.App_sig.nthreads; scale = spec.scale; seed = spec.seed };
-  System.run sys
+    { Numa_apps.App_sig.nthreads = spec.nthreads; scale = spec.scale; seed = spec.seed };
+  sys
 
-let run app spec =
-  run_with app spec ~policy:spec.policy ~n_cpus:spec.n_cpus ~nthreads:spec.nthreads
+let run app spec = System.run (system app spec)
 
 let app_gl (app : Numa_apps.App_sig.t) config =
   if app.Numa_apps.App_sig.fetch_dominated then Config.global_to_local_fetch_ratio config
@@ -82,13 +81,10 @@ let measure (app : Numa_apps.App_sig.t) spec =
      the healthy machine even when the measured run is faulted — gamma of
      a chaos run is "how much slower than the intact all-local machine". *)
   let clean = { spec with faults = Numa_faults.Plan.empty } in
-  let r_global =
-    run_with app clean ~policy:System.All_global ~n_cpus:spec.n_cpus
-      ~nthreads:spec.nthreads
-  in
+  let r_global = run app { clean with policy = System.All_global } in
   (* T_local: one thread on a one-processor system, so that every page is
      private and local (section 3.1). *)
-  let r_local = run_with app clean ~policy:spec.policy ~n_cpus:1 ~nthreads:1 in
+  let r_local = run app { clean with n_cpus = 1; nthreads = 1 } in
   let times =
     {
       Model.t_numa = Numa_system.Report.total_user_s r_numa;
@@ -96,7 +92,7 @@ let measure (app : Numa_apps.App_sig.t) spec =
       t_local = Numa_system.Report.total_user_s r_local;
     }
   in
-  let gl = app_gl app (config_for spec ~n_cpus:spec.n_cpus) in
+  let gl = app_gl app (config_for spec) in
   {
     app_name = app.Numa_apps.App_sig.name;
     times;

@@ -34,9 +34,9 @@ val default_spec : run_spec
 (** Move-limit(4), 7 CPUs, 7 threads, scale 1.0, affinity scheduling, no
     faults. *)
 
-val config_for : run_spec -> n_cpus:int -> Config.t
-(** The machine configuration a spec runs on: the ACE at [n_cpus]
-    processors with the spec's tweak applied. *)
+val config_for : run_spec -> Config.t
+(** The machine configuration a spec runs on: the ACE at the spec's
+    processor count with its tweak applied. *)
 
 val with_topology : run_spec -> string -> run_spec
 (** [with_topology spec name] runs [spec] on the built-in topology [name]
@@ -44,8 +44,16 @@ val with_topology : run_spec -> string -> run_spec
     count, with [spec]'s own [config_tweak] applied on top.
     [Invalid_argument] naming the known topologies if [name] is not one. *)
 
+val system : ?obs:Numa_obs.Hub.t -> Numa_apps.App_sig.t -> run_spec -> Numa_system.System.t
+(** A fresh system on {!config_for}[ spec] with every spec field applied
+    and the application set up, but not yet run: the one place an
+    application's system is built, so callers can attach observers before
+    {!Numa_system.System.run}. [obs] is passed to
+    {!Numa_system.System.create}. [Invalid_argument] if the machine or the
+    fault plan is invalid. *)
+
 val run : Numa_apps.App_sig.t -> run_spec -> Numa_system.Report.t
-(** One run: build a fresh system, set the application up, run it. *)
+(** One run: [System.run (system app spec)]. *)
 
 type measurement = {
   app_name : string;

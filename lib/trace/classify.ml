@@ -88,33 +88,3 @@ let by_region summaries =
       Hashtbl.replace groups s.region (s :: Hashtbl.find groups s.region))
     summaries;
   List.rev_map (fun r -> (r, List.rev (Hashtbl.find groups r))) !order
-
-let render summaries =
-  let open Numa_util in
-  let table =
-    Text_table.create
-      ~columns:
-        [
-          ("page", Text_table.Right);
-          ("region", Text_table.Left);
-          ("reads", Text_table.Right);
-          ("writes", Text_table.Right);
-          ("readers", Text_table.Right);
-          ("writers", Text_table.Right);
-          ("class", Text_table.Left);
-        ]
-  in
-  List.iter
-    (fun s ->
-      Text_table.add_row table
-        [
-          string_of_int s.vpage;
-          s.region;
-          string_of_int s.reads;
-          string_of_int s.writes;
-          string_of_int (List.length s.readers);
-          string_of_int (List.length s.writers);
-          class_to_string s.cls;
-        ])
-    summaries;
-  Text_table.render table

@@ -24,6 +24,3 @@ val classify : Trace_buffer.t -> summary list
 
 val by_region : summary list -> (string * summary list) list
 (** Group page summaries by region name, region order by first page. *)
-
-val render : summary list -> string
-(** Text table: page, region, reads/writes, reader/writer counts, class. *)

@@ -56,27 +56,13 @@ let sharing_to_string = function
   | Region_attr.Declared_write_shared -> "write-shared"
 
 let render findings =
-  let open Numa_util in
-  let table =
-    Text_table.create
+  Numa_util.Text_table.(
+    of_rows findings
       ~columns:
         [
-          ("page", Text_table.Right);
-          ("region", Text_table.Left);
-          ("declared", Text_table.Left);
-          ("observed", Text_table.Left);
-          ("verdict", Text_table.Left);
-        ]
-  in
-  List.iter
-    (fun f ->
-      Text_table.add_row table
-        [
-          string_of_int f.page.Classify.vpage;
-          f.page.Classify.region;
-          sharing_to_string f.declared;
-          Classify.class_to_string f.page.Classify.cls;
-          verdict_to_string f.verdict;
+          ("page", Right, fun f -> cell_int f.page.Classify.vpage);
+          ("region", Left, fun f -> f.page.Classify.region);
+          ("declared", Left, fun f -> sharing_to_string f.declared);
+          ("observed", Left, fun f -> Classify.class_to_string f.page.Classify.cls);
+          ("verdict", Left, fun f -> verdict_to_string f.verdict);
         ])
-    findings;
-  Text_table.render table

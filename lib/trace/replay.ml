@@ -80,33 +80,21 @@ let compare_policies ~config ~policies buffer =
   List.map (fun policy -> replay ~config ~policy buffer) policies
 
 let render results =
-  let open Numa_util in
-  let table =
-    Text_table.create
+  let seconds ns = Printf.sprintf "%.3f" (ns /. 1e9) in
+  let local_frac r =
+    let total = r.local_refs + r.global_refs + r.remote_refs in
+    if total = 0 then "na"
+    else Printf.sprintf "%.3f" (float_of_int r.local_refs /. float_of_int total)
+  in
+  Numa_util.Text_table.(
+    of_rows results
       ~columns:
         [
-          ("policy", Text_table.Left);
-          ("refs (s)", Text_table.Right);
-          ("protocol (s)", Text_table.Right);
-          ("total (s)", Text_table.Right);
-          ("moves", Text_table.Right);
-          ("pins", Text_table.Right);
-          ("local frac", Text_table.Right);
-        ]
-  in
-  List.iter
-    (fun r ->
-      let total_refs = r.local_refs + r.global_refs + r.remote_refs in
-      Text_table.add_row table
-        [
-          r.policy_name;
-          Printf.sprintf "%.3f" (r.ref_ns /. 1e9);
-          Printf.sprintf "%.3f" (r.protocol_ns /. 1e9);
-          Printf.sprintf "%.3f" ((r.ref_ns +. r.protocol_ns) /. 1e9);
-          string_of_int r.moves;
-          string_of_int r.pins;
-          (if total_refs = 0 then "na"
-           else Printf.sprintf "%.3f" (float_of_int r.local_refs /. float_of_int total_refs));
+          ("policy", Left, fun r -> r.policy_name);
+          ("refs (s)", Right, fun r -> seconds r.ref_ns);
+          ("protocol (s)", Right, fun r -> seconds r.protocol_ns);
+          ("total (s)", Right, fun r -> seconds (r.ref_ns +. r.protocol_ns));
+          ("moves", Right, fun r -> cell_int r.moves);
+          ("pins", Right, fun r -> cell_int r.pins);
+          ("local frac", Right, local_frac);
         ])
-    results;
-  Text_table.render table

@@ -246,16 +246,58 @@ let test_sweep_grid () =
 
 let test_with_topology () =
   let spec = small_spec () in
-  let config = Runner.config_for (Runner.with_topology spec "multi-socket") ~n_cpus:4 in
+  let config = Runner.config_for (Runner.with_topology spec "multi-socket") in
   Alcotest.(check bool) "topology applied at the spec's CPU count" true
     (config = Option.get (Numa_machine.Config.of_topology_name ~n_cpus:4 "multi-socket"));
   let pages_9 c = { c with Numa_machine.Config.global_pages = 9 } in
   let tweaked = Runner.with_topology { spec with Runner.config_tweak = pages_9 } "butterfly" in
   Alcotest.(check int) "the spec's own tweak applies on top" 9
-    (Runner.config_for tweaked ~n_cpus:4).Numa_machine.Config.global_pages;
+    (Runner.config_for tweaked).Numa_machine.Config.global_pages;
   match Runner.with_topology spec "hypercube" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown topology accepted"
+
+let test_runner_system () =
+  (* Runner.system is the one place an application's system is built:
+     every spec field must reach it, observers on [obs] must see the run,
+     and running what it returns must be Runner.run. *)
+  let app = Option.get (Numa_apps.Registry.find "imatmult") in
+  let spec victim =
+    {
+      (small_spec ~scale:0.03 ()) with
+      Runner.policy = Numa_system.System.Never_pin;
+      nthreads = 3;
+      config_tweak = (fun c -> { c with Numa_machine.Config.global_pages = 12 });
+      faults = Result.get_ok (Numa_faults.Plan.of_string "node-offline:1@100000");
+      paranoid = true;
+      profiling = true;
+      victim;
+      pt_mode = Numa_machine.Pt.Shared;
+    }
+  in
+  let obs = Numa_obs.Hub.create () in
+  let seen = ref 0 in
+  Numa_obs.Hub.attach obs ~name:"count" (fun ~ts:_ _ -> incr seen);
+  let lru = spec Numa_vm.Pageout.Lru_approx in
+  let r = Numa_system.System.run (Runner.system ~obs app lru) in
+  Alcotest.(check bool) "observer saw the run" true (!seen > 0);
+  Alcotest.(check string) "policy" "never-pin" r.Report.policy_name;
+  Alcotest.(check (pair int int)) "cpus, threads" (4, 3) (r.Report.n_cpus, r.Report.n_threads);
+  let robustness = Option.get r.Report.robustness in
+  Alcotest.(check string) "fault plan" "node-offline:1@100000" robustness.Report.fault_plan;
+  (* The plan never fires, so every audit past the end-of-run one is a
+     paranoid daemon tick. *)
+  Alcotest.(check bool) "paranoid audits ran" true (robustness.Report.invariant_checks > 1);
+  Alcotest.(check bool) "profiled" true (r.Report.profile <> None);
+  Alcotest.(check bool) "page tables materialised" true (r.Report.pt <> None);
+  Alcotest.(check bool) "pool tweak pages" true (r.Report.paging <> None);
+  Alcotest.(check bool) "victim reaches the pager" true
+    (r.Report.paging <> (Runner.run app (spec Numa_vm.Pageout.Clock)).Report.paging);
+  let json r = Numa_obs.Json.to_string (Report.to_json r) in
+  let single_queue = { lru with Runner.scheduler = Numa_sim.Engine.Single_queue } in
+  Alcotest.(check bool) "scheduler reaches the engine" true
+    (json r <> json (Runner.run app single_queue));
+  Alcotest.(check string) "Runner.run runs Runner.system" (json r) (json (Runner.run app lru))
 
 let suite =
   [
@@ -279,4 +321,5 @@ let suite =
       test_tournament_json_artifact;
     Alcotest.test_case "sweep grid regroups in order" `Quick test_sweep_grid;
     Alcotest.test_case "runner topology override" `Quick test_with_topology;
+    Alcotest.test_case "runner system honours the spec" `Quick test_runner_system;
   ]

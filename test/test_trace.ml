@@ -342,6 +342,55 @@ let test_replay_policy_comparison_renders () =
     (String.length rendered > 0
     && List.length (String.split_on_char '\n' rendered) >= 4)
 
+let test_renderers_exact () =
+  (* The replay and false-sharing tables, byte for byte: column order,
+     alignment, and replay's "na" for a policy with no references. *)
+  let row policy_name ~ref_ns ~local_refs ~global_refs =
+    {
+      Numa_trace.Replay.policy_name;
+      ref_ns;
+      protocol_ns = 2.5e8;
+      moves = 12;
+      pins = 3;
+      local_refs;
+      global_refs;
+      remote_refs = 0;
+    }
+  in
+  Alcotest.(check string) "replay table"
+    "policy         refs (s)  protocol (s)  total (s)  moves  pins  local frac\n\
+     -------------------------------------------------------------------------\n\
+     move-limit(4)     1.250         0.250      1.500     12     3       0.750\n\
+     none              0.000         0.250      0.250     12     3          na\n"
+    (Numa_trace.Replay.render
+       [
+         row "move-limit(4)" ~ref_ns:1.25e9 ~local_refs:3 ~global_refs:1;
+         row "none" ~ref_ns:0. ~local_refs:0 ~global_refs:0;
+       ]);
+  let page =
+    {
+      Classify.vpage = 17;
+      region = "divisors";
+      reads = 40;
+      writes = 2;
+      readers = [ 0; 1 ];
+      writers = [ 1 ];
+      cls = Classify.Class_write_shared;
+    }
+  in
+  Alcotest.(check string) "false-sharing table"
+    "page  region    declared  observed      verdict\n\
+     -----------------------------------------------------\n\
+     \  17  divisors  private   write-shared  FALSE SHARING\n"
+    (False_sharing.render
+       [
+         {
+           False_sharing.page;
+           declared = Numa_vm.Region_attr.Declared_private;
+           verdict = False_sharing.False_shared;
+         };
+       ])
+
 let suite =
   [
     Alcotest.test_case "replay matches live shape" `Quick
@@ -362,4 +411,5 @@ let suite =
     Alcotest.test_case "optimal: readers replicate" `Quick test_optimal_read_sharing_replicates;
     Alcotest.test_case "optimal: ping-pong global" `Quick test_optimal_ping_pong_goes_global;
     Alcotest.test_case "optimal: end to end" `Quick test_optimal_analyse_end_to_end;
+    Alcotest.test_case "replay and false-sharing tables" `Quick test_renderers_exact;
   ]
