@@ -318,94 +318,6 @@ let sections =
 
 let all c = List.iter (fun (_, run) -> run c) in_all
 
-let bench_compare_cmd =
-  let module BC = Numa_metrics.Bench_compare in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD"
-          ~doc:
-            "Baseline bench record: either a full BENCH_JSON_OUT file or the \
-             compact baseline written by --write-baseline.")
-  in
-  let new_arg =
-    Arg.(
-      value
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Current bench record to compare against $(b,OLD).")
-  in
-  let max_regress_arg =
-    Arg.(
-      value & opt float 25.0
-      & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:
-            "Regression threshold in percent for events/sec: fail when it drops by \
-             more than $(docv). Wall-clock throughput is noisy; leave headroom. \
-             Each application's gamma and NUMA-policy run time are deterministic \
-             and fail on any change, whatever $(docv) is.")
-  in
-  let write_baseline_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:
-            "Summarize $(b,OLD) (or $(b,NEW) when given) into a compact baseline \
-             record at $(docv), suitable for committing to the repository.")
-  in
-  let action old_path new_path max_regress write_baseline =
-    let load path =
-      match BC.load path with
-      | Ok s -> s
-      | Error msg ->
-          Printf.eprintf "bench-compare: %s\n" msg;
-          exit 2
-    in
-    let baseline = load old_path in
-    let status =
-      match new_path with
-      | None ->
-          if write_baseline = None then
-            print_string (Numa_obs.Json.to_string (BC.to_json baseline) ^ "\n");
-          0
-      | Some path -> (
-          let current = load path in
-          match BC.diff ~baseline ~current ~max_regress with
-          | Error msg ->
-              Printf.eprintf "bench-compare: %s\n" msg;
-              2
-          | Ok lines ->
-              print_string (BC.render lines);
-              if BC.regressed lines then begin
-                Printf.eprintf
-                  "bench-compare: a deterministic metric changed, or events/sec \
-                   regressed beyond %.1f%%\n"
-                  max_regress;
-                1
-              end
-              else 0)
-    in
-    (match write_baseline with
-    | None -> ()
-    | Some out ->
-        let summary =
-          match new_path with None -> baseline | Some p -> load p
-        in
-        Numa_obs.Json.save (BC.to_json summary) out;
-        Printf.printf "baseline written to %s\n" out);
-    status
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Diff two bench records (BENCH_JSON_OUT files or compact baselines): \
-          events/sec plus each application's gamma and NUMA run time. Exits 1 \
-          when events/sec regressed beyond --max-regress percent or a gamma or \
-          run time changed at all, 2 when the records are unreadable or not \
-          comparable.")
-    Term.(const action $ old_arg $ new_arg $ max_regress_arg $ write_baseline_arg)
-
 let () =
   let action ~in_all run scale cpus jobs topology json_out apps policies profiling =
     let spec =
@@ -414,17 +326,23 @@ let () =
     let c =
       { spec; cpus; jobs; topology; json_out; apps; policies; in_all; table3_rows = None }
     in
-    try
-      run c;
-      0
-    with Failure msg | Invalid_argument msg ->
-      (* bad --apps / --policies / --topology values surface here *)
-      Printf.eprintf "experiments: %s\n" msg;
-      1
+    (* The check System.create applies, made before any section draws or
+       builds a machine on --cpus. *)
+    match Numa_machine.Config.validate (Numa_machine.Config.ace ~n_cpus:cpus ()) with
+    | Error msg ->
+        Printf.eprintf "experiments: bad machine config: %s\n" msg;
+        1
+    | Ok _ -> (
+        try
+          run c;
+          0
+        with Failure msg | Invalid_argument msg ->
+          (* bad --apps / --policies / --topology values surface here *)
+          Printf.eprintf "experiments: %s\n" msg;
+          1)
   in
   (* One subcommand per section keeps the historical `experiments SECTION
-     [options]` syntax working alongside bench-compare; a bare
-     `experiments` still runs everything. *)
+     [options]` syntax working; a bare `experiments` still runs everything. *)
   let section_term ~in_all run =
     Term.(
       const (action ~in_all run)
@@ -440,9 +358,7 @@ let () =
     Cmd.group
       ~default:(section_term ~in_all:true all)
       (Cmd.info "experiments" ~version:"1.0.0"
-         ~doc:
-           "Regenerate the paper's tables/figures and the ablation studies; \
-            bench-compare diffs two benchmark records for the regression gate.")
-      (bench_compare_cmd :: List.map section_cmd (("all", all) :: sections))
+         ~doc:"Regenerate the paper's tables/figures and the ablation studies.")
+      (List.map section_cmd (("all", all) :: sections))
   in
   exit (Cmd.eval' cmd)

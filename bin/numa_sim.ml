@@ -353,6 +353,15 @@ let simulate f = function
           if n > 0 then Printf.eprintf "numa_sim: %d protocol invariant violations\n" n;
           if n > 0 || !failed_saves > 0 then 1 else 0)
 
+(* replay and topology draw a machine without building a System, so they
+   apply the check System.create does before they use it. *)
+let check_machine config k =
+  match Numa_machine.Config.validate config with
+  | Ok _ -> k ()
+  | Error msg ->
+      Printf.eprintf "numa_sim: bad machine config: %s\n" msg;
+      1
+
 (* --- exports of run ------------------------------------------------------ *)
 
 let trace_out_arg =
@@ -585,8 +594,9 @@ let replay_cmd =
           ~doc:"Policy to evaluate (repeatable; default: a standard slate).")
   in
   let action path policies cpus =
-    let buffer = Numa_trace.Trace_buffer.load path in
     let config = Numa_machine.Config.ace ~n_cpus:cpus () in
+    check_machine config @@ fun () ->
+    let buffer = Numa_trace.Trace_buffer.load path in
     let policies =
       if policies <> [] then policies
       else
@@ -626,7 +636,10 @@ let topology_cmd =
             (Printf.sprintf "Topology to draw: %s, or all."
                (String.concat ", " Numa_machine.Config.builtin_topologies)))
   in
+  (* Every built-in machine takes its processor count from --cpus, and
+     some cannot even be built on a bad one, so check it on the ACE. *)
   let action cpus name =
+    check_machine (Numa_machine.Config.ace ~n_cpus:cpus ()) @@ fun () ->
     let render n =
       match Numa_machine.Config.of_topology_name ~n_cpus:cpus n with
       | Some config ->

@@ -1,7 +1,5 @@
 type params = { nthreads : int; scale : float; seed : int64 }
 
-let default_params = { nthreads = 7; scale = 1.0; seed = 42L }
-
 type t = {
   name : string;
   description : string;

@@ -13,9 +13,6 @@ type params = {
   seed : int64;  (** drives any randomised workload structure *)
 }
 
-val default_params : params
-(** 7 threads (the paper's Table 4 machine), scale 1.0. *)
-
 type t = {
   name : string;
   description : string;

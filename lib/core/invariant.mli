@@ -12,11 +12,10 @@
     - no mapping or replica reaches a freed frame or an offline node;
     - a page the policy has pinned global holds no local copies.
 
-    Unlike {!Numa_manager.check_invariants} (the first-failure variant the
-    property tests use on every step), this checker is built for fault
-    drills: it never raises, it collects {e every} violation, and it is
-    cheap enough to run from the daemon tick under [--paranoid], after
-    each injected fault, and at the end of every run. *)
+    It is the one checker of the directory/MMU relation. It never raises,
+    it collects {e every} violation, and it is cheap enough to run from
+    the daemon tick under [--paranoid], after each injected fault, at the
+    end of every run, and after every step of the property tests. *)
 
 open Numa_machine
 

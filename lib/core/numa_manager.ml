@@ -495,74 +495,6 @@ let reset_page t ~lpage =
   p.needs_zero <- false;
   p.moves <- 0
 
-(* --- invariants -------------------------------------------------------- *)
-
-let check_invariants t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let exception Bad of string in
-  try
-    Array.iteri
-      (fun lpage p ->
-        let fail fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
-        let mappings = Mmu.entries_of_lpage t.mmu ~lpage in
-        let n_replicas = Hashtbl.length p.replicas in
-        Hashtbl.iter
-          (fun node (frame : Frame_table.local_frame) ->
-            if frame.node <> node then
-              fail "page %d: replica indexed under node %d lives on node %d" lpage node
-                frame.node)
-          p.replicas;
-        match p.state with
-        | Untouched ->
-            if n_replicas <> 0 then fail "untouched page %d has replicas" lpage;
-            if mappings <> [] then fail "untouched page %d has mappings" lpage
-        | Global_writable ->
-            if n_replicas <> 0 then fail "global page %d has replicas" lpage;
-            List.iter
-              (fun (e : Mmu.entry) ->
-                match e.phys with
-                | Mmu.Global_frame l when l = lpage -> ()
-                | Mmu.Global_frame _ | Mmu.Frame _ ->
-                    fail "global page %d has a non-global mapping" lpage)
-              mappings
-        | Read_only ->
-            if n_replicas < 1 then fail "read-only page %d has no replicas" lpage;
-            List.iter
-              (fun (e : Mmu.entry) ->
-                if Prot.compare e.prot Prot.Read_only > 0 then
-                  fail "read-only page %d mapped writable on cpu %d" lpage e.cpu;
-                match e.phys with
-                | Mmu.Frame f when Hashtbl.find_opt p.replicas e.cpu = Some f -> ()
-                | Mmu.Frame _ | Mmu.Global_frame _ ->
-                    fail "read-only page %d: mapping on cpu %d not via its replica" lpage
-                      e.cpu)
-              mappings
-        | Homed home ->
-            if n_replicas <> 1 || not (Hashtbl.mem p.replicas home) then
-              fail "homed page %d: replicas not exactly the home %d" lpage home;
-            List.iter
-              (fun (e : Mmu.entry) ->
-                match e.phys with
-                | Mmu.Frame f when Hashtbl.find_opt p.replicas home = Some f -> ()
-                | Mmu.Frame _ | Mmu.Global_frame _ ->
-                    fail "homed page %d: mapping not via the home frame" lpage)
-              mappings
-        | Local_writable owner ->
-            if n_replicas <> 1 || not (Hashtbl.mem p.replicas owner) then
-              fail "local-writable page %d: replicas not exactly the owner %d" lpage owner;
-            List.iter
-              (fun (e : Mmu.entry) ->
-                if e.cpu <> owner then
-                  fail "local-writable page %d mapped on non-owner cpu %d" lpage e.cpu;
-                match e.phys with
-                | Mmu.Frame f when Hashtbl.find_opt p.replicas owner = Some f -> ()
-                | Mmu.Frame _ | Mmu.Global_frame _ ->
-                    fail "local-writable page %d: mapping not via owner frame" lpage)
-              mappings)
-      t.pages;
-    Ok ()
-  with Bad msg -> err "%s" msg
-
 let pp_state ppf = function
   | Untouched -> Format.pp_print_string ppf "untouched"
   | Read_only -> Format.pp_print_string ppf "read-only"

@@ -128,13 +128,4 @@ val reset_page : t -> lpage:int -> unit
     record the final move count, and forget placement history, returning
     the page to [Untouched]. *)
 
-val check_invariants : t -> (unit, string) result
-(** Directory/MMU consistency, used by the property-based tests:
-    - [Read_only] pages have >= 1 replica and only read-only mappings, each
-      mapping reaching its own node's replica;
-    - [Local_writable] pages have exactly the owner's replica and mappings
-      only on the owner;
-    - [Global_writable] / [Untouched] pages have no replicas, and any
-      mappings point at the global frame (none for [Untouched]). *)
-
 val pp_state : Format.formatter -> state -> unit

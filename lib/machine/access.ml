@@ -1,7 +1,5 @@
 type t = Load | Store
 
-let is_store = function Store -> true | Load -> false
-
 let to_string = function Load -> "load" | Store -> "store"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

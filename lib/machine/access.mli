@@ -7,8 +7,6 @@
 
 type t = Load | Store
 
-val is_store : t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -125,14 +125,6 @@ let set_prot t e prot =
       Pt.update_prot pt ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage ~lpage:e.lpage ~prot
   | None -> ()
 
-let set_phys t e phys =
-  e.phys <- phys;
-  match t.pt with
-  | Some pt ->
-      Pt.update_phys pt ~pmap:e.pmap ~cpu:e.cpu ~vpage:e.vpage ~lpage:e.lpage
-        ~frame:(pte_frame phys)
-  | None -> ()
-
 let remove t ~pmap ~cpu ~vpage =
   match lookup t ~pmap ~cpu ~vpage with
   | None -> ()
@@ -165,7 +157,3 @@ let n_mappings t = Hashtbl.length t.forward
 let phys_location ~cpu = function
   | Global_frame _ -> Location.In_global
   | Frame f -> if f.Frame_table.node = cpu then Location.Local_here else Location.Remote_local
-
-let phys_node ~topo = function
-  | Frame f -> f.Frame_table.node
-  | Global_frame lpage -> Topo.global_home topo ~lpage

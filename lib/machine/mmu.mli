@@ -61,7 +61,6 @@ val tlb_stats : t -> cpu:int -> int * int * int
     reporting. *)
 
 val set_prot : t -> entry -> Prot.t -> unit
-val set_phys : t -> entry -> phys -> unit
 
 val remove : t -> pmap:int -> cpu:int -> vpage:int -> unit
 (** Drop one mapping if present. *)
@@ -84,8 +83,3 @@ val iter_range : t -> pmap:int -> vpage:int -> n:int -> (entry -> unit) -> unit
 val n_mappings : t -> int
 val phys_location : cpu:int -> phys -> Location.relative
 (** Where the mapped physical page sits relative to a referencing CPU. *)
-
-val phys_node : topo:Topo.t -> phys -> int
-(** The node whose memory physically holds the page: a local frame's
-    node, or the shared level's home ({!Topo.global_home}) for a global
-    frame. *)

@@ -260,10 +260,6 @@ let update_pte t ~pmap ~cpu ~vpage ~lpage f =
           Hashtbl.replace sp.master.ptes (cpu, vpage) pte;
           propagate_shootdown t sp ~cpu ~vpage ~lpage (Some pte))
 
-let update_phys t ~pmap ~cpu ~vpage ~lpage ~frame =
-  update_pte t ~pmap ~cpu ~vpage ~lpage (fun old ->
-      { old with pte_lpage = lpage; pte_frame = frame })
-
 let update_prot t ~pmap ~cpu ~vpage ~lpage ~prot =
   update_pte t ~pmap ~cpu ~vpage ~lpage (fun old -> { old with pte_prot = prot })
 
@@ -440,14 +436,6 @@ let replica_nodes t ~pmap =
   | None -> []
   | Some sp ->
       List.sort Int.compare (Hashtbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
-
-let replica_pte t ~pmap ~node ~cpu ~vpage =
-  match Hashtbl.find_opt t.spaces pmap with
-  | None -> None
-  | Some sp -> (
-      match Hashtbl.find_opt sp.replicas node with
-      | None -> None
-      | Some r -> Hashtbl.find_opt r.ptes (cpu, vpage))
 
 let table_ptes tbl = Hashtbl.fold (fun key pte acc -> (key, pte) :: acc) tbl.ptes []
 

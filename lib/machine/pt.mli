@@ -78,11 +78,6 @@ val remove : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
 (** Clear the PTE everywhere; each replica invalidation is a shootdown
     (remote store + IPI cost, [Pt_shootdown] event). *)
 
-val update_phys :
-  t -> pmap:int -> cpu:int -> vpage:int -> lpage:int ->
-  frame:Frame_table.local_frame option -> unit
-(** Retarget the PTE after a page move; shoots down every replica copy. *)
-
 val update_prot :
   t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> prot:Prot.t -> unit
 
@@ -122,8 +117,6 @@ val master_pte : t -> pmap:int -> cpu:int -> vpage:int -> pte option
 
 val replica_nodes : t -> pmap:int -> int list
 (** Nodes holding a replica of the pmap's table, sorted. *)
-
-val replica_pte : t -> pmap:int -> node:int -> cpu:int -> vpage:int -> pte option
 
 val replica_ptes : t -> pmap:int -> node:int -> ((int * int) * pte) list
 (** [((cpu, vpage), pte)] for every PTE in the replica, unordered. *)

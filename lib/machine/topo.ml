@@ -57,10 +57,6 @@ let nearest_cpu t ~from ~ok =
   done;
   Option.map fst !best
 
-let place_to_string = function
-  | Node n -> Printf.sprintf "node(%d)" n
-  | Shared lpage -> Printf.sprintf "shared(%d)" lpage
-
 let two_level ~name ~n_cpus ~pool_pages ~local_fetch_ns ~local_store_ns ~global_fetch_ns
     ~global_store_ns ~remote_fetch_ns ~remote_store_ns () =
   let n = n_cpus + 1 in

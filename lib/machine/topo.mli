@@ -76,8 +76,6 @@ val classify : t -> cpu:int -> place -> Location.relative
 (** Reporting bucket of a place as seen from [cpu]: the shared level is
     always [In_global]; a node place is [Local_here] or [Remote_local]. *)
 
-val place_to_string : place -> string
-
 val two_level :
   name:string ->
   n_cpus:int ->

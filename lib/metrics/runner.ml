@@ -116,17 +116,3 @@ let times_to_json (tm : Model.times) =
       ("t_global_s", Json.Float tm.Model.t_global);
       ("t_local_s", Json.Float tm.Model.t_local);
     ]
-
-let measurement_to_json m =
-  Json.Obj
-    [
-      ("app", Json.String m.app_name);
-      ("times", times_to_json m.times);
-      ("gl", Json.Float m.gl);
-      ("alpha", Json.Float m.alpha);
-      ("beta", Json.Float m.beta);
-      ("gamma", Json.Float m.gamma);
-      ("run_numa", Numa_system.Report.to_json m.r_numa);
-      ("run_global", Numa_system.Report.to_json m.r_global);
-      ("run_local", Numa_system.Report.to_json m.r_local);
-    ]

@@ -81,11 +81,6 @@ val measure_many :
 
 val times_to_json : Model.times -> Numa_obs.Json.t
 
-val measurement_to_json : measurement -> Numa_obs.Json.t
-(** The full three-run measurement — model parameters plus all three
-    {!Numa_system.Report.to_json} reports — as one JSON object, the record
-    format the benchmark harness writes. *)
-
 val app_gl : Numa_apps.App_sig.t -> Config.t -> float
 (** G/L for the program's reference mix: the fetch ratio (2.3) for
     fetch-dominated programs, the 45%-store mix (~2.0) otherwise —

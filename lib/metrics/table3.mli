@@ -18,7 +18,7 @@ val run :
     (default: the paper's eight, at the default spec), distributing
     applications over [jobs] domains ({!Parallel.map}; default
     sequential). This is the heavyweight entry point behind
-    [bench/main.exe table3]. *)
+    [experiments table3]. *)
 
 val render : row list -> string
 (** The table in the paper's layout (T_global, T_numa, T_local, alpha,

@@ -13,10 +13,6 @@ let attach t ~name handle = t.sinks <- t.sinks @ [ { sink_name = name; handle } 
 
 let detach t ~name = t.sinks <- List.filter (fun s -> s.sink_name <> name) t.sinks
 
-let detach_all t = t.sinks <- []
-
-let sink_names t = List.map (fun s -> s.sink_name) t.sinks
-
 let emit t ev =
   match t.sinks with
   | [] -> ()

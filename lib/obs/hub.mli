@@ -28,8 +28,6 @@ val attach : t -> name:string -> (ts:float -> Event.t -> unit) -> unit
 (** Add a sink; sinks run in attachment order on every event. *)
 
 val detach : t -> name:string -> unit
-val detach_all : t -> unit
-val sink_names : t -> string list
 
 val emit : t -> Event.t -> unit
 (** Deliver an event (stamped once) to every sink. No-op without sinks. *)

@@ -37,8 +37,8 @@ val parse : string -> (t, string) result
 (** Full recursive-descent parser for the documents this module emits
     (and standard JSON generally): objects, arrays, strings with escapes,
     numbers ([Int] when the literal is integral, [Float] otherwise),
-    [true]/[false]/[null]. Errors carry a byte offset. Powers
-    [bench-compare], which must read records written by earlier runs. *)
+    [true]/[false]/[null]. Errors carry a byte offset. The observatory
+    reads [BENCHMARK.json] and its committed digests through it. *)
 
 val load : string -> (t, string) result
 (** Read and {!parse} a file; I/O failures become [Error]. *)

@@ -93,10 +93,6 @@ type t = {
           monotone virtual clock *)
   mutable profile : Numa_obs.Profile.t option;
       (** when set, every nanosecond a clock advances is attributed *)
-  mutable run_wall_s : float;
-      (** real seconds spent inside {!run} — the observatory's
-          events/sec denominator; the only non-deterministic number the
-          engine keeps, and it stays out of all reports *)
 }
 
 let create ?obs config ~memory ~scheduler =
@@ -127,7 +123,6 @@ let create ?obs config ~memory ~scheduler =
     completed = false;
     turn_hook = None;
     profile = None;
-    run_wall_s = 0.;
   }
   in
   (* Events carry the engine's virtual clock, so a sink attached anywhere in
@@ -570,21 +565,12 @@ let run t =
       loop ()
     end
   in
-  let wall_start = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      t.run_wall_s <- t.run_wall_s +. (Unix.gettimeofday () -. wall_start))
-    loop;
+  loop ();
   t.running <- false;
   t.completed <- true
 
 let now t = t.vnow
 let clock_ns t ~cpu = t.clock.(cpu)
-let run_wall_s t = t.run_wall_s
-
-let events_per_sec t =
-  if t.run_wall_s > 0. then float_of_int t.n_events /. t.run_wall_s else 0.
-
 let user_ns t ~cpu = t.user.(cpu)
 let system_ns t ~cpu = t.system.(cpu)
 let total_user_ns t = Array.fold_left ( +. ) 0. t.user

@@ -82,14 +82,6 @@ val now : t -> float
 val clock_ns : t -> cpu:int -> float
 (** A CPU's local clock — the conservation target for the profiler. *)
 
-val run_wall_s : t -> float
-(** Real seconds spent inside {!run} ([Unix.gettimeofday] around the
-    event loop). Non-deterministic by nature: kept out of every report,
-    consumed only by the bench observatory. *)
-
-val events_per_sec : t -> float
-(** Engine throughput, [n_events / run_wall_s]; [0.] before {!run}. *)
-
 val user_ns : t -> cpu:int -> float
 val system_ns : t -> cpu:int -> float
 val total_user_ns : t -> float

@@ -996,7 +996,6 @@ let page_out t region ~page_index =
 
 let profile t = t.profile
 let thread_migrations t = t.thread_migrations
-let check_invariants t = Numa_core.Numa_manager.check_invariants (numa_manager t)
 let audit t = run_invariant_check t
 let faults_injected t = t.faults_injected
 let invariant_violations t = t.invariant_violations

@@ -256,10 +256,6 @@ val thread_migrations : t -> int
 (** Thread re-homings applied by the daemon on behalf of a
     [Migrate_threads] policy; 0 under every other spec. *)
 
-val check_invariants : t -> (unit, string) result
-(** The NUMA manager's original fail-fast self-check (single-owner rule
-    and friends); raises on the first inconsistency. *)
-
 val audit : t -> Numa_core.Invariant.report
 (** Run the full protocol-invariant sweep now, counting it exactly like a
     scheduled paranoid check (the report's [invariant_checks] includes

@@ -51,11 +51,6 @@ let popcount t =
   done;
   !n
 
-let iter_set t f =
-  for i = 0 to t.length - 1 do
-    if get t i then f i
-  done
-
 let union_into ~dst src =
   if dst.length <> src.length then invalid_arg "Bitvec.union_into: length mismatch";
   for i = 0 to Bytes.length dst.bits - 1 do

@@ -22,9 +22,6 @@ val fill : t -> bool -> unit
 val popcount : t -> int
 (** Number of set bits. *)
 
-val iter_set : t -> (int -> unit) -> unit
-(** Apply a function to every set index in increasing order. *)
-
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] ors [src] into [dst]. Lengths must match. *)
 

@@ -24,7 +24,6 @@ let count t = t.n
 let total t = t.total
 let mean t = if t.n = 0 then 0. else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-let stddev t = sqrt (variance t)
 let min t = t.min
 let max t = t.max
 

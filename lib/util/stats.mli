@@ -15,7 +15,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-val stddev : t -> float
 val min : t -> float
 (** Smallest sample; [infinity] if empty. *)
 

@@ -39,7 +39,6 @@ let create ~pool ~ops ?(low_water = 2) ?(high_water = 8) ?(victim = Clock) ?pagi
   }
 
 let register t obj = t.objects <- Array.append t.objects [| obj |]
-let victim_policy t = t.victim
 
 (* In-flight Reading/Writeback entries are pending disk I/O and must never
    be claimed; without a paging machine every resident page is fair game. *)

@@ -52,8 +52,6 @@ val create :
 val register : t -> Vm_object.t -> unit
 (** Make an object's pages eligible for eviction. *)
 
-val victim_policy : t -> victim
-
 val evict_one : ?avoid:int -> ?by_cpu:int -> t -> bool
 (** Evict a single page chosen by the victim policy; false when nothing
     is evictable. Total even on degenerate registries (all objects

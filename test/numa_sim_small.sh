@@ -69,6 +69,9 @@ case_ run primes1 --scale 0.05 --pages 0
 case_ run primes1 --scale 0.05 --cpus 0
 case_ measure primes1 --scale 0.05 --cpus 0
 case_ trace primes1 --scale 0.05 --cpus 0 -o primes1.trace
+case_ replay primes3.trace --cpus 0
+case_ topology --cpus 0
+case_ topology all --cpus 0
 case_ run primes1 --scale 0.05 --threads 0
 case_ measure primes1 --scale 0.05 --threads=-1
 

@@ -35,7 +35,7 @@ let test_every_app_runs_and_keeps_invariants () =
       app.App_sig.setup sys
         { App_sig.nthreads = spec.Runner.nthreads; scale = spec.Runner.scale; seed = 1L };
       let report = System.run sys in
-      (match System.check_invariants sys with
+      (match Numa_core.Invariant.result (System.audit sys) with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "%s: invariant: %s" app.App_sig.name msg);
       Alcotest.(check bool)

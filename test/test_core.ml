@@ -33,10 +33,17 @@ let enter env ~cpu ~lpage ~(access : Access.t) =
 
 let state env ~lpage = Numa_manager.state_of (Pmap_manager.manager env.mgr) ~lpage
 
-let check_inv env =
-  match Numa_manager.check_invariants (Pmap_manager.manager env.mgr) with
+(* The full directory/MMU/frame-pool sweep over one pmap layer. *)
+let check_mgr mgr =
+  let rep =
+    Invariant.check ~manager:(Pmap_manager.manager mgr) ~mmu:(Pmap_manager.mmu mgr)
+      ~frames:(Pmap_manager.frames mgr) ~config:(Pmap_manager.config mgr) ()
+  in
+  match Invariant.result rep with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariant: %s" msg
+
+let check_inv env = check_mgr env.mgr
 
 let check_state env ~lpage expected =
   let got = state env ~lpage in
@@ -287,9 +294,7 @@ let test_reconsider_expiry_end_to_end () =
   (match Numa_manager.state_of (Pmap_manager.manager mgr) ~lpage:0 with
   | Numa_manager.Local_writable 0 -> ()
   | st -> Alcotest.failf "expected local-writable(0), got %a" Numa_manager.pp_state st);
-  (match Numa_manager.check_invariants (Pmap_manager.manager mgr) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "invariant: %s" msg)
+  check_mgr mgr
 
 (* --- manager transitions ------------------------------------------------- *)
 

@@ -8,6 +8,9 @@ module Injector = Numa_faults.Injector
 module System = Numa_system.System
 module Report = Numa_system.Report
 module App_sig = Numa_apps.App_sig
+module Invariant = Numa_core.Invariant
+module Numa_manager = Numa_core.Numa_manager
+module Pmap_manager = Numa_core.Pmap_manager
 
 let parse_ok s =
   match Plan.of_string s with
@@ -299,33 +302,78 @@ let test_bad_plan_rejected_by_create () =
 
 (* --- the invariant checker catches real damage --------------------------- *)
 
-let test_checker_catches_undrained_offline () =
-  let open Numa_core in
+(* A two-CPU pmap layer under move-limit at threshold 0 (the third
+   alternating store pins a page), with [enter ~cpu ~lpage access]
+   faulting a page in through the pmap interface at vpage = lpage. *)
+let checker_fixture () =
   let config = Config.ace ~n_cpus:2 ~global_pages:8 () in
-  let mgr =
-    Pmap_manager.create ~config ~policy:(Policy.move_limit ~n_pages:8 ()) ()
-  in
+  let policy = Numa_core.Policy.move_limit ~threshold:0 ~n_pages:8 () in
+  let mgr = Pmap_manager.create ~config ~policy () in
   let ops = Pmap_manager.ops mgr in
   let pmap = ops.Numa_vm.Pmap_intf.pmap_create ~name:"chk" in
-  (* First-touch store under move-limit places the page local-writable on
-     CPU 0's node. *)
-  ops.Numa_vm.Pmap_intf.enter ~pmap ~cpu:0 ~vpage:0 ~lpage:0
-    ~min_prot:(Prot.of_access Access.Store) ~max_prot:Prot.Read_write;
-  ops.Numa_vm.Pmap_intf.write_slot ~pmap ~cpu:0 ~vpage:0 42;
-  let check () =
-    Invariant.check
-      ~manager:(Pmap_manager.manager mgr)
-      ~mmu:(Pmap_manager.mmu mgr) ~frames:(Pmap_manager.frames mgr) ~config ()
+  let enter ~cpu ~lpage access =
+    ops.Numa_vm.Pmap_intf.enter ~pmap ~cpu ~vpage:lpage ~lpage
+      ~min_prot:(Prot.of_access access) ~max_prot:Prot.Read_write
   in
+  (mgr, ops, pmap, enter)
+
+let sweep mgr =
+  Invariant.check ~manager:(Pmap_manager.manager mgr) ~mmu:(Pmap_manager.mmu mgr)
+    ~frames:(Pmap_manager.frames mgr) ~config:(Pmap_manager.config mgr) ()
+
+let test_checker_catches_undrained_offline () =
+  let mgr, ops, pmap, enter = checker_fixture () in
+  (* First-touch store places the page local-writable on CPU 0's node. *)
+  enter ~cpu:0 ~lpage:0 Access.Store;
+  ops.Numa_vm.Pmap_intf.write_slot ~pmap ~cpu:0 ~vpage:0 42;
   Alcotest.(check int) "coherent before the damage" 0
-    (List.length (check ()).Invariant.violations);
+    (List.length (sweep mgr).Invariant.violations);
   (* Yank the node without draining: a dirty owner is now stranded on
      offline memory — exactly what the checker exists to catch. *)
   Frame_table.set_node_online (Pmap_manager.frames mgr) ~node:0 false;
-  let rep = check () in
+  let rep = sweep mgr in
   Alcotest.(check bool) "undrained offline detected" true
     (List.length rep.Invariant.violations > 0);
   Alcotest.(check bool) "result is an error" true (Result.is_error (Invariant.result rep))
+
+(* Plant one mapping with [Mmu.enter] that breaks the directory/MMU
+   relation: the sweep is clean before it and names exactly that
+   relation after it. *)
+let check_planted mgr ~pmap ~cpu ~lpage ~prot ~phys expected =
+  let violations () = (sweep mgr).Invariant.violations in
+  Alcotest.(check (list string)) "coherent before the damage" [] (violations ());
+  Mmu.enter (Pmap_manager.mmu mgr) ~pmap ~cpu ~vpage:lpage ~lpage ~prot ~phys;
+  Alcotest.(check (list string)) "the broken relation" [ expected ] (violations ())
+
+let replica mgr ~lpage ~node =
+  Option.get (Numa_manager.replica_frame (Pmap_manager.manager mgr) ~lpage ~node)
+
+let test_checker_catches_writable_replica () =
+  let mgr, _, pmap, enter = checker_fixture () in
+  enter ~cpu:0 ~lpage:0 Access.Load;
+  enter ~cpu:1 ~lpage:0 Access.Load;
+  check_planted mgr ~pmap ~cpu:0 ~lpage:0 ~prot:Prot.Read_write
+    ~phys:(Mmu.Frame (replica mgr ~lpage:0 ~node:0))
+    "read-only page 0 mapped writable on cpu 0"
+
+let test_checker_catches_non_owner_mapping () =
+  let mgr, _, pmap, enter = checker_fixture () in
+  enter ~cpu:0 ~lpage:0 Access.Store;
+  check_planted mgr ~pmap ~cpu:1 ~lpage:0 ~prot:Prot.Read_write
+    ~phys:(Mmu.Frame (replica mgr ~lpage:0 ~node:0))
+    "local-writable page 0 mapped on non-owner cpu 1"
+
+let test_checker_catches_global_via_local_frame () =
+  let mgr, _, pmap, enter = checker_fixture () in
+  List.iter (fun cpu -> enter ~cpu ~lpage:0 Access.Store) [ 0; 1; 0 ];
+  (match Numa_manager.state_of (Pmap_manager.manager mgr) ~lpage:0 with
+  | Numa_manager.Global_writable -> ()
+  | st -> Alcotest.failf "expected global-writable, got %a" Numa_manager.pp_state st);
+  (* Borrow page 1's local frame for page 0's mapping. *)
+  enter ~cpu:0 ~lpage:1 Access.Store;
+  check_planted mgr ~pmap ~cpu:0 ~lpage:0 ~prot:Prot.Read_write
+    ~phys:(Mmu.Frame (replica mgr ~lpage:1 ~node:0))
+    "global page 0: mapping on cpu 0 bypasses the global frame"
 
 (* --- satellite: malformed policy specs ---------------------------------- *)
 
@@ -448,6 +496,12 @@ let suite =
       test_bad_plan_rejected_by_create;
     Alcotest.test_case "checker catches undrained offline" `Quick
       test_checker_catches_undrained_offline;
+    Alcotest.test_case "checker catches writable replica" `Quick
+      test_checker_catches_writable_replica;
+    Alcotest.test_case "checker catches non-owner mapping" `Quick
+      test_checker_catches_non_owner_mapping;
+    Alcotest.test_case "checker catches global via local" `Quick
+      test_checker_catches_global_via_local_frame;
     Alcotest.test_case "malformed policy specs rejected" `Quick test_policy_spec_errors;
     Alcotest.test_case "valid policy specs accepted" `Quick test_policy_spec_ok;
     Alcotest.test_case "OOM is typed and observed" `Quick test_oom_is_typed_and_observed;

@@ -41,7 +41,7 @@ let test_tasks_have_separate_address_spaces () =
   let la = Option.get (System.lpage_of sys ~vpage:a.System.base_vpage ()) in
   let lb = Option.get (System.lpage_of sys ~task:other ~vpage:b.System.base_vpage ()) in
   Alcotest.(check bool) "distinct backing pages" true (la <> lb);
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariants: %s" msg
 
@@ -68,7 +68,7 @@ let test_shared_object_across_tasks () =
   let lp = Option.get (System.lpage_of sys ~vpage:shared.System.base_vpage ()) in
   let lv = Option.get (System.lpage_of sys ~task:other ~vpage:view.System.base_vpage ()) in
   Alcotest.(check int) "one logical page, two mappings" lp lv;
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariants: %s" msg
 
@@ -106,7 +106,7 @@ let test_cross_task_ping_pong_pins () =
   | st -> Alcotest.failf "expected pinned shared page, got %a" Manager.pp_state st);
   Alcotest.(check bool) "moves were counted across tasks" true
     (report.Report.numa_moves >= 2);
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariants: %s" msg
 

@@ -89,7 +89,7 @@ let test_system_overcommit () =
   let report = System.run sys in
   Alcotest.(check int) "all values survive eviction" 0 !mismatches;
   Alcotest.(check bool) "run produced work" true (report.Numa_system.Report.total_user_ns > 0.);
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariants: %s" msg
 
@@ -131,7 +131,7 @@ let test_overcommit_resets_pins () =
          Api.barrier barrier;
          Api.barrier barrier));
   ignore (System.run sys);
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariants: %s" msg
 

@@ -1,21 +1,15 @@
 (* The profiler's contract: every virtual nanosecond the engine puts on a
    CPU clock is attributed to exactly one category (conservation), the
    data is deterministic, and turning the profiler off leaves reports
-   byte-identical. Plus the bench-compare regression gate. *)
+   byte-identical. *)
 
 module System = Numa_system.System
 module Report = Numa_system.Report
 module Engine = Numa_sim.Engine
 module Profile = Numa_obs.Profile
 module App_sig = Numa_apps.App_sig
-module BC = Numa_metrics.Bench_compare
 
 let qcheck t = QCheck_alcotest.to_alcotest t
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
 
 let run_app ?(profiling = true) ?(policy = System.Move_limit { threshold = 4 })
     ?(config = Numa_machine.Config.ace ~n_cpus:4 ()) ?(scale = 0.03) name =
@@ -150,99 +144,6 @@ let test_profile_deterministic () =
     (Numa_obs.Json.to_string (Profile.snapshot_to_json a))
     (Numa_obs.Json.to_string (Profile.snapshot_to_json b))
 
-(* --- bench-compare ------------------------------------------------------ *)
-
-let summary ?(events = Some 1000.) ?(gamma = 1.2) ?(t_numa = 10.) () =
-  {
-    BC.scale = 0.25;
-    cpus = 4;
-    events_per_sec = events;
-    apps = [ { BC.app = "imatmult"; gamma; t_numa_s = t_numa } ];
-  }
-
-let lines_exn = function
-  | Ok lines -> lines
-  | Error msg -> Alcotest.failf "diff unexpectedly not comparable: %s" msg
-
-let test_bench_compare_directions () =
-  let baseline = summary () in
-  (* Throughput DROP regresses; gamma/time RISE regresses. *)
-  let slower = summary ~events:(Some 400.) () in
-  let d = lines_exn (BC.diff ~baseline ~current:slower ~max_regress:25.) in
-  Alcotest.(check bool) "throughput drop flagged" true (BC.regressed d);
-  let faster = summary ~events:(Some 2000.) () in
-  Alcotest.(check bool) "throughput rise fine" false
-    (BC.regressed (lines_exn (BC.diff ~baseline ~current:faster ~max_regress:25.)));
-  let worse_gamma = summary ~gamma:2.0 () in
-  Alcotest.(check bool) "gamma rise flagged" true
-    (BC.regressed (lines_exn (BC.diff ~baseline ~current:worse_gamma ~max_regress:25.)));
-  let slow_app = summary ~t_numa:20. () in
-  let d = lines_exn (BC.diff ~baseline ~current:slow_app ~max_regress:25.) in
-  Alcotest.(check bool) "t_numa rise flagged" true (BC.regressed d);
-  Alcotest.(check bool) "render marks the changed row" true
-    (contains ~sub:"CHANGED" (BC.render d));
-  let d = lines_exn (BC.diff ~baseline ~current:slower ~max_regress:25.) in
-  Alcotest.(check bool) "render marks the throughput row" true
-    (contains ~sub:"REGRESSED" (BC.render d));
-  (* Gamma and t_numa are deterministic: --max-regress does not cover them,
-     so the smallest move either way fails even at CI's 90% tolerance. *)
-  let flagged current = BC.regressed (lines_exn (BC.diff ~baseline ~current ~max_regress:90.)) in
-  Alcotest.(check bool) "0.1% gamma rise flagged at 90%" true
-    (flagged (summary ~gamma:(1.2 *. 1.001) ()));
-  Alcotest.(check bool) "gamma drop flagged at 90%" true
-    (flagged (summary ~gamma:1.0 ~t_numa:8. ()));
-  Alcotest.(check bool) "throughput within tolerance passes at 90%" false
-    (flagged (summary ~events:(Some 200.) ()))
-
-let test_bench_compare_tolerance_and_missing () =
-  let baseline = summary () in
-  (* Within the threshold: a 20% drop at max-regress 25 passes. *)
-  let close = summary ~events:(Some 800.) () in
-  Alcotest.(check bool) "within tolerance" false
-    (BC.regressed (lines_exn (BC.diff ~baseline ~current:close ~max_regress:25.)));
-  (* Old records without events/sec: the metric is skipped, apps still gate. *)
-  let old = summary ~events:None () in
-  let d = lines_exn (BC.diff ~baseline:old ~current:(summary ()) ~max_regress:25.) in
-  Alcotest.(check int) "throughput skipped" 2 (List.length d);
-  (* Different configurations refuse to compare. *)
-  (match BC.diff ~baseline ~current:{ baseline with BC.cpus = 8 } ~max_regress:25. with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "cpu mismatch accepted");
-  match BC.diff ~baseline ~current:{ baseline with BC.scale = 1.0 } ~max_regress:25. with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "scale mismatch accepted"
-
-let test_bench_compare_roundtrip () =
-  let s = summary () in
-  match BC.summary_of_json (BC.to_json s) with
-  | Error msg -> Alcotest.failf "compact baseline does not parse back: %s" msg
-  | Ok s' ->
-      Alcotest.(check bool) "round trip" true (s = s');
-      (* And the full bench-record spelling (times nested) parses too. *)
-      let full =
-        Numa_obs.Json.Obj
-          [
-            ("scale", Numa_obs.Json.Float 0.25);
-            ("cpus", Numa_obs.Json.Int 4);
-            ("events_per_sec", Numa_obs.Json.Float 1000.);
-            ( "measurements",
-              Numa_obs.Json.List
-                [
-                  Numa_obs.Json.Obj
-                    [
-                      ("app", Numa_obs.Json.String "imatmult");
-                      ("gamma", Numa_obs.Json.Float 1.2);
-                      ( "times",
-                        Numa_obs.Json.Obj
-                          [ ("t_numa_s", Numa_obs.Json.Float 10.) ] );
-                    ];
-                ] );
-          ]
-      in
-      (match BC.summary_of_json full with
-      | Error msg -> Alcotest.failf "full record does not parse: %s" msg
-      | Ok s'' -> Alcotest.(check bool) "full record agrees" true (s = s''))
-
 let suite =
   [
     Alcotest.test_case "conservation on every Table 4 app" `Quick
@@ -252,10 +153,4 @@ let suite =
       test_profiling_off_identical;
     Alcotest.test_case "snapshot content and exports" `Quick test_snapshot_content;
     Alcotest.test_case "profile is deterministic" `Quick test_profile_deterministic;
-    Alcotest.test_case "bench-compare regression directions" `Quick
-      test_bench_compare_directions;
-    Alcotest.test_case "bench-compare tolerance and skips" `Quick
-      test_bench_compare_tolerance_and_missing;
-    Alcotest.test_case "bench-compare JSON round trip" `Quick
-      test_bench_compare_roundtrip;
   ]

@@ -19,7 +19,7 @@ let alloc_data sys ~name ~pages =
     ~sharing:Region_attr.Declared_write_shared ~pages ()
 
 let check_ok sys =
-  match System.check_invariants sys with
+  match Numa_core.Invariant.result (System.audit sys) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariant violated: %s" msg
 
