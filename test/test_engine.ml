@@ -269,6 +269,74 @@ let test_empty_run () =
   Engine.run e;
   Alcotest.(check (float 0.)) "no time passes" 0. (Engine.elapsed_ns e)
 
+(* Every op kind in one run, with the event order pinned: a contended lock
+   and a barrier reused across rounds, stack-touching syscalls serialised on
+   the unix master, sleeps, a migration, refs longer than [chunk_refs],
+   compute longer than [compute_slice_ns], and nested deadlines that fire
+   mid-refs, mid-compute and during a sleep. A scheduling change that moves
+   a single dispatch moves the digest. *)
+let test_mixed_ops_event_order () =
+  let e = make ~engine_tweak:(fun c -> { c with Engine.unix_master = true }) () in
+  let dispatches = Buffer.create 4096 in
+  Numa_obs.Hub.attach (Engine.obs e) ~name:"dispatch" (fun ~ts ev ->
+      match ev with
+      | Numa_obs.Event.Dispatch { tid; cpu; _ } ->
+          Printf.bprintf dispatches "%d %d %h\n" tid cpu ts
+      | _ -> ());
+  let lock = Engine.make_lock e ~vpage:0 in
+  let barrier = Engine.make_barrier e ~vpage:1 ~parties:3 in
+  let fired = ref [] in
+  (* Threads 0-2 meet at the barrier; thread 3 shares cpu 1 with thread 1. *)
+  for i = 0 to 3 do
+    ignore
+      (Engine.spawn e ~cpu:(if i = 3 then 1 else i) ~stack_vpage:(40 + i)
+         ~name:(Printf.sprintf "w%d" i) (fun () ->
+           for round = 1 to 3 do
+             Api.with_lock lock (fun () ->
+                 Api.write ~count:3 ~value:i 5;
+                 Api.compute 1e5);
+             Api.read ~count:5000 (10 + i);
+             Api.syscall ~touch_stack:true ~service_ns:2e5 ();
+             if i < 3 then Api.barrier barrier;
+             Api.compute 5e6;
+             Api.sleep_until ~ns:(float_of_int round *. 3e7)
+           done;
+           Api.migrate ~cpu:((i + 1) mod 4);
+           Api.write ~count:100 ~value:(Api.read_value 5) 20))
+  done;
+  ignore
+    (Engine.spawn e ~cpu:3 ~stack_vpage:44 ~name:"timers" (fun () ->
+         let outer =
+           Api.with_deadline ~until_ns:2e7 (fun () ->
+               let inner =
+                 Api.with_deadline ~until_ns:3e6 (fun () -> Api.read ~count:20_000 30)
+               in
+               if inner = None then fired := "inner" :: !fired;
+               Api.compute 3e7)
+         in
+         if outer = None then fired := "outer" :: !fired;
+         ignore (Api.with_deadline ~until_ns:4e7 (fun () -> Api.compute 1e5));
+         if Api.with_deadline ~until_ns:5e7 (fun () -> Api.sleep_until ~ns:6e7) = None then
+           fired := "sleep" :: !fired;
+         Api.syscall ~touch_stack:true ~service_ns:1e5 ()));
+  Engine.run e;
+  Alcotest.(check (list string)) "deadlines fired" [ "sleep"; "outer"; "inner" ] !fired;
+  let per_cpu f = List.init 4 (fun cpu -> Printf.sprintf "%h" (f e ~cpu)) in
+  Alcotest.(check bool) "lock contended" true (lock.Numa_sim.Sync.contended_polls > 0);
+  Alcotest.(check int) "barrier reused" 3 barrier.Numa_sim.Sync.generation;
+  Alcotest.(check int) "n_events" 405 (Engine.n_events e);
+  Alcotest.(check (list string)) "clocks"
+    [ "0x1.5806f28p+26"; "0x1.57d61e8p+26"; "0x1.5806f28p+26"; "0x1.57d61e8p+26" ]
+    (per_cpu Engine.clock_ns);
+  Alcotest.(check (list string)) "user"
+    [ "0x1.879b4p+24"; "0x1.830a5dp+25"; "0x1.90776ap+24"; "0x1.5269cap+24" ]
+    (per_cpu Engine.user_ns);
+  Alcotest.(check (list string)) "system"
+    [ "0x1.40bccp+21"; "0x1.86ap+15"; "0x1.86ap+15"; "0x1.86ap+15" ]
+    (per_cpu Engine.system_ns);
+  Alcotest.(check string) "dispatch stream" "76b2b4707dee6a084448a012236108f2"
+    (Digest.to_hex (Digest.string (Buffer.contents dispatches)))
+
 (* --- event queue ---------------------------------------------------------- *)
 
 (* Direct tests of the engine's ready queue (the structure that replaced
@@ -365,6 +433,7 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "empty run" `Quick test_empty_run;
+    Alcotest.test_case "mixed ops event order" `Quick test_mixed_ops_event_order;
     Alcotest.test_case "event queue basic" `Quick test_event_queue_basic;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
     Alcotest.test_case "event queue clear" `Quick test_event_queue_clear;
