@@ -5,6 +5,7 @@ type scheduler_mode = Affinity | Single_queue
 (* [Float.max] with the NaN handling stripped: virtual times are never
    NaN, and this runs several times per event. Stays local so it inlines. *)
 let fmax (a : float) b = if a < b then b else a
+let fmin (a : float) b = if a < b then a else b
 
 type config = {
   n_cpus : int;
@@ -27,42 +28,54 @@ let default_config ~n_cpus =
 
 exception Deadlock of string
 
-type step = Finished | Blocked of Op.t * (int, step) Effect.Deep.continuation
+(* Where a thread body stands: returned, or suspended on an op. *)
+type step = Finished | Suspended of (int, step) Effect.Deep.continuation
 
-(* The op currently being worked through, chunk by chunk. *)
-type pending =
-  | P_refs of {
-      vpage : int;
-      access : Access.t;
-      mutable remaining : int;
-      value : int;
-      mutable last_value : int;
-    }
-  | P_compute of { mutable remaining_ns : float }
-  | P_lock of Sync.lock
-  | P_unlock of Sync.lock
-  | P_barrier of { b : Sync.barrier; mutable arrived : bool; mutable gen : int }
-  | P_syscall of { service_ns : float; touch_stack : bool }
-  | P_migrate of { target : int }
-  | P_sleep of { until_ns : float }
-  | P_deadline_push of { until_ns : float }
-  | P_deadline_pop
+(* The engine's handler returns this one value for every [perform], so
+   it allocates no closure or option per op: a suspension costs only the
+   two-word [Suspended] box. *)
+let suspend = Some (fun k -> Suspended k)
+
+(* A thread's float state. A record of floats only is stored flat, so
+   updating a field allocates nothing; a float field of a mixed record is a
+   pointer to a fresh box. *)
+type times = {
+  mutable ready_at : float;
+  mutable deadline : float;
+      (** cached tightest armed deadline ([infinity] when none) — read at
+          every chunk boundary, so it must be O(1) *)
+  mutable compute_left : float;  (** [Compute]: nanoseconds still to run *)
+}
 
 type thread = {
   tid : int;
   name : string;
   mutable cpu : int;
   stack_vpage : int option;
-  mutable kont : (int, step) Effect.Deep.continuation option;
-  mutable pending : pending option;
-  mutable finished : bool;
-  mutable ready_at : float;
+  mutable step : step;
+      (** [Suspended k] while the body waits on [op]; [k] is resumed with
+          the op's result *)
+  mutable op : Op.t;  (** the op being worked through, chunk by chunk *)
+  mutable refs_left : int;  (** [Read]/[Write]: references still to issue *)
+  mutable arrived : bool;  (** [Barrier_wait]: counted in at the barrier *)
+  mutable gen : int;  (** [Barrier_wait]: the generation counted into *)
+  times : times;
   mutable deadlines : (int * float) list;
       (** armed cancellable timers, newest first: (timer id, absolute
           virtual-time deadline) *)
-  mutable deadline : float;
-      (** cached tightest armed deadline ([infinity] when none) — read at
-          every chunk boundary, so it must be O(1) *)
+}
+
+(* The engine's per-event floats, flat for the same reason as [times]:
+   the virtual clock, and the outcome of the chunk just processed. *)
+type floats = {
+  mutable vnow : float;
+  mutable start : float;  (** the current chunk's start time *)
+  mutable d_user : float;  (** user time the chunk consumed on its CPU *)
+  mutable d_system : float;  (** system time the chunk consumed on its CPU *)
+  mutable wake : float;
+      (** when the op parks the thread elsewhere (syscall, migrate, sleep):
+          its next ready time; [neg_infinity] when it follows the CPU
+          clock *)
 }
 
 type t = {
@@ -73,7 +86,10 @@ type t = {
   clock : float array;
   user : float array;
   system : float array;
-  mutable vnow : float;
+  fl : floats;
+  mutable result : int;  (** the value a completed chunk returns to the body *)
+  performed : Op.t ref;  (** the op the last suspended body performed *)
+  handler : (unit, step) Effect.Deep.handler;
   events : Event_queue.t;  (* (time, seq) -> tid *)
   mutable seq : int;
   threads : (int, thread) Hashtbl.t;
@@ -99,6 +115,21 @@ let create ?obs config ~memory ~scheduler =
   if config.n_cpus <= 0 then invalid_arg "Engine.create: n_cpus must be positive";
   if config.chunk_refs <= 0 then invalid_arg "Engine.create: chunk_refs must be positive";
   let obs = match obs with Some h -> h | None -> Numa_obs.Hub.create () in
+  let performed = ref Op.Deadline_pop in
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> Finished);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Api.Sim_op op ->
+              performed := op;
+              (suspend : ((a, step) Effect.Deep.continuation -> step) option)
+          | _ -> None);
+    }
+  in
+  let fl = { vnow = 0.; start = 0.; d_user = 0.; d_system = 0.; wake = neg_infinity } in
   let t =
   {
     config;
@@ -108,7 +139,10 @@ let create ?obs config ~memory ~scheduler =
     clock = Array.make config.n_cpus 0.;
     user = Array.make config.n_cpus 0.;
     system = Array.make config.n_cpus 0.;
-    vnow = 0.;
+    fl;
+    result = 0;
+    performed;
+    handler;
     events = Event_queue.create ();
     seq = 0;
     threads = Hashtbl.create 32;
@@ -127,7 +161,7 @@ let create ?obs config ~memory ~scheduler =
   in
   (* Events carry the engine's virtual clock, so a sink attached anywhere in
      the stack timestamps in simulated nanoseconds. *)
-  Numa_obs.Hub.set_clock obs (fun () -> t.vnow);
+  Numa_obs.Hub.set_clock obs (fun () -> fl.vnow);
   t
 
 let obs t = t.obs
@@ -135,7 +169,7 @@ let set_turn_hook t hook = t.turn_hook <- Some hook
 
 let set_profile t p =
   t.profile <- Some p;
-  Numa_obs.Profile.set_clock p (fun () -> t.vnow)
+  Numa_obs.Profile.set_clock p (fun () -> t.fl.vnow)
 
 let profile t = t.profile
 
@@ -149,37 +183,24 @@ let make_barrier t ~vpage ~parties =
   t.next_sync_id <- id + 1;
   Sync.make_barrier ~id ~vpage ~parties
 
-let schedule t th time =
-  th.ready_at <- time;
-  Event_queue.add t.events ~time ~seq:t.seq ~tid:th.tid;
-  t.seq <- t.seq + 1
+let finished th = match th.step with Finished -> true | Suspended _ -> false
 
-let handler : (unit, step) Effect.Deep.handler =
-  {
-    retc = (fun () -> Finished);
-    exnc = raise;
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Api.Sim_op op ->
-            Some (fun (k : (a, step) Effect.Deep.continuation) -> Blocked (op, k))
-        | _ -> None);
-  }
+let continuation th =
+  match th.step with Suspended k -> k | Finished -> assert false
 
-let begin_pending = function
-  | Op.Read { vpage; count } ->
-      P_refs { vpage; access = Access.Load; remaining = count; value = 0; last_value = 0 }
-  | Op.Write { vpage; count; value } ->
-      P_refs { vpage; access = Access.Store; remaining = count; value; last_value = value }
-  | Op.Compute { ns } -> P_compute { remaining_ns = ns }
-  | Op.Lock_acquire l -> P_lock l
-  | Op.Lock_release l -> P_unlock l
-  | Op.Barrier_wait b -> P_barrier { b; arrived = false; gen = b.Sync.generation }
-  | Op.Syscall { service_ns; touch_stack } -> P_syscall { service_ns; touch_stack }
-  | Op.Migrate { cpu } -> P_migrate { target = cpu }
-  | Op.Sleep_until { until_ns } -> P_sleep { until_ns }
-  | Op.Deadline_push { until_ns } -> P_deadline_push { until_ns }
-  | Op.Deadline_pop -> P_deadline_pop
+(* [th]'s body has just suspended with [k] on the op it performed: make
+   that op the thread's current one. *)
+let begin_op t th k =
+  th.step <- k;
+  let op = !(t.performed) in
+  th.op <- op;
+  match op with
+  | Op.Read { count; _ } | Op.Write { count; _ } -> th.refs_left <- count
+  | Op.Compute { ns } -> th.times.compute_left <- ns
+  | Op.Barrier_wait _ -> th.arrived <- false
+  | Op.Lock_acquire _ | Op.Lock_release _ | Op.Syscall _ | Op.Migrate _
+  | Op.Sleep_until _ | Op.Deadline_push _ | Op.Deadline_pop ->
+      ()
 
 let spawn t ?cpu ?stack_vpage ~name body =
   if t.running || t.completed then invalid_arg "Engine.spawn: engine already running";
@@ -201,89 +222,107 @@ let spawn t ?cpu ?stack_vpage ~name body =
       name;
       cpu;
       stack_vpage;
-      kont = None;
-      pending = None;
-      finished = false;
-      ready_at = 0.;
+      step = Finished;
+      op = Op.Deadline_pop;
+      refs_left = 0;
+      arrived = false;
+      gen = 0;
+      times = { ready_at = 0.; deadline = infinity; compute_left = 0. };
       deadlines = [];
-      deadline = infinity;
     }
   in
   Hashtbl.replace t.threads tid th;
   t.live <- t.live + 1;
   (* Launch the body up to its first operation right away; the first chunk
-     is processed when the run loop pops the thread's initial event. *)
-  (match Effect.Deep.match_with (fun () -> body ()) () handler with
-  | Finished ->
-      th.finished <- true;
-      t.live <- t.live - 1
-  | Blocked (op, k) ->
-      th.kont <- Some k;
-      th.pending <- Some (begin_pending op);
-      schedule t th 0.);
+     is processed when the run loop reaches the thread's initial event. *)
+  (match Effect.Deep.match_with body () t.handler with
+  | Finished -> t.live <- t.live - 1
+  | Suspended _ as k ->
+      begin_op t th k;
+      Event_queue.add t.events ~time:0. ~seq:t.seq ~tid;
+      t.seq <- t.seq + 1);
   tid
 
-(* Outcome of processing one chunk at time [start] on [cpu]:
-   [user]/[system] durations consumed on that CPU, whether the whole op is
-   now complete (with its result value), and — for operations that park the
-   thread elsewhere (system calls) or that poll — an explicit next-ready
-   time instead of cpu-clock progression. *)
-type chunk_outcome = {
-  d_user : float;
-  d_system : float;
-  completed : bool;
-  result : int;
-  ready_override : float option;
-}
+(* During its turn a thread's event stays at the root of the queue. A
+   thread that runs again later replaces that root, taking its sequence
+   number exactly where a fresh push would: every (time, seq) key is
+   unique, so the pop order is the one a pop-then-push cycle gives. *)
+let reschedule t th time =
+  th.times.ready_at <- time;
+  Event_queue.replace_min t.events ~time ~seq:t.seq ~tid:th.tid;
+  t.seq <- t.seq + 1
 
-let chunk ~d_user ~d_system ?(completed = false) ?(result = 0) ?ready_override () =
-  { d_user; d_system; completed; result; ready_override }
+let finish t th =
+  th.step <- Finished;
+  t.live <- t.live - 1;
+  Event_queue.drop_min t.events
+
+let count_event t =
+  t.n_events <- t.n_events + 1;
+  if t.n_events > t.config.max_events then failwith "Engine.run: event budget exceeded"
 
 let access t th ~cpu ~vpage ~access:a ~count ~value =
   t.memory.Memory_iface.access ~cpu ~tid:th.tid ~vpage ~access:a ~count ~value
 
-let process_chunk t th ~cpu ~start pending =
-  match pending with
-  | P_refs r ->
-      let n = min r.remaining t.config.chunk_refs in
-      let res = access t th ~cpu ~vpage:r.vpage ~access:r.access ~count:n ~value:r.value in
-      r.remaining <- r.remaining - n;
-      r.last_value <- res.Memory_iface.value;
-      chunk ~d_user:res.Memory_iface.user_ns ~d_system:res.Memory_iface.system_ns
-        ~completed:(r.remaining = 0) ~result:r.last_value ()
-  | P_compute c ->
-      let slice = Float.min c.remaining_ns t.config.compute_slice_ns in
-      c.remaining_ns <- c.remaining_ns -. slice;
+(* Up to [chunk_refs] of a [Read]/[Write]'s references. *)
+let refs t th ~cpu ~vpage ~access:a ~value =
+  let n = Int.min th.refs_left t.config.chunk_refs in
+  t.result <- access t th ~cpu ~vpage ~access:a ~count:n ~value;
+  th.refs_left <- th.refs_left - n;
+  t.fl.d_user <- t.memory.Memory_iface.cost.user_ns;
+  t.fl.d_system <- t.memory.Memory_iface.cost.system_ns;
+  th.refs_left = 0
+
+(* Process one chunk of [th]'s current op at [t.fl.start] on [cpu]. It
+   sets the chunk's outcome in [t.fl] — the user and system time consumed
+   on that CPU and, for an op that parks the thread elsewhere or polls, an
+   explicit wake time — and returns whether the whole op is now complete,
+   with its result in [t.result]. *)
+let process_chunk t th ~cpu =
+  let fl = t.fl and cost = t.memory.Memory_iface.cost in
+  fl.d_user <- 0.;
+  fl.d_system <- 0.;
+  fl.wake <- neg_infinity;
+  t.result <- 0;
+  match th.op with
+  | Op.Read { vpage; _ } -> refs t th ~cpu ~vpage ~access:Access.Load ~value:0
+  | Op.Write { vpage; value; _ } -> refs t th ~cpu ~vpage ~access:Access.Store ~value
+  | Op.Compute _ ->
+      let slice = fmin th.times.compute_left t.config.compute_slice_ns in
+      th.times.compute_left <- th.times.compute_left -. slice;
       (match t.profile with
       | Some p -> Numa_obs.Profile.charge_compute p ~cpu ~tid:th.tid slice
       | None -> ());
-      chunk ~d_user:slice ~d_system:0. ~completed:(c.remaining_ns <= 0.) ()
-  | P_lock l -> (
+      fl.d_user <- slice;
+      th.times.compute_left <= 0.
+  | Op.Lock_acquire l -> (
       match l.Sync.holder with
       | None ->
           (* Successful test-and-set: a fetch and a store on the lock page. *)
-          let rd = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0 in
-          let wr = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:1 in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0);
+          let rd_user = cost.user_ns and rd_system = cost.system_ns in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:1);
           Sync.acquire ~obs:t.obs ?profile:t.profile l ~tid:th.tid ~cpu;
-          chunk
-            ~d_user:(rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns)
-            ~d_system:(rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns)
-            ~completed:true ()
+          fl.d_user <- rd_user +. cost.user_ns;
+          fl.d_system <- rd_system +. cost.system_ns;
+          true
       | Some _ ->
           (* Busy: burn one poll interval in user state and try again. *)
-          let rd = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0 in
+          ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Load ~count:1 ~value:0);
+          let rd_user = cost.user_ns in
+          fl.d_system <- cost.system_ns;
           Sync.contend ~obs:t.obs l ~tid:th.tid ~cpu;
-          let d_user = fmax rd.Memory_iface.user_ns t.config.spin_poll_ns in
+          fl.d_user <- fmax rd_user t.config.spin_poll_ns;
           (match t.profile with
           | Some p ->
               (* The poll reference itself was charged as a ref by the
                  memory layer; only the poll padding is spin. *)
               Numa_obs.Profile.charge_lock_spin p ~cpu ~tid:th.tid
                 ~lock_id:l.Sync.lock_id
-                (d_user -. rd.Memory_iface.user_ns)
+                (fl.d_user -. rd_user)
           | None -> ());
-          chunk ~d_user ~d_system:rd.Memory_iface.system_ns ())
-  | P_unlock l ->
+          false)
+  | Op.Lock_release l ->
       (match l.Sync.holder with
       | Some tid when tid = th.tid -> ()
       | Some _ | None ->
@@ -295,48 +334,50 @@ let process_chunk t th ~cpu ~start pending =
          handling, bus traffic, its Refs event) is thereby accounted inside
          the hold interval, and no other thread can observe the lock free
          before the memory traffic that freed it exists. *)
-      let wr = access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:0 in
+      ignore (access t th ~cpu ~vpage:l.Sync.lock_vpage ~access:Access.Store ~count:1 ~value:0);
+      fl.d_user <- cost.user_ns;
+      fl.d_system <- cost.system_ns;
       Sync.release ~obs:t.obs ?profile:t.profile l ~tid:th.tid ~cpu;
-      chunk ~d_user:wr.Memory_iface.user_ns ~d_system:wr.Memory_iface.system_ns
-        ~completed:true ()
-  | P_barrier pb ->
-      let b = pb.b in
-      if not pb.arrived then begin
+      true
+  | Op.Barrier_wait b ->
+      let vpage = b.Sync.barrier_vpage in
+      if not th.arrived then begin
         (* Arrival: read-modify-write of the counter. *)
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        let wr =
-          access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Store ~count:1
-            ~value:(b.Sync.arrived + 1)
-        in
-        pb.arrived <- true;
-        pb.gen <- b.Sync.generation;
+        ignore (access t th ~cpu ~vpage ~access:Access.Load ~count:1 ~value:0);
+        let rd_user = cost.user_ns and rd_system = cost.system_ns in
+        ignore
+          (access t th ~cpu ~vpage ~access:Access.Store ~count:1 ~value:(b.Sync.arrived + 1));
+        fl.d_user <- rd_user +. cost.user_ns;
+        fl.d_system <- rd_system +. cost.system_ns;
+        th.arrived <- true;
+        th.gen <- b.Sync.generation;
         b.Sync.arrived <- b.Sync.arrived + 1;
         let released = b.Sync.arrived = b.Sync.parties in
         if released then begin
           b.Sync.generation <- b.Sync.generation + 1;
           b.Sync.arrived <- 0
         end;
-        chunk
-          ~d_user:(rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns)
-          ~d_system:(rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns)
-          ~completed:released ()
+        released
       end
-      else if b.Sync.generation > pb.gen then
-        (* Release observed on this poll. *)
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        chunk ~d_user:rd.Memory_iface.user_ns ~d_system:rd.Memory_iface.system_ns
-          ~completed:true ()
       else begin
-        let rd = access t th ~cpu ~vpage:b.Sync.barrier_vpage ~access:Access.Load ~count:1 ~value:0 in
-        let d_user = fmax rd.Memory_iface.user_ns t.config.spin_poll_ns in
-        (match t.profile with
-        | Some p ->
-            Numa_obs.Profile.charge_barrier_spin p ~cpu ~tid:th.tid
-              (d_user -. rd.Memory_iface.user_ns)
-        | None -> ());
-        chunk ~d_user ~d_system:rd.Memory_iface.system_ns ()
+        ignore (access t th ~cpu ~vpage ~access:Access.Load ~count:1 ~value:0);
+        fl.d_system <- cost.system_ns;
+        if b.Sync.generation > th.gen then begin
+          (* Release observed on this poll. *)
+          fl.d_user <- cost.user_ns;
+          true
+        end
+        else begin
+          fl.d_user <- fmax cost.user_ns t.config.spin_poll_ns;
+          (match t.profile with
+          | Some p ->
+              Numa_obs.Profile.charge_barrier_spin p ~cpu ~tid:th.tid
+                (fl.d_user -. cost.user_ns)
+          | None -> ());
+          false
+        end
       end
-  | P_migrate { target } ->
+  | Op.Migrate { cpu = target } ->
       if target < 0 || target >= t.config.n_cpus then
         failwith
           (Printf.sprintf "thread %d (%s) migrated to nonexistent cpu %d" th.tid th.name
@@ -345,6 +386,7 @@ let process_chunk t th ~cpu ~start pending =
       (* A reschedule: the thread resumes on the target once it is past
          both its own time and the target's clock; the dispatch work is
          system time there. *)
+      let start = fl.start in
       let resume = fmax start t.clock.(target) +. 50_000. in
       (match t.profile with
       | Some p ->
@@ -356,22 +398,21 @@ let process_chunk t th ~cpu ~start pending =
       | None -> ());
       t.system.(target) <- t.system.(target) +. 50_000.;
       t.clock.(target) <- resume;
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~ready_override:resume ()
-  | P_syscall { service_ns; touch_stack } ->
+      fl.wake <- resume;
+      true
+  | Op.Syscall { service_ns; touch_stack } ->
       let master = if t.config.unix_master then 0 else cpu in
-      let start_service = fmax start t.clock.(master) in
+      let start_service = fmax fl.start t.clock.(master) in
       let stack_ns =
-        if touch_stack then
-          match th.stack_vpage with
-          | None -> 0.
-          | Some vpage ->
-              (* The kernel reads arguments from and writes results to the
-                 caller's stack while running on the (master) CPU. *)
-              let rd = access t th ~cpu:master ~vpage ~access:Access.Load ~count:4 ~value:0 in
-              let wr = access t th ~cpu:master ~vpage ~access:Access.Store ~count:4 ~value:0 in
-              rd.Memory_iface.user_ns +. wr.Memory_iface.user_ns
-              +. rd.Memory_iface.system_ns +. wr.Memory_iface.system_ns
-        else 0.
+        match th.stack_vpage with
+        | Some vpage when touch_stack ->
+            (* The kernel reads arguments from and writes results to the
+               caller's stack while running on the (master) CPU. *)
+            ignore (access t th ~cpu:master ~vpage ~access:Access.Load ~count:4 ~value:0);
+            let rd_user = cost.user_ns and rd_system = cost.system_ns in
+            ignore (access t th ~cpu:master ~vpage ~access:Access.Store ~count:4 ~value:0);
+            rd_user +. cost.user_ns +. rd_system +. cost.system_ns
+        | Some _ | None -> 0.
       in
       let finish = start_service +. service_ns +. stack_ns in
       t.system.(master) <- t.system.(master) +. service_ns +. stack_ns;
@@ -390,16 +431,17 @@ let process_chunk t th ~cpu ~start pending =
       t.clock.(master) <- fmax t.clock.(master) finish;
       (* The calling thread was blocked, not computing: its own CPU accrues
          neither user nor system time; it resumes when the call returns. *)
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~ready_override:finish ()
-  | P_sleep { until_ns } ->
+      fl.wake <- finish;
+      true
+  | Op.Sleep_until { until_ns } ->
       (* An open-loop timer: park until the virtual deadline without
          touching any CPU clock. A deadline already past resumes at [start]
          (the sleeper was behind, e.g. a serving thread draining a queue
          backlog). The gap, if any, is charged as idle when the thread's
          next chunk finds its event time ahead of the CPU clock. *)
-      chunk ~d_user:0. ~d_system:0. ~completed:true
-        ~ready_override:(fmax start until_ns) ()
-  | P_deadline_push { until_ns } ->
+      fl.wake <- fmax fl.start until_ns;
+      true
+  | Op.Deadline_push { until_ns } ->
       (* Arm a cancellable timer. Free of simulated time: the deadline
          machinery models a kernel timer wheel whose cost is negligible
          next to a single remote reference. Ids are allocated in event
@@ -407,9 +449,10 @@ let process_chunk t th ~cpu ~start pending =
       let id = t.next_timer_id in
       t.next_timer_id <- id + 1;
       th.deadlines <- (id, until_ns) :: th.deadlines;
-      if until_ns < th.deadline then th.deadline <- until_ns;
-      chunk ~d_user:0. ~d_system:0. ~completed:true ~result:id ()
-  | P_deadline_pop ->
+      if until_ns < th.times.deadline then th.times.deadline <- until_ns;
+      t.result <- id;
+      true
+  | Op.Deadline_pop ->
       (match th.deadlines with
       | [] ->
           failwith
@@ -417,8 +460,8 @@ let process_chunk t th ~cpu ~start pending =
                th.name)
       | _ :: rest ->
           th.deadlines <- rest;
-          th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest);
-      chunk ~d_user:0. ~d_system:0. ~completed:true ()
+          th.times.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest);
+      true
 
 let pick_cpu t th =
   match t.scheduler with
@@ -432,116 +475,111 @@ let pick_cpu t th =
       th.cpu <- !best;
       !best
 
-let finish_thread t th =
-  th.finished <- true;
-  th.kont <- None;
-  th.pending <- None;
-  t.live <- t.live - 1
+(* One chunk of [th]'s current op at [t.fl.start], accounted on [cpu]. On
+   op completion the body resumes to its next op. Returns [true] when that
+   op is to run inline, in this same turn, from the new [t.fl.start]. *)
+let run_chunk t th ~cpu =
+  let fl = t.fl in
+  let start = fl.start in
+  let completed = process_chunk t th ~cpu in
+  t.user.(cpu) <- t.user.(cpu) +. fl.d_user;
+  t.system.(cpu) <- t.system.(cpu) +. fl.d_system;
+  let parked = fl.wake > neg_infinity in
+  let after =
+    if parked then fl.wake
+    else begin
+      (match t.profile with
+      | Some p when start > t.clock.(cpu) ->
+          (* The thread's event time was ahead of its CPU's clock: the CPU
+             sat idle for the difference. *)
+          Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
+      | Some _ | None -> ());
+      t.clock.(cpu) <- start +. fl.d_user +. fl.d_system;
+      t.clock.(cpu)
+    end
+  in
+  fl.vnow <- fmax fl.vnow after;
+  if not completed then begin
+    reschedule t th after;
+    false
+  end
+  else
+    match Effect.Deep.continue (continuation th) t.result with
+    | Finished ->
+        finish t th;
+        false
+    | Suspended _ as k ->
+        begin_op t th k;
+        (* Keep running inline while no other event is due first; avoids
+           heap churn for single-threaded phases. *)
+        if (not parked) && Event_queue.next_time t.events >= after then begin
+          count_event t;
+          fl.start <- after;
+          true
+        end
+        else begin
+          (* A parked thread (sleep, syscall return) must still observe
+             its tightest deadline: wake at the deadline instant instead of
+             sleeping through it, so the timer fires exactly on time. *)
+          let deadline = th.times.deadline in
+          reschedule t th (if after > deadline then fmax start deadline else after);
+          false
+        end
 
-(* Process one scheduling turn for [th]: one chunk; on op completion,
-   resume the thread body (possibly through several ops) while no other
-   event is due earlier. *)
+(* The tightest armed timer has expired: abandon the current operation at
+   this chunk boundary and unwind the thread with {!Api.Deadline_exceeded}.
+   Scopes armed after the firing timer can no longer pop themselves (the
+   unwind bypasses their pop), so they are disarmed here as well; outer
+   scopes stay armed. Returns [true] when the thread runs on inline. *)
+let fire t th =
+  let start = t.fl.start in
+  let fired = th.times.deadline in
+  let rec split = function
+    | [] -> assert false
+    | (id, u) :: rest -> if u <= fired then (id, rest) else split rest
+  in
+  let id, rest = split th.deadlines in
+  th.deadlines <- rest;
+  th.times.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
+  (* Unwinding may itself perform operations (with_lock releases its lock
+     on the way out); they surface here as a fresh suspended op and run at
+     [start] — at or after the deadline instant, never before. *)
+  match Effect.Deep.discontinue (continuation th) (Api.Deadline_exceeded id) with
+  | Finished ->
+      finish t th;
+      false
+  | Suspended _ as k ->
+      begin_op t th k;
+      if Event_queue.next_time t.events >= start then begin
+        count_event t;
+        true
+      end
+      else begin
+        reschedule t th start;
+        false
+      end
+
+(* Process one scheduling turn for [th], whose event is at the root of the
+   queue: one chunk; on op completion, resume the thread body (possibly
+   through several ops) while no other event is due earlier. The turn ends
+   by replacing or dropping that root. *)
 let turn t th =
   let cpu = pick_cpu t th in
-  let start = fmax th.ready_at t.clock.(cpu) in
+  let fl = t.fl in
+  let start = fmax th.times.ready_at t.clock.(cpu) in
+  fl.start <- start;
   (* The virtual clock is monotone: a turn that starts on a CPU whose
      local clock lags another CPU's must not drag [vnow] (and with it
      every observability timestamp) backwards. *)
-  t.vnow <- fmax t.vnow start;
-  (match t.turn_hook with None -> () | Some hook -> hook ~now:t.vnow);
+  fl.vnow <- fmax fl.vnow start;
+  (match t.turn_hook with None -> () | Some hook -> hook ~now:fl.vnow);
   if Numa_obs.Hub.enabled t.obs then
     Numa_obs.Hub.emit t.obs
       (Numa_obs.Event.Dispatch { tid = th.tid; cpu; name = th.name });
-  let rec go start =
-    match th.pending with
-    | None -> ()
-    | Some _ when start >= th.deadline -> fire start
-    | Some pending ->
-        let o = process_chunk t th ~cpu ~start pending in
-        t.user.(cpu) <- t.user.(cpu) +. o.d_user;
-        t.system.(cpu) <- t.system.(cpu) +. o.d_system;
-        let after =
-          match o.ready_override with
-          | Some v -> v
-          | None ->
-              (match t.profile with
-              | Some p when start > t.clock.(cpu) ->
-                  (* The thread's event time was ahead of its CPU's clock:
-                     the CPU sat idle for the difference. *)
-                  Numa_obs.Profile.charge_idle p ~cpu (start -. t.clock.(cpu))
-              | Some _ | None -> ());
-              t.clock.(cpu) <- start +. o.d_user +. o.d_system;
-              t.clock.(cpu)
-        in
-        t.vnow <- fmax t.vnow after;
-        if not o.completed then schedule t th after
-        else begin
-          th.pending <- None;
-          match th.kont with
-          | None -> assert false
-          | Some k -> (
-              th.kont <- None;
-              match Effect.Deep.continue k o.result with
-              | Finished -> finish_thread t th
-              | Blocked (op, k') ->
-                  th.kont <- Some k';
-                  th.pending <- Some (begin_pending op);
-                  (* Keep running inline while no other event is due first;
-                     avoids heap churn for single-threaded phases. *)
-                  let can_inline =
-                    o.ready_override = None && Event_queue.min_time t.events >= after
-                  in
-                  if can_inline then begin
-                    t.n_events <- t.n_events + 1;
-                    if t.n_events > t.config.max_events then
-                      failwith "Engine.run: event budget exceeded";
-                    go after
-                  end
-                  else
-                    (* A parked thread (sleep, syscall return) must still
-                       observe its tightest deadline: wake at the deadline
-                       instant instead of sleeping through it, so the
-                       timer fires exactly on time. *)
-                    schedule t th
-                      (if after > th.deadline then fmax start th.deadline else after))
-        end
-  and fire start =
-    (* The tightest armed timer has expired: abandon the current operation
-       at this chunk boundary and unwind the thread with
-       {!Api.Deadline_exceeded}. Scopes armed after the firing timer can
-       no longer pop themselves (the unwind bypasses their pop), so they
-       are disarmed here as well; outer scopes stay armed. *)
-    let fired = th.deadline in
-    let rec split = function
-      | [] -> assert false
-      | (id, u) :: rest -> if u <= fired then (id, rest) else split rest
-    in
-    let id, rest = split th.deadlines in
-    th.deadlines <- rest;
-    th.deadline <- List.fold_left (fun a (_, u) -> Float.min a u) infinity rest;
-    th.pending <- None;
-    match th.kont with
-    | None -> assert false
-    | Some k -> (
-        th.kont <- None;
-        (* Unwinding may itself perform operations (with_lock releases its
-           lock on the way out); they surface here as a fresh blocked op
-           and run at [start] — at or after the deadline instant, never
-           before. *)
-        match Effect.Deep.discontinue k (Api.Deadline_exceeded id) with
-        | Finished -> finish_thread t th
-        | Blocked (op, k') ->
-            th.kont <- Some k';
-            th.pending <- Some (begin_pending op);
-            if Event_queue.min_time t.events >= start then begin
-              t.n_events <- t.n_events + 1;
-              if t.n_events > t.config.max_events then
-                failwith "Engine.run: event budget exceeded";
-              go start
-            end
-            else schedule t th start)
-  in
-  go start
+  let again = ref true in
+  while !again do
+    again := if fl.start >= th.times.deadline then fire t th else run_chunk t th ~cpu
+  done
 
 let run t =
   if t.running || t.completed then invalid_arg "Engine.run: already running";
@@ -549,7 +587,7 @@ let run t =
   t.thread_by_tid <-
     Array.init t.next_tid (fun tid -> Hashtbl.find t.threads tid);
   let rec loop () =
-    let tid = Event_queue.pop_min t.events in
+    let tid = Event_queue.min_tid t.events in
     if tid < 0 then begin
       if t.live > 0 then
         raise
@@ -557,11 +595,8 @@ let run t =
              (Printf.sprintf "%d thread(s) blocked with no runnable events" t.live))
     end
     else begin
-      t.n_events <- t.n_events + 1;
-      if t.n_events > t.config.max_events then
-        failwith "Engine.run: event budget exceeded";
-      let th = t.thread_by_tid.(tid) in
-      if not th.finished then turn t th;
+      count_event t;
+      turn t t.thread_by_tid.(tid);
       loop ()
     end
   in
@@ -569,7 +604,7 @@ let run t =
   t.running <- false;
   t.completed <- true
 
-let now t = t.vnow
+let now t = t.fl.vnow
 let clock_ns t ~cpu = t.clock.(cpu)
 let user_ns t ~cpu = t.user.(cpu)
 let system_ns t ~cpu = t.system.(cpu)
@@ -589,13 +624,13 @@ let rehome t ~tid ~cpu =
   match Hashtbl.find_opt t.threads tid with
   | None -> false
   | Some th ->
-      if th.finished || th.cpu = cpu then false
+      if finished th || th.cpu = cpu then false
       else begin
         (* th.cpu is only read at the start of a scheduling turn
            (pick_cpu), so flipping it between chunks is a clean
            reschedule: the thread's next chunk runs on the target. The
            dispatch costs the same 50 us of system time as a
-           self-migration (P_migrate), charged to the target CPU. *)
+           self-migration ([Op.Migrate]), charged to the target CPU. *)
         th.cpu <- cpu;
         (match t.profile with
         | Some p -> Numa_obs.Profile.charge_dispatch p ~cpu 50_000.

@@ -16,7 +16,27 @@
     Two scheduler modes reproduce section 4.7: [Affinity] binds each thread
     to a CPU at spawn (the paper's modified scheduler); [Single_queue]
     models original Mach, re-dispatching a thread to the least-advanced CPU
-    at every chunk boundary, destroying locality. *)
+    at every chunk boundary, destroying locality.
+
+    A scheduling turn leaves the running thread's event at the root of the
+    {!Event_queue} instead of popping it. The turn keeps resuming the
+    thread inline while its next op starts no later than
+    {!Event_queue.next_time}, the earliest event below the root. It ends
+    by replacing the root with the thread's next event
+    ({!Event_queue.replace_min}, one sift-down) or dropping it when the
+    thread finishes. Every (time, seq) key is unique, so events run in the
+    order a pop-then-push cycle gives.
+
+    A turn allocates nothing of its own. The thread record holds its
+    current {!Op.t} and the op's counters, one all-float record holds the
+    chunk's outcome, and memory costs arrive in {!Memory_iface.cost}. The
+    effect handler is built once per engine and hands every suspension
+    the same preallocated closure, so a [perform] allocates the op, its
+    {!Api.Sim_op} wrapper, the runtime's continuation and the two-word
+    [Suspended] box that carries it. Floats passed to or returned from
+    another module are still boxed: the time given to
+    {!Event_queue.replace_min} and the one {!Event_queue.next_time}
+    returns. *)
 
 type scheduler_mode = Affinity | Single_queue
 

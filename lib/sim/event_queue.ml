@@ -1,5 +1,5 @@
 (* Array-backed binary min-heap on (time, seq), payload tid. The three
-   parallel arrays keep times unboxed and the steady-state pop+add cycle
+   parallel arrays keep times unboxed and the steady-state cycle
    allocation-free; with a handful of live threads the sift depth is 1-2
    and the whole structure stays in cache. *)
 
@@ -57,34 +57,54 @@ let add t ~time ~seq ~tid =
   done
 
 let min_time t = if t.size = 0 then infinity else t.time.(0)
+let min_tid t = if t.size = 0 then -1 else t.tid.(0)
 
-(* Returns the earliest tid, or -1 when empty. *)
-let pop_min t =
-  if t.size = 0 then -1
-  else begin
-    let result = t.tid.(0) in
+(* The second-earliest entry is one of the root's children. *)
+let next_time t =
+  if t.size < 2 then infinity
+  else if t.size = 2 then t.time.(1)
+  else Float.min t.time.(1) t.time.(2)
+
+(* Restore the heap order below a root that may be too late. *)
+let sift_down t =
+  let n = t.size in
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let best = ref !i in
+    if l < n && wins t l !best then best := l;
+    if r < n && wins t r !best then best := r;
+    if !best = !i then continue := false
+    else begin
+      swap t !i !best;
+      i := !best
+    end
+  done
+
+let replace_min t ~time ~seq ~tid =
+  if t.size = 0 then invalid_arg "Event_queue.replace_min: empty queue";
+  t.time.(0) <- time;
+  t.seq.(0) <- seq;
+  t.tid.(0) <- tid;
+  sift_down t
+
+let drop_min t =
+  if t.size > 0 then begin
     let n = t.size - 1 in
     t.size <- n;
     if n > 0 then begin
       t.time.(0) <- t.time.(n);
       t.seq.(0) <- t.seq.(n);
       t.tid.(0) <- t.tid.(n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        let r = l + 1 in
-        let best = ref !i in
-        if l < n && wins t l !best then best := l;
-        if r < n && wins t r !best then best := r;
-        if !best = !i then continue := false
-        else begin
-          swap t !i !best;
-          i := !best
-        end
-      done
-    end;
-    result
+      sift_down t
+    end
   end
+
+let pop_min t =
+  let tid = min_tid t in
+  drop_min t;
+  tid
 
 let clear t = t.size <- 0

@@ -5,12 +5,15 @@
     machine/VM/NUMA stack (wired up by [Numa_system]).
 
     [access] performs [count] back-to-back references by one CPU to one
-    page, resolving faults as needed, and reports the virtual time consumed:
-    [user_ns] for the references themselves and [system_ns] for any kernel
-    work (faults, page copies) they triggered. For reads, [value] is the
-    content observed; for writes it echoes the stored value. *)
+    page, resolving faults as needed, and returns the value: for reads the
+    content observed, for writes the stored value echoed back. It writes
+    the virtual time consumed into [cost]: [user_ns] for the references
+    themselves and [system_ns] for any kernel work (faults, page copies)
+    they triggered. *)
 
-type result = { user_ns : float; system_ns : float; value : int }
+type cost = { mutable user_ns : float; mutable system_ns : float }
+(** All floats, so the fields are stored unboxed and filling them
+    allocates nothing. *)
 
 type t = {
   access :
@@ -20,7 +23,10 @@ type t = {
     access:Numa_machine.Access.t ->
     count:int ->
     value:int ->
-    result;
+    int;
+  cost : cost;
+      (** the costs of the latest [access]: valid until the next [access],
+          which overwrites them *)
 }
 
 val flat : Numa_machine.Config.t -> t

@@ -24,33 +24,24 @@ let make_barrier ~id ~vpage ~parties =
 (* State transitions live here so the counters and the observability events
    can never disagree about what happened to the lock. *)
 
-let acquire ?obs ?profile l ~tid ~cpu =
+let acquire ~obs ?profile l ~tid ~cpu =
   l.holder <- Some tid;
   l.acquisitions <- l.acquisitions + 1;
   (match profile with
   | Some p -> Numa_obs.Profile.lock_acquired p ~lock_id:l.lock_id
   | None -> ());
-  match obs with
-  | Some hub when Numa_obs.Hub.enabled hub ->
-      Numa_obs.Hub.emit hub
-        (Numa_obs.Event.Lock_acquired { lock_id = l.lock_id; cpu; tid })
-  | Some _ | None -> ()
+  if Numa_obs.Hub.enabled obs then
+    Numa_obs.Hub.emit obs (Numa_obs.Event.Lock_acquired { lock_id = l.lock_id; cpu; tid })
 
-let contend ?obs l ~tid ~cpu =
+let contend ~obs l ~tid ~cpu =
   l.contended_polls <- l.contended_polls + 1;
-  match obs with
-  | Some hub when Numa_obs.Hub.enabled hub ->
-      Numa_obs.Hub.emit hub
-        (Numa_obs.Event.Lock_contended { lock_id = l.lock_id; cpu; tid })
-  | Some _ | None -> ()
+  if Numa_obs.Hub.enabled obs then
+    Numa_obs.Hub.emit obs (Numa_obs.Event.Lock_contended { lock_id = l.lock_id; cpu; tid })
 
-let release ?obs ?profile l ~tid ~cpu =
+let release ~obs ?profile l ~tid ~cpu =
   l.holder <- None;
   (match profile with
   | Some p -> Numa_obs.Profile.lock_released p ~lock_id:l.lock_id
   | None -> ());
-  match obs with
-  | Some hub when Numa_obs.Hub.enabled hub ->
-      Numa_obs.Hub.emit hub
-        (Numa_obs.Event.Lock_released { lock_id = l.lock_id; cpu; tid })
-  | Some _ | None -> ()
+  if Numa_obs.Hub.enabled obs then
+    Numa_obs.Hub.emit obs (Numa_obs.Event.Lock_released { lock_id = l.lock_id; cpu; tid })

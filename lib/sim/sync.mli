@@ -7,8 +7,8 @@
     acquisition more expensive, exactly as on the ACE.
 
     The engine drives all state transitions through {!acquire} /
-    {!contend} / {!release}, which also emit lock events when an
-    observability hub with an attached sink is supplied. *)
+    {!contend} / {!release}, which also emit lock events when the
+    observability hub has a sink attached. *)
 
 type lock = {
   lock_id : int;
@@ -30,17 +30,17 @@ val make_lock : id:int -> vpage:int -> lock
 val make_barrier : id:int -> vpage:int -> parties:int -> barrier
 
 val acquire :
-  ?obs:Numa_obs.Hub.t -> ?profile:Numa_obs.Profile.t -> lock -> tid:int -> cpu:int -> unit
+  obs:Numa_obs.Hub.t -> ?profile:Numa_obs.Profile.t -> lock -> tid:int -> cpu:int -> unit
 (** Successful test-and-set: record the holder, bump the acquisition count
     and (when a sink is listening) emit {!Numa_obs.Event.Lock_acquired}.
     [profile] opens a hold interval stamped from the profiler clock. *)
 
-val contend : ?obs:Numa_obs.Hub.t -> lock -> tid:int -> cpu:int -> unit
+val contend : obs:Numa_obs.Hub.t -> lock -> tid:int -> cpu:int -> unit
 (** Failed test-and-set poll: bump the contention count and emit
     {!Numa_obs.Event.Lock_contended}. *)
 
 val release :
-  ?obs:Numa_obs.Hub.t -> ?profile:Numa_obs.Profile.t -> lock -> tid:int -> cpu:int -> unit
+  obs:Numa_obs.Hub.t -> ?profile:Numa_obs.Profile.t -> lock -> tid:int -> cpu:int -> unit
 (** Clear the holder and emit {!Numa_obs.Event.Lock_released}, so the
     event stream brackets every hold interval; [profile] closes the
     interval opened by {!acquire}. *)

@@ -122,6 +122,7 @@ type t = {
   pageout : Numa_vm.Pageout.t;
   bus : Bus.t;
   engine : Engine.t;
+  cost : Memory_iface.cost;  (** where [do_access] leaves each access's costs for the engine *)
   regions_by_vpage : (int * int, region) Hashtbl.t;  (** (task id, vpage) *)
   mutable tasks : Numa_vm.Task.t list;  (** additional tasks beyond the default *)
   mutable next_task_id : int;
@@ -426,22 +427,24 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
   (* Stable references resolve through the CPU's software TLB in O(1);
      only faults (and the retry after resolving one) walk the MMU hash
      table and the fault path below it. *)
-  let rec ensure attempts =
-    if attempts > 3 then failwith "fault loop did not converge";
-    match Mmu.translate t.mmu ~pmap ~cpu ~vpage with
-    | Some e when Prot.allows e.Mmu.prot kind -> e
-    | Some _ | None -> (
-        match Numa_vm.Fault.handle t.fault_ctx thread_task ~cpu ~vpage ~access:kind with
-        | Ok () -> ensure (attempts + 1)
-        | Error e ->
-            (match e with
-            | Numa_vm.Fault.Out_of_memory -> t.oom_faults <- t.oom_faults + 1
-            | Numa_vm.Fault.No_region | Numa_vm.Fault.Protection_violation -> ());
-            failwith
-              (Printf.sprintf "page fault failed at vpage %d: %s" vpage
-                 (Numa_vm.Fault.error_to_string e)))
-  in
-  let entry = ensure 0 in
+  let found = ref (Mmu.translate t.mmu ~pmap ~cpu ~vpage) and faults = ref 0 in
+  while
+    match !found with Some e -> not (Prot.allows e.Mmu.prot kind) | None -> true
+  do
+    (match Numa_vm.Fault.handle t.fault_ctx thread_task ~cpu ~vpage ~access:kind with
+    | Ok () -> ()
+    | Error e ->
+        (match e with
+        | Numa_vm.Fault.Out_of_memory -> t.oom_faults <- t.oom_faults + 1
+        | Numa_vm.Fault.No_region | Numa_vm.Fault.Protection_violation -> ());
+        failwith
+          (Printf.sprintf "page fault failed at vpage %d: %s" vpage
+             (Numa_vm.Fault.error_to_string e)));
+    incr faults;
+    if !faults > 3 then failwith "fault loop did not converge";
+    found := Mmu.translate t.mmu ~pmap ~cpu ~vpage
+  done;
+  let entry = match !found with Some e -> e | None -> assert false in
   (* [where] keeps the paper's three reporting buckets; [node] is the
      physical node that serves the reference and prices it. On the
      classic ACE the two views coincide exactly. *)
@@ -520,7 +523,9 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
           where;
           region = region.attr.Region_attr.name;
         });
-  { Memory_iface.user_ns; system_ns; value }
+  t.cost.Memory_iface.user_ns <- user_ns;
+  t.cost.Memory_iface.system_ns <- system_ns;
+  value
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -603,6 +608,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
     }
   in
   let tref = ref None in
+  let cost = { Memory_iface.user_ns = 0.; system_ns = 0. } in
   let memory =
     {
       Memory_iface.access =
@@ -610,6 +616,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
           match !tref with
           | Some t -> do_access t ~cpu ~tid ~vpage ~access ~count ~value
           | None -> assert false);
+      cost;
     }
   in
   let engine_config =
@@ -663,6 +670,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
       pageout;
       bus;
       engine;
+      cost;
       regions_by_vpage = Hashtbl.create 256;
       tasks = [];
       next_task_id = 1;

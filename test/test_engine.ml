@@ -337,6 +337,56 @@ let test_mixed_ops_event_order () =
   Alcotest.(check string) "dispatch stream" "76b2b4707dee6a084448a012236108f2"
     (Digest.to_hex (Digest.string (Buffer.contents dispatches)))
 
+(* Minor-heap words per event on three fixtures shaped like the benchmark's
+   layer micro-tests: seven threads on seven CPUs issuing [Api.read] or
+   [Api.sleep_until] over the flat memory, and the same threads reading a
+   resident page through a full System. A turn allocates nothing of its own,
+   so what is left is the op, its effect and the memory layer's own work. *)
+let test_allocation_per_event () =
+  let flat body () =
+    let e = make ~n_cpus:7 () in
+    for cpu = 0 to 6 do
+      ignore (Engine.spawn e ~cpu ~name:"t" (fun () -> body cpu))
+    done;
+    Engine.run e;
+    Engine.n_events e
+  in
+  let system () =
+    let module System = Numa_system.System in
+    let config = Config.ace ~n_cpus:7 ~local_pages_per_cpu:16 ~global_pages:64 () in
+    let sys = System.create ~config () in
+    let r =
+      System.alloc_region sys ~name:"hit" ~kind:Numa_vm.Region_attr.Data
+        ~sharing:Numa_vm.Region_attr.Declared_private ~pages:7 ()
+    in
+    for cpu = 0 to 6 do
+      ignore
+        (System.spawn sys ~cpu ~name:"t" (fun ~stack_vpage:_ ->
+             for _ = 1 to 5000 do
+               Api.read (r.System.base_vpage + cpu)
+             done))
+    done;
+    (System.run sys).Numa_system.Report.n_events
+  in
+  let words_per_event run =
+    let before = Gc.minor_words () in
+    let events = run () in
+    (Gc.minor_words () -. before) /. float_of_int events
+  in
+  List.iter
+    (fun (name, run) ->
+      let w = words_per_event run in
+      if w > 20. then Alcotest.failf "%s: %.1f minor words per event (at most 20)" name w)
+    [
+      ("flat read", flat (fun cpu -> for _ = 1 to 2000 do Api.read cpu done));
+      ( "flat sleep_until",
+        flat (fun _ ->
+            for i = 1 to 2000 do
+              Api.sleep_until ~ns:(float_of_int i *. 1000.)
+            done) );
+      ("system read hit", system);
+    ]
+
 (* --- event queue ---------------------------------------------------------- *)
 
 (* Direct tests of the engine's ready queue (the structure that replaced
@@ -412,6 +462,81 @@ let prop_event_queue_sorts =
       in
       drain [] = expect)
 
+(* The engine's heap steps — peek at the root, look below it, replace or
+   drop it — against a sorted list of (time, seq, tid). Times come from a
+   small range so ties are common; every entry takes the next sequence
+   number, as the engine's do. *)
+type queue_op = Add of float * int | Replace of float * int | Pop | Drop | Min_tid | Next_time
+
+let prop_event_queue_model =
+  let print = function
+    | Add (time, tid) -> Printf.sprintf "add %g %d" time tid
+    | Replace (time, tid) -> Printf.sprintf "replace %g %d" time tid
+    | Pop -> "pop"
+    | Drop -> "drop"
+    | Min_tid -> "min_tid"
+    | Next_time -> "next_time"
+  in
+  let op =
+    QCheck.Gen.(
+      let entry f = map2 (fun time tid -> f (float_of_int time) tid) (int_bound 12) (int_bound 99) in
+      frequency
+        [
+          (4, entry (fun time tid -> Add (time, tid)));
+          (3, entry (fun time tid -> Replace (time, tid)));
+          (2, return Pop);
+          (1, return Drop);
+          (1, return Min_tid);
+          (1, return Next_time);
+        ])
+  in
+  QCheck.Test.make ~name:"event queue steps agree with a sorted-list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] and seq = ref 0 in
+      let insert time tid rest =
+        let e = (time, !seq, tid) in
+        incr seq;
+        List.merge compare [ e ] rest
+      in
+      let head_tid () = match !model with (_, _, tid) :: _ -> tid | [] -> -1 in
+      let tail () = match !model with _ :: rest -> rest | [] -> [] in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Add (time, tid) ->
+                Event_queue.add q ~time ~seq:!seq ~tid;
+                model := insert time tid !model;
+                true
+            | Replace (time, tid) when !model = [] -> (
+                match Event_queue.replace_min q ~time ~seq:!seq ~tid with
+                | () -> false
+                | exception Invalid_argument _ -> true)
+            | Replace (time, tid) ->
+                Event_queue.replace_min q ~time ~seq:!seq ~tid;
+                model := insert time tid (tail ());
+                true
+            | Pop ->
+                let expect = head_tid () in
+                model := tail ();
+                Event_queue.pop_min q = expect
+            | Drop ->
+                Event_queue.drop_min q;
+                model := tail ();
+                true
+            | Min_tid -> Event_queue.min_tid q = head_tid ()
+            | Next_time ->
+                Event_queue.next_time q
+                = (match !model with _ :: (time, _, _) :: _ -> time | _ -> infinity)
+          in
+          ok
+          && Event_queue.length q = List.length !model
+          && Event_queue.min_time q
+             = (match !model with (time, _, _) :: _ -> time | [] -> infinity))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "compute accounting" `Quick test_compute_accounting;
@@ -434,9 +559,11 @@ let suite =
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "empty run" `Quick test_empty_run;
     Alcotest.test_case "mixed ops event order" `Quick test_mixed_ops_event_order;
+    Alcotest.test_case "allocation per event" `Quick test_allocation_per_event;
     Alcotest.test_case "event queue basic" `Quick test_event_queue_basic;
     Alcotest.test_case "event queue FIFO ties" `Quick test_event_queue_fifo_ties;
     Alcotest.test_case "event queue clear" `Quick test_event_queue_clear;
     Alcotest.test_case "event queue grows" `Quick test_event_queue_grows;
     QCheck_alcotest.to_alcotest prop_event_queue_sorts;
+    QCheck_alcotest.to_alcotest prop_event_queue_model;
   ]
