@@ -77,6 +77,89 @@ let count t key = if t.distinct = 0 then 0 else t.counts.(find t key)
 
 let total t = t.total
 
+(* Slot indices are sorted by their (distinct) keys in place, with no
+   scratch array and no comparison closure. The occupied slots, taken in
+   table order, already run mostly upward (a key's low bits stay in its
+   slot), so quicksort with insertion sort on short ranges beats a heap
+   sort. A range still unsorted log2 n levels down is heap sorted
+   instead, which keeps the worst case O(n log n); the model tests reach
+   that depth, so both paths run under them. Ranges are [lo, hi), and
+   [keys] is typed [int array] so that comparisons compile to integer
+   compares rather than calls to the polymorphic compare. *)
+
+let swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let insertion_sort (keys : int array) a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let kx = keys.(x) in
+    let j = ref (i - 1) in
+    while !j >= lo && keys.(a.(!j)) > kx do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Fill the hole at heap position [i] of the [n]-entry heap starting at
+   [lo], moving larger children up until slot [x] (key [kx]) fits. *)
+let rec sift (keys : int array) a lo n i x kx =
+  let l = (2 * i) + 1 in
+  if l >= n then a.(lo + i) <- x
+  else begin
+    let c = if l + 1 < n && keys.(a.(lo + l)) < keys.(a.(lo + l + 1)) then l + 1 else l in
+    let y = a.(lo + c) in
+    if kx < keys.(y) then begin
+      a.(lo + i) <- y;
+      sift keys a lo n c x kx
+    end
+    else a.(lo + i) <- x
+  end
+
+let heap_sort (keys : int array) a lo hi =
+  let n = hi - lo in
+  for i = (n / 2) - 1 downto 0 do
+    let x = a.(lo + i) in
+    sift keys a lo n i x keys.(x)
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(lo + last) in
+    a.(lo + last) <- a.(lo);
+    sift keys a lo last 0 x keys.(x)
+  done
+
+let rec introsort (keys : int array) a lo hi depth =
+  if hi - lo <= 16 then insertion_sort keys a lo hi
+  else if depth = 0 then heap_sort keys a lo hi
+  else begin
+    (* Median of three into [mid]; the ends then stop both scans. *)
+    let mid = lo + ((hi - lo) / 2) in
+    if keys.(a.(mid)) < keys.(a.(lo)) then swap a mid lo;
+    if keys.(a.(hi - 1)) < keys.(a.(lo)) then swap a (hi - 1) lo;
+    if keys.(a.(hi - 1)) < keys.(a.(mid)) then swap a (hi - 1) mid;
+    let pivot = keys.(a.(mid)) in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while keys.(a.(!i)) < pivot do incr i done;
+      while keys.(a.(!j)) > pivot do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    introsort keys a lo (!j + 1) (depth - 1);
+    introsort keys a !i hi (depth - 1)
+  end
+
+let sort_by_key keys slots =
+  let n = Array.length slots in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
+  introsort keys slots 0 n (log2 n)
+
 let sorted_slots t =
   match t.sorted with
   | Some slots -> slots
@@ -89,8 +172,7 @@ let sorted_slots t =
             incr next
           end)
         t.counts;
-      let keys = t.keys in
-      Array.sort (fun a b -> Int.compare keys.(a) keys.(b)) slots;
+      sort_by_key t.keys slots;
       t.sorted <- Some slots;
       slots
 

@@ -225,6 +225,38 @@ let model_mean m total =
     Int_map.fold (fun k n acc -> acc +. (float_of_int k *. float_of_int n)) m 0.
     /. float_of_int total
 
+(* Drive a histogram and the model with [ops] (key, count, percentile),
+   comparing every query every [every] ops and after the last. *)
+let histogram_agrees ~every ops =
+  let h = Histogram.create () in
+  let model = ref Int_map.empty and total = ref 0 and step = ref 0 in
+  let last = List.length ops in
+  List.for_all
+    (fun (k, n, p) ->
+      incr step;
+      if n = 1 then Histogram.add h k else Histogram.add_many h k n;
+      if n > 0 then begin
+        model := Int_map.update k (fun c -> Some (Option.value c ~default:0 + n)) !model;
+        total := !total + n
+      end;
+      let m = !model in
+      Histogram.count h k = Option.value (Int_map.find_opt k m) ~default:0
+      && Histogram.total h = !total
+      && (!step mod every <> 0 && !step <> last
+         || Histogram.keys h = List.map fst (Int_map.bindings m)
+            && Histogram.to_sorted_list h = Int_map.bindings m
+            && Histogram.max_key h
+               = (match Int_map.max_binding_opt m with Some (k, _) -> k | None -> 0)
+            && Histogram.percentile h p = model_percentile m !total p
+            && Histogram.percentile h 100. = model_percentile m !total 100.
+            && Int64.equal
+                 (Int64.bits_of_float (Histogram.mean h))
+                 (Int64.bits_of_float (model_mean m !total))))
+    ops
+
+let histogram_count = QCheck.Gen.(frequency [ (3, return 1); (1, int_range 0 5) ])
+let print_histogram_ops = QCheck.Print.(list (triple int int float))
+
 let prop_histogram_model =
   let key =
     QCheck.Gen.(
@@ -237,36 +269,31 @@ let prop_histogram_model =
           int;
         ])
   in
-  let op =
-    QCheck.Gen.(triple key (frequency [ (3, return 1); (1, int_range 0 5) ]) (float_range 0. 100.))
-  in
+  let op = QCheck.Gen.(triple key histogram_count (float_range 0. 100.)) in
   QCheck.Test.make ~name:"histogram agrees with a map model" ~count:300
-    (QCheck.make
-       ~print:QCheck.Print.(list (triple int int float))
-       QCheck.Gen.(list_size (int_range 0 600) op))
-    (fun ops ->
-      let h = Histogram.create () in
-      let model = ref Int_map.empty and total = ref 0 in
-      List.for_all
-        (fun (k, n, p) ->
-          if n = 1 then Histogram.add h k else Histogram.add_many h k n;
-          if n > 0 then begin
-            model := Int_map.update k (fun c -> Some (Option.value c ~default:0 + n)) !model;
-            total := !total + n
-          end;
-          let m = !model in
-          Histogram.count h k = Option.value (Int_map.find_opt k m) ~default:0
-          && Histogram.total h = !total
-          && Histogram.keys h = List.map fst (Int_map.bindings m)
-          && Histogram.to_sorted_list h = Int_map.bindings m
-          && Histogram.max_key h
-             = (match Int_map.max_binding_opt m with Some (k, _) -> k | None -> 0)
-          && Histogram.percentile h p = model_percentile m !total p
-          && Histogram.percentile h 100. = model_percentile m !total 100.
-          && Int64.equal
-               (Int64.bits_of_float (Histogram.mean h))
-               (Int64.bits_of_float (model_mean m !total)))
-        ops)
+    (QCheck.make ~print:print_histogram_ops QCheck.Gen.(list_size (int_range 0 600) op))
+    (histogram_agrees ~every:1)
+
+(* The sizes serve's latency histograms reach: at least 50,000 distinct
+   keys, mostly a dense cluster, plus negatives and keys near both ends of
+   the int range, shuffled into table order and checked every 10,000 ops. *)
+let prop_histogram_model_large =
+  let distinct =
+    List.init 36_000 Fun.id
+    @ List.init 9_000 (fun i -> -1 - (7 * i))
+    @ List.init 2_500 (fun i -> max_int - i)
+    @ List.init 2_500 (fun i -> min_int + (3 * i))
+  in
+  let ops =
+    QCheck.Gen.(
+      list_size (int_range 0 2_000) (int_range (-100) 40_000) >>= fun repeats ->
+      shuffle_l (distinct @ repeats) >>= fun keys ->
+      flatten_l
+        (List.map (fun k -> triple (return k) histogram_count (float_range 0. 100.)) keys))
+  in
+  QCheck.Test.make ~name:"histogram agrees with a map model on 50,000 distinct keys" ~count:3
+    (QCheck.make ~print:print_histogram_ops ops)
+    (histogram_agrees ~every:10_000)
 
 (* --- text table ----------------------------------------------------------------- *)
 
@@ -338,4 +365,5 @@ let suite =
     Alcotest.test_case "text table cells" `Quick test_text_table_cells;
     Alcotest.test_case "text table of_rows" `Quick test_text_table_of_rows;
     qcheck prop_histogram_model;
+    qcheck prop_histogram_model_large;
   ]
