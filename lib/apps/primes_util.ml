@@ -12,34 +12,38 @@ let isqrt n =
     !s
   end
 
+(* Odd numbers only, one byte each: byte [i] stands for [2i + 1], so the
+   sieve of 10M takes 5 MB. Prime [p] marks p*p, p*p + 2p, ..., which is
+   every [p]-th byte from p*p's. *)
 let primes_upto n =
   if n < 2 then [||]
   else begin
-    let sieve = Array.make (n + 1) true in
-    sieve.(0) <- false;
-    sieve.(1) <- false;
-    let i = ref 2 in
-    while !i * !i <= n do
-      if sieve.(!i) then begin
-        let j = ref (!i * !i) in
-        while !j <= n do
-          sieve.(!j) <- false;
-          j := !j + !i
+    let half = (n - 1) / 2 in
+    let composite = Bytes.make (half + 1) '\000' in
+    let i = ref 1 in
+    while ((2 * !i) + 1) * ((2 * !i) + 1) <= n do
+      if Bytes.get composite !i = '\000' then begin
+        let p = (2 * !i) + 1 in
+        let j = ref ((p * p) / 2) in
+        while !j <= half do
+          Bytes.set composite !j '\001';
+          j := !j + p
         done
       end;
       incr i
     done;
-    let count = ref 0 in
-    Array.iter (fun b -> if b then incr count) sieve;
-    let out = Array.make !count 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun v b ->
-        if b then begin
-          out.(!k) <- v;
-          incr k
-        end)
-      sieve;
+    let count = ref 1 in
+    for i = 1 to half do
+      if Bytes.get composite i = '\000' then incr count
+    done;
+    let out = Array.make !count 2 in
+    let k = ref 1 in
+    for i = 1 to half do
+      if Bytes.get composite i = '\000' then begin
+        out.(!k) <- (2 * i) + 1;
+        incr k
+      end
+    done;
     out
   end
 

@@ -7,7 +7,7 @@ val isqrt : int -> int
 (** Integer square root (largest s with s*s <= n). *)
 
 val primes_upto : int -> int array
-(** All primes <= n in increasing order (simple sieve). *)
+(** All primes <= n in increasing order (a sieve of the odd numbers). *)
 
 val count_odd_multiples_in_bit_range : p:int -> lo_bit:int -> hi_bit:int -> limit:int -> int
 (** Number of sieve marks prime [p] makes in the odd-number bit vector

@@ -145,6 +145,24 @@ let test_primes_util () =
   Alcotest.(check int) "last under 100" 97 p100.(24);
   Alcotest.(check int) "pi(1)" 0 (Array.length (Numa_apps.Primes_util.primes_upto 1))
 
+(* The sieve against trial division for every limit up to 5000, and at the
+   10M limit primes3 sieves to. *)
+let test_primes_upto () =
+  let module P = Numa_apps.Primes_util in
+  let is_prime n =
+    let rec no_divisor d = d * d > n || (n mod d <> 0 && no_divisor (d + 1)) in
+    n >= 2 && no_divisor 2
+  in
+  let expect = ref [] in
+  for n = 0 to 5000 do
+    if is_prime n then expect := n :: !expect;
+    if P.primes_upto n <> Array.of_list (List.rev !expect) then
+      Alcotest.failf "primes_upto %d differs from trial division" n
+  done;
+  let big = P.primes_upto 10_000_000 in
+  Alcotest.(check int) "pi(10^7)" 664_579 (Array.length big);
+  Alcotest.(check int) "last prime under 10^7" 9_999_991 big.(Array.length big - 1)
+
 let test_odd_multiples_count () =
   let module P = Numa_apps.Primes_util in
   (* Bits 0..n stand for odd numbers 3,5,7,...; p = 3 marks 9,15,21,... *)
@@ -170,5 +188,6 @@ let suite =
     Alcotest.test_case "workpile covers exactly once" `Quick test_workpile_covers_exactly;
     Alcotest.test_case "static share partitions" `Quick test_static_share_partitions;
     Alcotest.test_case "primes utilities" `Quick test_primes_util;
+    Alcotest.test_case "sieve matches trial division" `Quick test_primes_upto;
     Alcotest.test_case "odd-multiple counting" `Quick test_odd_multiples_count;
   ]
