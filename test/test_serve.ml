@@ -206,6 +206,28 @@ let test_policy_tail_spread () =
   Alcotest.(check bool) "move-limit contains the never-pin pathology" true
     (ml.Report.p99_us < np.Report.p99_us)
 
+(* With one worker per CPU, a bare deadline serves exactly like the plain
+   tier: the same serving section and CPU times. It only adds a
+   Deadline_push and a Deadline_pop per request, which take no time. *)
+let test_deadline_only_serves_like_plain () =
+  let plain = Runner.run Serve.app small_spec in
+  let observed =
+    Runner.run
+      (Serve.make ~resilience:(Numa_apps.Resilience.make ~deadline_us:1_500 ()) ())
+      small_spec
+  in
+  let serving r =
+    Numa_obs.Json.to_string (Option.get (Numa_obs.Json.member (Report.to_json r) "serving"))
+  in
+  Alcotest.(check string) "same serving section" (serving plain) (serving observed);
+  Alcotest.(check (array (float 0.))) "same user time" plain.Report.user_ns_per_cpu
+    observed.Report.user_ns_per_cpu;
+  Alcotest.(check (array (float 0.))) "same system time" plain.Report.system_ns_per_cpu
+    observed.Report.system_ns_per_cpu;
+  Alcotest.(check int) "two zero-time ops per request"
+    (2 * Serve.requests_for small_spec.Runner.scale)
+    (observed.Report.n_events - plain.Report.n_events)
+
 let suite =
   [
     Alcotest.test_case "zipf draws deterministic" `Quick test_zipf_deterministic;
@@ -226,4 +248,6 @@ let suite =
       test_batch_apps_have_no_serving_section;
     Alcotest.test_case "serve run deterministic" `Quick test_serve_run_deterministic;
     Alcotest.test_case "policy tail spread" `Quick test_policy_tail_spread;
+    Alcotest.test_case "deadline-only serves like plain" `Quick
+      test_deadline_only_serves_like_plain;
   ]
