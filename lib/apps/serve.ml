@@ -67,13 +67,21 @@ let o_shed = 3
 (* Circuit-breaker states, per shard worker. *)
 let breaker_state_name = function 0 -> "closed" | 1 -> "open" | _ -> "half-open"
 
-let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads ~n ~prng
-    ~arrivals ~keys ~client_of ~writes ~assigned ~store ~sessions ~queues ~lat_hist
-    ~queue_hist ~lat_sum ~queue_sum ~served ~last_done ~tids =
+(* The resilient tier's per-request policy, run by a worker right after it
+   dequeues request [r]: the conservation ledger, attempts of [body] under
+   cancellable deadline timers, retries, hedges and per-shard breakers;
+   [complete] is the completion bookkeeping shared with the plain tier.
+   Returns that policy and the component to register once the workers
+   exist (their spawn CPUs are the shards' first homes). *)
+let resilient sys ~(cfg : Resilience.config) ~nthreads ~n ~prng ~arrivals ~keys
+    ~client_of ~queues ~tids ~cpu ~now ~body ~complete ~last_done ~with_serving =
+  let eng = System.engine sys in
+  let obs = System.obs sys in
+  let profile = System.profile sys in
   let emit ev = if Numa_obs.Hub.enabled obs then Numa_obs.Hub.emit obs ev in
-  (* A bare deadline spec is observe-only (SLO accounting on the unchanged
-     serving path); any mechanism — retry, hedge, breaker — switches the
-     deadline to an armed, cancellable timer per attempt. *)
+  (* A bare deadline spec is observe-only (SLO accounting around the plain
+     tier's service body, under a timer that never fires); any mechanism —
+     retry, hedge, breaker — arms a cancellable timer per attempt. *)
   let enforced =
     cfg.Resilience.retry <> None || cfg.Resilience.hedge <> None
     || cfg.Resilience.breaker <> None
@@ -98,11 +106,11 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
   in
   (* The conservation ledger. Violations are recorded the instant they
      happen (double resolve, resolve-before-arrival); the sweep adds the
-     structural checks and is handed to the invariant auditor. *)
+     structural checks and is the component's audit. *)
   let arrived = Array.make n false in
   let outcome = Array.make n o_unresolved in
   let cons_violations = ref [] in
-  let workers_done = ref 0 in
+  let handled = ref 0 in
   let resolve r o =
     if not arrived.(r) then
       cons_violations :=
@@ -117,7 +125,8 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
     let viols = ref [] in
     let add s = viols := s :: !viols in
     let inflight = Array.make nthreads 0 in
-    let finished = !workers_done = nthreads in
+    (* Every request assigned, every worker through its share. *)
+    let finished = !handled = n in
     for r = 0 to n - 1 do
       (if arrived.(r) && outcome.(r) = o_unresolved then begin
          let w = keys.(r) mod nthreads in
@@ -132,7 +141,7 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
         else if outcome.(r) = o_unresolved then
           add (Printf.sprintf "request %d lost: arrived but never resolved" r)
     done;
-    (n, List.rev_append !cons_violations (List.rev !viols))
+    List.rev_append !cons_violations (List.rev !viols)
   in
   (* resilience counters *)
   let timeouts_ct = ref 0 and hedges_ct = ref 0 and hedge_wins_ct = ref 0 in
@@ -195,303 +204,256 @@ let setup_resilient sys ~eng ~obs ~profile ~(cfg : Resilience.config) ~nthreads 
       h.Resilience.factor *. (float_of_int p99 *. 1_000.)
     else tau /. 2.
   in
-  for w = 0 to nthreads - 1 do
-    tids.(w) <-
-      System.spawn sys ~name:(Printf.sprintf "serve.%d" w) (fun ~stack_vpage:_ ->
-          (* Warmup, exactly like the plain tier. *)
-          let key = ref w in
-          while !key < n_keys do
-            W.read_range store ~lo:(!key * key_span) ~n:key_span;
-            key := !key + nthreads
-          done;
-          W.read_word queues w;
-          let cpu () = Engine.thread_cpu eng ~tid:tids.(w) in
-          let now () = Engine.clock_ns eng ~cpu:(cpu ()) in
-          (* One service attempt under a cancellable timer; [None] means
-             the deadline fired mid-attempt and unwound it. *)
-          let serve_request r ~until =
-            Api.with_deadline ~until_ns:until (fun () ->
-                let t_start = now () in
-                let key = keys.(r) in
-                W.read_range store ~lo:(key * key_span) ~n:key_span;
-                if writes.(r) then W.write_range store ~lo:(key * key_span) ~n:key_span;
-                W.write_word sessions (client_of.(r) mod session_words);
-                Api.compute service_compute_ns;
-                (t_start, now ()))
-          in
-          let complete r ~abs_deadline ~t_start ~t_done =
-            let queue_ns = Float.max 0. (t_start -. arrivals.(r)) in
-            let latency_ns = t_done -. arrivals.(r) in
-            let service_ns = t_done -. t_start in
-            Histogram.add lat_hist (us_of_ns latency_ns);
-            Histogram.add queue_hist (us_of_ns queue_ns);
-            lat_sum := !lat_sum +. latency_ns;
-            queue_sum := !queue_sum +. queue_ns;
-            served.(w) <- served.(w) + 1;
-            if t_done > !last_done then last_done := t_done;
-            Histogram.add svc_hist (us_of_ns service_ns);
-            (match profile with
-            | Some pr -> Numa_obs.Profile.note_request pr ~service_ns ~queue_ns
-            | None -> ());
-            emit
-              (Numa_obs.Event.Request_served
-                 {
-                   client = client_of.(r);
-                   key = keys.(r);
-                   cpu = cpu ();
-                   queue_ns;
-                   service_ns;
-                 });
-            if t_done <= abs_deadline then begin
-              resolve r o_in_deadline;
-              breaker_success w
-            end
-            else begin
-              (* served, but late: an SLO miss for the ledger and the
-                 breaker, still a completion for the serving section *)
-              resolve r o_timed_out;
-              breaker_failure w ~now:t_done
-            end
-          in
-          List.iter
-            (fun r ->
-              Api.sleep_until ~ns:arrivals.(r);
-              emit
-                (Numa_obs.Event.Request_arrived
-                   { client = client_of.(r); key = keys.(r); worker = w });
-              (* Dequeue; also refreshes the CPU clock, stale after the park. *)
-              W.read_word queues w;
-              arrived.(r) <- true;
-              let abs_deadline = arrivals.(r) +. deadline_ns in
-              if not enforced then begin
-                bump_attempt 1;
-                match serve_request r ~until:infinity with
-                | Some (t_start, t_done) -> complete r ~abs_deadline ~t_start ~t_done
-                | None -> assert false
-              end
-              else
-                let proceed =
-                  match cfg.Resilience.breaker with
-                  | Some _ when br_state.(w) = 1 ->
-                      if now () < br_until.(w) then begin
-                        (* open breaker: reject at the door, near-zero cost *)
-                        resolve r o_shed;
-                        (match profile with
-                        | Some pr -> Numa_obs.Profile.note_shed pr
-                        | None -> ());
-                        emit
-                          (Numa_obs.Event.Request_shed
-                             { client = client_of.(r); key = keys.(r); worker = w });
-                        false
-                      end
-                      else begin
-                        br_goto w 2 ~until:0.;
-                        true
-                      end
-                  | _ -> true
-                in
-                if proceed then begin
-                  let normal_attempts = ref 0 in
-                  let tau = deadline_ns /. float_of_int max_attempts in
-                  let fail_final () =
-                    resolve r o_timed_out;
-                    breaker_failure w ~now:(now ())
-                  in
-                  let rec attempt k =
-                    if now () >= abs_deadline then fail_final ()
-                    else begin
-                      incr normal_attempts;
-                      bump_attempt k;
-                      let t0 = now () in
-                      let base_until = Float.min abs_deadline (t0 +. tau) in
-                      let hedge_until =
-                        match cfg.Resilience.hedge with
-                        | Some h when k = 1 ->
-                            let d = t0 +. hedge_delay h ~tau in
-                            if d < base_until then Some d else None
-                        | _ -> None
-                      in
-                      let until =
-                        match hedge_until with Some d -> d | None -> base_until
-                      in
-                      match serve_request r ~until with
-                      | Some (t_start, t_done) -> complete r ~abs_deadline ~t_start ~t_done
-                      | None -> (
-                          incr timeouts_ct;
-                          (match profile with
-                          | Some pr -> Numa_obs.Profile.note_timeout pr
-                          | None -> ());
-                          emit
-                            (Numa_obs.Event.Request_timeout
-                               {
-                                 client = client_of.(r);
-                                 key = keys.(r);
-                                 cpu = cpu ();
-                                 attempt = k;
-                               });
-                          match hedge_until with
-                          | Some _ -> (
-                              (* the first attempt outlived the hedge point:
-                                 launch the hedged attempt with the whole
-                                 remaining deadline budget *)
-                              incr hedges_ct;
-                              bump_attempt (k + 1);
-                              emit
-                                (Numa_obs.Event.Request_hedged
-                                   { client = client_of.(r); key = keys.(r); cpu = cpu () });
-                              let h0 = now () in
-                              match serve_request r ~until:abs_deadline with
-                              | Some (t_start, t_done) ->
-                                  (match profile with
-                                  | Some pr ->
-                                      Numa_obs.Profile.note_hedge pr (t_done -. h0)
-                                  | None -> ());
-                                  if t_done <= abs_deadline then incr hedge_wins_ct;
-                                  complete r ~abs_deadline ~t_start ~t_done
-                              | None ->
-                                  (match profile with
-                                  | Some pr ->
-                                      Numa_obs.Profile.note_hedge pr (now () -. h0)
-                                  | None -> ());
-                                  incr timeouts_ct;
-                                  (match profile with
-                                  | Some pr -> Numa_obs.Profile.note_timeout pr
-                                  | None -> ());
-                                  emit
-                                    (Numa_obs.Event.Request_timeout
-                                       {
-                                         client = client_of.(r);
-                                         key = keys.(r);
-                                         cpu = cpu ();
-                                         attempt = k + 1;
-                                       });
-                                  maybe_retry (k + 2))
-                          | None -> maybe_retry (k + 1))
-                    end
-                  and maybe_retry k =
-                    match cfg.Resilience.retry with
-                    | Some rc when !normal_attempts < rc.Resilience.max_attempts ->
-                        let tnow = now () in
-                        let expo =
-                          Float.min rc.Resilience.max_backoff_ns
-                            (rc.Resilience.base_backoff_ns
-                            *. (2. ** float_of_int (!normal_attempts - 1)))
-                        in
-                        let u = jitters.(r).(!normal_attempts - 1) in
-                        let backoff = expo *. (1. +. (rc.Resilience.jitter *. u)) in
-                        let wake = tnow +. backoff in
-                        if wake >= abs_deadline then fail_final ()
-                        else begin
-                          (match profile with
-                          | Some pr -> Numa_obs.Profile.note_backoff pr backoff
-                          | None -> ());
-                          emit
-                            (Numa_obs.Event.Request_retry
-                               {
-                                 client = client_of.(r);
-                                 key = keys.(r);
-                                 cpu = cpu ();
-                                 attempt = k;
-                                 backoff_ns = backoff;
-                               });
-                          Api.sleep_until ~ns:wake;
-                          W.read_word queues w;
-                          attempt k
-                        end
-                    | _ -> fail_final ()
-                  in
-                  attempt 1
-                end)
-            assigned.(w);
-          incr workers_done)
-  done;
+  (* One service attempt under a cancellable timer; [None] means the
+     deadline fired mid-attempt and unwound it. *)
+  let attempt_once w r ~until =
+    Api.with_deadline ~until_ns:until (fun () ->
+        let t_start = now w in
+        body r;
+        (t_start, now w))
+  in
+  let settle w r ~abs_deadline ~t_start ~t_done =
+    complete w r ~t_start ~t_done;
+    Histogram.add svc_hist (us_of_ns (t_done -. t_start));
+    if t_done <= abs_deadline then begin
+      resolve r o_in_deadline;
+      breaker_success w
+    end
+    else begin
+      (* served, but late: an SLO miss for the ledger and the breaker,
+         still a completion for the serving section *)
+      resolve r o_timed_out;
+      breaker_failure w ~now:t_done
+    end
+  in
+  let serve w r =
+    arrived.(r) <- true;
+    let abs_deadline = arrivals.(r) +. deadline_ns in
+    (if not enforced then begin
+       bump_attempt 1;
+       match attempt_once w r ~until:infinity with
+       | Some (t_start, t_done) -> settle w r ~abs_deadline ~t_start ~t_done
+       | None -> assert false
+     end
+     else
+       let proceed =
+         match cfg.Resilience.breaker with
+         | Some _ when br_state.(w) = 1 ->
+             if now w < br_until.(w) then begin
+               (* open breaker: reject at the door, near-zero cost *)
+               resolve r o_shed;
+               (match profile with
+               | Some pr -> Numa_obs.Profile.note_shed pr
+               | None -> ());
+               emit
+                 (Numa_obs.Event.Request_shed
+                    { client = client_of.(r); key = keys.(r); worker = w });
+               false
+             end
+             else begin
+               br_goto w 2 ~until:0.;
+               true
+             end
+         | _ -> true
+       in
+       if proceed then begin
+         let normal_attempts = ref 0 in
+         let tau = deadline_ns /. float_of_int max_attempts in
+         let fail_final () =
+           resolve r o_timed_out;
+           breaker_failure w ~now:(now w)
+         in
+         let rec attempt k =
+           if now w >= abs_deadline then fail_final ()
+           else begin
+             incr normal_attempts;
+             bump_attempt k;
+             let t0 = now w in
+             let base_until = Float.min abs_deadline (t0 +. tau) in
+             let hedge_until =
+               match cfg.Resilience.hedge with
+               | Some h when k = 1 ->
+                   let d = t0 +. hedge_delay h ~tau in
+                   if d < base_until then Some d else None
+               | _ -> None
+             in
+             let until = match hedge_until with Some d -> d | None -> base_until in
+             match attempt_once w r ~until with
+             | Some (t_start, t_done) -> settle w r ~abs_deadline ~t_start ~t_done
+             | None -> (
+                 incr timeouts_ct;
+                 (match profile with
+                 | Some pr -> Numa_obs.Profile.note_timeout pr
+                 | None -> ());
+                 emit
+                   (Numa_obs.Event.Request_timeout
+                      { client = client_of.(r); key = keys.(r); cpu = cpu w; attempt = k });
+                 match hedge_until with
+                 | Some _ -> (
+                     (* the first attempt outlived the hedge point: launch
+                        the hedged attempt with the whole remaining
+                        deadline budget *)
+                     incr hedges_ct;
+                     bump_attempt (k + 1);
+                     emit
+                       (Numa_obs.Event.Request_hedged
+                          { client = client_of.(r); key = keys.(r); cpu = cpu w });
+                     let h0 = now w in
+                     match attempt_once w r ~until:abs_deadline with
+                     | Some (t_start, t_done) ->
+                         (match profile with
+                         | Some pr -> Numa_obs.Profile.note_hedge pr (t_done -. h0)
+                         | None -> ());
+                         if t_done <= abs_deadline then incr hedge_wins_ct;
+                         settle w r ~abs_deadline ~t_start ~t_done
+                     | None ->
+                         (match profile with
+                         | Some pr -> Numa_obs.Profile.note_hedge pr (now w -. h0)
+                         | None -> ());
+                         incr timeouts_ct;
+                         (match profile with
+                         | Some pr -> Numa_obs.Profile.note_timeout pr
+                         | None -> ());
+                         emit
+                           (Numa_obs.Event.Request_timeout
+                              {
+                                client = client_of.(r);
+                                key = keys.(r);
+                                cpu = cpu w;
+                                attempt = k + 1;
+                              });
+                         maybe_retry (k + 2))
+                 | None -> maybe_retry (k + 1))
+           end
+         and maybe_retry k =
+           match cfg.Resilience.retry with
+           | Some rc when !normal_attempts < rc.Resilience.max_attempts ->
+               let tnow = now w in
+               let expo =
+                 Float.min rc.Resilience.max_backoff_ns
+                   (rc.Resilience.base_backoff_ns
+                   *. (2. ** float_of_int (!normal_attempts - 1)))
+               in
+               let u = jitters.(r).(!normal_attempts - 1) in
+               let backoff = expo *. (1. +. (rc.Resilience.jitter *. u)) in
+               let wake = tnow +. backoff in
+               if wake >= abs_deadline then fail_final ()
+               else begin
+                 (match profile with
+                 | Some pr -> Numa_obs.Profile.note_backoff pr backoff
+                 | None -> ());
+                 emit
+                   (Numa_obs.Event.Request_retry
+                      {
+                        client = client_of.(r);
+                        key = keys.(r);
+                        cpu = cpu w;
+                        attempt = k;
+                        backoff_ns = backoff;
+                      });
+                 Api.sleep_until ~ns:wake;
+                 W.read_word queues w;
+                 attempt k
+               end
+           | _ -> fail_final ()
+         in
+         attempt 1
+       end);
+    incr handled
+  in
   (* Shard failover + breaker coupling to node faults. [home] tracks each
      worker's current home CPU; the system's own rehoming may move the
      engine thread first, but re-spreading by topology distance is the
      app's job. *)
-  let home = Array.init nthreads (fun w -> Engine.thread_cpu eng ~tid:tids.(w)) in
-  if enforced then
-    System.set_fault_notify sys (function
-      | System.Fault_node_offline node ->
-          let n_cpus = (System.config sys).Numa_machine.Config.n_cpus in
-          let topo = System.topo sys in
-          let candidates =
-            List.sort
-              (fun (da, ca) (db, cb) ->
-                if da = db then compare (ca : int) cb else compare (da : float) db)
-              (List.filter_map
-                 (fun c ->
-                   if c <> node && c < n_cpus && System.node_online sys ~node:c then
-                     Some (Numa_machine.Topo.fetch_ns topo ~from:node ~at:c, c)
-                   else None)
-                 (List.init n_cpus (fun c -> c)))
-          in
-          let n_cand = List.length candidates in
-          let next = ref 0 in
-          for w = 0 to nthreads - 1 do
-            if home.(w) = node then begin
-              (if n_cand > 0 then begin
-                 (* spread the dead node's shards over online CPUs, nearest
-                    first, round-robin *)
-                 let _, target = List.nth candidates (!next mod n_cand) in
-                 incr next;
-                 (* [rehome] returns false when the system's own drain
-                    already parked the thread on [target]; the shard's
-                    home still moved off the dead node, so the failover
-                    counts either way. *)
-                 ignore (Engine.rehome eng ~tid:tids.(w) ~cpu:target);
-                 incr failovers_ct;
-                 emit
-                   (Numa_obs.Event.Shard_failover
-                      { worker = w; from_cpu = node; to_cpu = target });
-                 home.(w) <- target
-               end);
-              match cfg.Resilience.breaker with
-              | Some bc ->
-                  (* force the shard's breaker open: shed instead of paying
-                     remote misses into a drained node *)
-                  br_forced.(w) <- node;
-                  br_fails.(w) <- 0;
-                  br_goto w 1 ~until:(Engine.now eng +. bc.Resilience.cooldown_ns)
-              | None -> ()
-            end
-          done
-      | System.Fault_node_online node ->
-          for w = 0 to nthreads - 1 do
-            if br_forced.(w) = node then begin
-              br_forced.(w) <- -1;
-              if br_state.(w) = 1 then br_goto w 2 ~until:0.
-            end
-          done);
-  System.set_request_conservation sys sweep;
-  System.set_resilience_collector sys (fun () ->
-      let arrived_ct = Array.fold_left (fun a b -> if b then a + 1 else a) 0 arrived in
-      let count v = Array.fold_left (fun a o -> if o = v then a + 1 else a) 0 outcome in
-      let in_dl = count o_in_deadline in
-      let timed = count o_timed_out in
-      let shed = count o_shed in
-      let first = if n > 0 then arrivals.(0) else 0. in
-      let span_ns = Float.max 0. (!last_done -. first) in
-      let _, viols = sweep () in
-      {
-        Report.res_spec = Resilience.to_string cfg;
-        deadline_us = int_of_float (deadline_ns /. 1_000.);
-        arrived = arrived_ct;
-        served_in_deadline = in_dl;
-        timed_out = timed;
-        shed;
-        timeouts = !timeouts_ct;
-        attempts_started = Array.copy attempts_started;
-        hedges = !hedges_ct;
-        hedge_wins = !hedge_wins_ct;
-        breaker_opens = !opens_ct;
-        breaker_transitions = !transitions_ct;
-        shard_failovers = !failovers_ct;
-        goodput_rps = (if span_ns > 0. then float_of_int in_dl /. span_ns *. 1e9 else 0.);
-        slo_pct =
-          (if arrived_ct = 0 then 0. else 100. *. float_of_int in_dl /. float_of_int arrived_ct);
-        conservation_violations = List.length viols;
-      })
+  let on_fault home = function
+    | System.Fault_node_offline node ->
+        let n_cpus = (System.config sys).Numa_machine.Config.n_cpus in
+        let topo = System.topo sys in
+        let candidates =
+          List.sort
+            (fun (da, ca) (db, cb) ->
+              if da = db then compare (ca : int) cb else compare (da : float) db)
+            (List.filter_map
+               (fun c ->
+                 if c <> node && c < n_cpus && System.node_online sys ~node:c then
+                   Some (Numa_machine.Topo.fetch_ns topo ~from:node ~at:c, c)
+                 else None)
+               (List.init n_cpus (fun c -> c)))
+        in
+        let n_cand = List.length candidates in
+        let next = ref 0 in
+        for w = 0 to nthreads - 1 do
+          if home.(w) = node then begin
+            (if n_cand > 0 then begin
+               (* spread the dead node's shards over online CPUs, nearest
+                  first, round-robin *)
+               let _, target = List.nth candidates (!next mod n_cand) in
+               incr next;
+               (* [rehome] returns false when the system's own drain
+                  already parked the thread on [target]; the shard's
+                  home still moved off the dead node, so the failover
+                  counts either way. *)
+               ignore (Engine.rehome eng ~tid:tids.(w) ~cpu:target);
+               incr failovers_ct;
+               emit
+                 (Numa_obs.Event.Shard_failover
+                    { worker = w; from_cpu = node; to_cpu = target });
+               home.(w) <- target
+             end);
+            match cfg.Resilience.breaker with
+            | Some bc ->
+                (* force the shard's breaker open: shed instead of paying
+                   remote misses into a drained node *)
+                br_forced.(w) <- node;
+                br_fails.(w) <- 0;
+                br_goto w 1 ~until:(Engine.now eng +. bc.Resilience.cooldown_ns)
+            | None -> ()
+          end
+        done
+    | System.Fault_node_online node ->
+        for w = 0 to nthreads - 1 do
+          if br_forced.(w) = node then begin
+            br_forced.(w) <- -1;
+            if br_state.(w) = 1 then br_goto w 2 ~until:0.
+          end
+        done
+  in
+  let resilience () =
+    let arrived_ct = Array.fold_left (fun a b -> if b then a + 1 else a) 0 arrived in
+    let count v = Array.fold_left (fun a o -> if o = v then a + 1 else a) 0 outcome in
+    let in_dl = count o_in_deadline in
+    let first = if n > 0 then arrivals.(0) else 0. in
+    let span_ns = Float.max 0. (!last_done -. first) in
+    {
+      Report.res_spec = Resilience.to_string cfg;
+      deadline_us = int_of_float (deadline_ns /. 1_000.);
+      arrived = arrived_ct;
+      served_in_deadline = in_dl;
+      timed_out = count o_timed_out;
+      shed = count o_shed;
+      timeouts = !timeouts_ct;
+      attempts_started = Array.copy attempts_started;
+      hedges = !hedges_ct;
+      hedge_wins = !hedge_wins_ct;
+      breaker_opens = !opens_ct;
+      breaker_transitions = !transitions_ct;
+      shard_failovers = !failovers_ct;
+      goodput_rps = (if span_ns > 0. then float_of_int in_dl /. span_ns *. 1e9 else 0.);
+      slo_pct =
+        (if arrived_ct = 0 then 0. else 100. *. float_of_int in_dl /. float_of_int arrived_ct);
+      conservation_violations = List.length (sweep ());
+    }
+  in
+  let component () =
+    let home = Array.init nthreads cpu in
+    {
+      System.on_fault = (if enforced then on_fault home else ignore);
+      audit = Some sweep;
+      report =
+        (fun rep -> { (with_serving rep) with Report.resilience = Some (resilience ()) });
+    }
+  in
+  (serve, component)
 
 let make ?(arrival = default_arrival) ?(theta = default_theta)
     ?(clients = default_clients) ?(rw_mix = default_rw_mix) ?resilience () : App_sig.t =
@@ -534,7 +496,7 @@ let make ?(arrival = default_arrival) ?(theta = default_theta)
         ~sharing:Region_attr.Declared_write_shared ~words:(max 1 nthreads) ()
     in
     (* Measurement state, filled in by the workers and read once by the
-       collector after the last thread finishes. *)
+       component's report after the last thread finishes. *)
     let lat_hist = Histogram.create () in
     let queue_hist = Histogram.create () in
     let lat_sum = ref 0. in
@@ -542,91 +504,107 @@ let make ?(arrival = default_arrival) ?(theta = default_theta)
     let served = Array.make nthreads 0 in
     let last_done = ref 0. in
     let tids = Array.make nthreads (-1) in
-    (match resilience with
-    | None ->
-        for w = 0 to nthreads - 1 do
-          tids.(w) <-
-            System.spawn sys ~name:(Printf.sprintf "serve.%d" w)
-              (fun ~stack_vpage:_ ->
-                (* Warmup: fault the shard's working set in before any request
-                   is on the clock. *)
-                let key = ref w in
-                while !key < n_keys do
-                  W.read_range store ~lo:(!key * key_span) ~n:key_span;
-                  key := !key + nthreads
-                done;
+    let cpu w = Engine.thread_cpu eng ~tid:tids.(w) in
+    (* The CPU clock is current virtual time only right after a reference:
+       it is stale after [sleep_until]. *)
+    let now w = Engine.clock_ns eng ~cpu:(Engine.thread_cpu eng ~tid:tids.(w)) in
+    let body r =
+      let key = keys.(r) in
+      W.read_range store ~lo:(key * key_span) ~n:key_span;
+      if writes.(r) then W.write_range store ~lo:(key * key_span) ~n:key_span;
+      W.write_word sessions (client_of.(r) mod session_words);
+      Api.compute service_compute_ns
+    in
+    let complete w r ~t_start ~t_done =
+      let queue_ns = Float.max 0. (t_start -. arrivals.(r)) in
+      let latency_ns = t_done -. arrivals.(r) in
+      let service_ns = t_done -. t_start in
+      Histogram.add lat_hist (us_of_ns latency_ns);
+      Histogram.add queue_hist (us_of_ns queue_ns);
+      lat_sum := !lat_sum +. latency_ns;
+      queue_sum := !queue_sum +. queue_ns;
+      served.(w) <- served.(w) + 1;
+      if t_done > !last_done then last_done := t_done;
+      (match profile with
+      | Some pr -> Numa_obs.Profile.note_request pr ~service_ns ~queue_ns
+      | None -> ());
+      if Numa_obs.Hub.enabled obs then
+        Numa_obs.Hub.emit obs
+          (Numa_obs.Event.Request_served
+             { client = client_of.(r); key = keys.(r); cpu = cpu w; queue_ns; service_ns })
+    in
+    let with_serving rep =
+      let requests = Histogram.total lat_hist in
+      let first = if n > 0 then arrivals.(0) else 0. in
+      let span_ns = Float.max 0. (!last_done -. first) in
+      let freq = float_of_int requests in
+      {
+        rep with
+        Report.serving =
+          Some
+            {
+              Report.requests;
+              arrival_spec = Dist.arrival_to_string arrival;
+              zipf_theta = theta;
+              clients;
+              write_fraction = rw_mix;
+              span_ns;
+              throughput_rps = (if span_ns > 0. then freq /. span_ns *. 1e9 else 0.);
+              mean_us = (if requests = 0 then 0. else !lat_sum /. freq /. 1e3);
+              p50_us = Histogram.percentile lat_hist 50.;
+              p95_us = Histogram.percentile lat_hist 95.;
+              p99_us = Histogram.percentile lat_hist 99.;
+              p999_us = Histogram.percentile lat_hist 99.9;
+              max_us = Histogram.max_key lat_hist;
+              queue_mean_us = (if requests = 0 then 0. else !queue_sum /. freq /. 1e3);
+              queue_p99_us = Histogram.percentile queue_hist 99.;
+              per_worker_served = Array.copy served;
+            };
+      }
+    in
+    (* What a worker does with a request it has dequeued: the plain tier
+       serves it once, untimed; the resilient tier adds its policy. *)
+    let serve, component =
+      match resilience with
+      | None ->
+          ( (fun w r ->
+              let t_start = now w in
+              body r;
+              complete w r ~t_start ~t_done:(now w)),
+            fun () -> { System.on_fault = ignore; audit = None; report = with_serving } )
+      | Some cfg ->
+          resilient sys ~cfg ~nthreads ~n ~prng ~arrivals ~keys ~client_of ~queues ~tids
+            ~cpu ~now ~body ~complete ~last_done ~with_serving
+    in
+    for w = 0 to nthreads - 1 do
+      tids.(w) <-
+        System.spawn sys ~name:(Printf.sprintf "serve.%d" w) (fun ~stack_vpage:_ ->
+            (* Warmup: fault the shard's working set in before any request
+               is on the clock. *)
+            let key = ref w in
+            while !key < n_keys do
+              W.read_range store ~lo:(!key * key_span) ~n:key_span;
+              key := !key + nthreads
+            done;
+            W.read_word queues w;
+            List.iter
+              (fun r ->
+                (* Open-loop: park to the arrival instant (a no-op when the
+                   shard is already running behind — the backlog case). The
+                   first sleep is also what parks the body at spawn time,
+                   before [tids] is filled in. *)
+                Api.sleep_until ~ns:arrivals.(r);
+                if Numa_obs.Hub.enabled obs then
+                  Numa_obs.Hub.emit obs
+                    (Numa_obs.Event.Request_arrived
+                       { client = client_of.(r); key = keys.(r); worker = w });
+                (* Dequeue: touch the shard's queue slot, a real reference
+                   that also refreshes the CPU clock. *)
                 W.read_word queues w;
-                List.iter
-                  (fun r ->
-                    (* Open-loop: park to the arrival instant (a no-op when the
-                       shard is already running behind — the backlog case). The
-                       first sleep is also what parks the body at spawn time,
-                       before [tids] is filled in. *)
-                    Api.sleep_until ~ns:arrivals.(r);
-                    if Numa_obs.Hub.enabled obs then
-                      Numa_obs.Hub.emit obs
-                        (Numa_obs.Event.Request_arrived
-                           { client = client_of.(r); key = keys.(r); worker = w });
-                    (* Dequeue: touch the shard's queue slot. A real reference,
-                       so the CPU clock read after it is current virtual time
-                       (the clock is stale right after [sleep_until]). *)
-                    W.read_word queues w;
-                    let tid = tids.(w) in
-                    let cpu = Engine.thread_cpu eng ~tid in
-                    let t_start = Engine.clock_ns eng ~cpu in
-                    let key = keys.(r) in
-                    W.read_range store ~lo:(key * key_span) ~n:key_span;
-                    if writes.(r) then
-                      W.write_range store ~lo:(key * key_span) ~n:key_span;
-                    W.write_word sessions (client_of.(r) mod session_words);
-                    Api.compute service_compute_ns;
-                    let cpu = Engine.thread_cpu eng ~tid in
-                    let t_done = Engine.clock_ns eng ~cpu in
-                    let queue_ns = Float.max 0. (t_start -. arrivals.(r)) in
-                    let latency_ns = t_done -. arrivals.(r) in
-                    let service_ns = t_done -. t_start in
-                    Histogram.add lat_hist (us_of_ns latency_ns);
-                    Histogram.add queue_hist (us_of_ns queue_ns);
-                    lat_sum := !lat_sum +. latency_ns;
-                    queue_sum := !queue_sum +. queue_ns;
-                    served.(w) <- served.(w) + 1;
-                    if t_done > !last_done then last_done := t_done;
-                    (match profile with
-                    | Some pr -> Numa_obs.Profile.note_request pr ~service_ns ~queue_ns
-                    | None -> ());
-                    if Numa_obs.Hub.enabled obs then
-                      Numa_obs.Hub.emit obs
-                        (Numa_obs.Event.Request_served
-                           { client = client_of.(r); key; cpu; queue_ns; service_ns }))
-                  assigned.(w))
-        done
-    | Some cfg ->
-        setup_resilient sys ~eng ~obs ~profile ~cfg ~nthreads ~n ~prng ~arrivals ~keys
-          ~client_of ~writes ~assigned ~store ~sessions ~queues ~lat_hist ~queue_hist
-          ~lat_sum ~queue_sum ~served ~last_done ~tids);
-    System.set_serving_collector sys (fun () ->
-        let requests = Histogram.total lat_hist in
-        let first = if n > 0 then arrivals.(0) else 0. in
-        let span_ns = Float.max 0. (!last_done -. first) in
-        let freq = float_of_int requests in
-        {
-          Report.requests;
-          arrival_spec = Dist.arrival_to_string arrival;
-          zipf_theta = theta;
-          clients;
-          write_fraction = rw_mix;
-          span_ns;
-          throughput_rps = (if span_ns > 0. then freq /. span_ns *. 1e9 else 0.);
-          mean_us = (if requests = 0 then 0. else !lat_sum /. freq /. 1e3);
-          p50_us = Histogram.percentile lat_hist 50.;
-          p95_us = Histogram.percentile lat_hist 95.;
-          p99_us = Histogram.percentile lat_hist 99.;
-          p999_us = Histogram.percentile lat_hist 99.9;
-          max_us = Histogram.max_key lat_hist;
-          queue_mean_us = (if requests = 0 then 0. else !queue_sum /. freq /. 1e3);
-          queue_p99_us = Histogram.percentile queue_hist 99.;
-          per_worker_served = Array.copy served;
-        })
+                serve w r)
+              assigned.(w))
+    done;
+    System.set_component sys (component ())
   in
   {
     App_sig.name = "serve";

@@ -6,11 +6,10 @@ type report = {
   replicas_checked : int;
   paging_checked : int;
   pt_checked : int;
-  requests_checked : int;
   violations : string list;
 }
 
-let check ?pinned ?pool ?requests ~manager ~mmu ~frames ~(config : Config.t) () =
+let check ?pinned ?pool ~manager ~mmu ~frames ~(config : Config.t) () =
   let violations = ref [] in
   let mappings_checked = ref 0 in
   let replicas_checked = ref 0 in
@@ -277,26 +276,12 @@ let check ?pinned ?pool ?requests ~manager ~mmu ~frames ~(config : Config.t) () 
             bad "node %d pool counts %d page-table frames but the tables hold %d" node
               census n)
         counted);
-  (* Request conservation (served-traffic runs only): the closure sweeps
-     the application's request ledger — every arrived request is exactly
-     one of served-in-deadline / timed-out / shed / in-flight, never lost
-     and never double-counted — and reports its findings in the same
-     all-violations style as the protocol sweep above. *)
-  let requests_checked =
-    match requests with
-    | None -> 0
-    | Some sweep ->
-        let checked, findings = sweep () in
-        List.iter (fun v -> bad "%s" v) findings;
-        checked
-  in
   {
     pages_checked = config.Config.global_pages;
     mappings_checked = !mappings_checked;
     replicas_checked = !replicas_checked;
     paging_checked = !paging_checked;
     pt_checked = !pt_checked;
-    requests_checked;
     violations = List.rev !violations;
   }
 
