@@ -1,8 +1,6 @@
 (* Unit and property tests for the util library. *)
 
 module Prng = Numa_util.Prng
-module Bitvec = Numa_util.Bitvec
-module Stats = Numa_util.Stats
 module Histogram = Numa_util.Histogram
 module Text_table = Numa_util.Text_table
 
@@ -68,80 +66,6 @@ let test_prng_invalid () =
     (fun () -> ignore (Prng.int t 0));
   Alcotest.check_raises "empty choose" (Invalid_argument "Prng.choose: empty array")
     (fun () -> ignore (Prng.choose t [||]))
-
-(* --- bitvec --------------------------------------------------------------- *)
-
-let test_bitvec_basic () =
-  let v = Bitvec.create 70 in
-  Alcotest.(check int) "length" 70 (Bitvec.length v);
-  Alcotest.(check bool) "initially clear" false (Bitvec.get v 33);
-  Bitvec.set v 33;
-  Alcotest.(check bool) "set" true (Bitvec.get v 33);
-  Bitvec.clear v 33;
-  Alcotest.(check bool) "cleared" false (Bitvec.get v 33);
-  Bitvec.assign v 69 true;
-  Alcotest.(check int) "popcount" 1 (Bitvec.popcount v)
-
-let test_bitvec_fill_popcount () =
-  let v = Bitvec.create 13 in
-  Bitvec.fill v true;
-  Alcotest.(check int) "all set (partial last byte)" 13 (Bitvec.popcount v);
-  Bitvec.fill v false;
-  Alcotest.(check int) "all clear" 0 (Bitvec.popcount v)
-
-let test_bitvec_union_equal () =
-  let a = Bitvec.create 20 and b = Bitvec.create 20 in
-  Bitvec.set a 1;
-  Bitvec.set b 2;
-  Bitvec.union_into ~dst:a b;
-  Alcotest.(check bool) "union has both" true (Bitvec.get a 1 && Bitvec.get a 2);
-  let c = Bitvec.create 20 in
-  Bitvec.set c 1;
-  Bitvec.set c 2;
-  Alcotest.(check bool) "equal" true (Bitvec.equal a c)
-
-let test_bitvec_bounds () =
-  let v = Bitvec.create 8 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitvec: index out of range")
-    (fun () -> ignore (Bitvec.get v 8))
-
-let prop_bitvec_model =
-  QCheck.Test.make ~name:"bitvec agrees with bool array" ~count:200
-    QCheck.(pair (int_bound 100) (list (pair (int_bound 100) bool)))
-    (fun (size, ops) ->
-      let size = size + 1 in
-      let v = Bitvec.create size and model = Array.make size false in
-      List.iter
-        (fun (i, b) ->
-          let i = i mod size in
-          Bitvec.assign v i b;
-          model.(i) <- b)
-        ops;
-      let ok = ref true in
-      Array.iteri (fun i b -> if Bitvec.get v i <> b then ok := false) model;
-      !ok && Bitvec.popcount v = Array.fold_left (fun a b -> if b then a + 1 else a) 0 model)
-
-(* --- stats ----------------------------------------------------------------- *)
-
-let test_stats_moments () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
-  Alcotest.(check int) "count" 8 (Stats.count s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "total" 40.0 (Stats.total s);
-  Alcotest.(check (float 1e-9)) "variance (unbiased)" (32. /. 7.) (Stats.variance s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (Stats.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (Stats.max s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  Alcotest.(check (float 0.)) "mean of empty" 0. (Stats.mean s);
-  Alcotest.(check (float 0.)) "variance of empty" 0. (Stats.variance s)
-
-let test_stats_helpers () =
-  Alcotest.(check (float 1e-9)) "ratio" 0.5 (Stats.ratio ~num:1. ~den:2.);
-  Alcotest.(check (float 1e-9)) "ratio by zero" 0. (Stats.ratio ~num:1. ~den:0.);
-  Alcotest.(check (float 1e-9)) "percent" 50. (Stats.percent ~num:1. ~den:2.)
 
 (* --- histogram ---------------------------------------------------------------- *)
 
@@ -347,14 +271,6 @@ let suite =
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
     Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_permutation;
     Alcotest.test_case "prng invalid args" `Quick test_prng_invalid;
-    Alcotest.test_case "bitvec basic" `Quick test_bitvec_basic;
-    Alcotest.test_case "bitvec fill/popcount" `Quick test_bitvec_fill_popcount;
-    Alcotest.test_case "bitvec union/equal" `Quick test_bitvec_union_equal;
-    Alcotest.test_case "bitvec bounds" `Quick test_bitvec_bounds;
-    qcheck prop_bitvec_model;
-    Alcotest.test_case "stats moments" `Quick test_stats_moments;
-    Alcotest.test_case "stats empty" `Quick test_stats_empty;
-    Alcotest.test_case "stats helpers" `Quick test_stats_helpers;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "histogram mean/percentile" `Quick test_histogram_mean_percentile;
     Alcotest.test_case "histogram percentile bounds" `Quick test_histogram_percentile_invalid;
