@@ -92,10 +92,9 @@ type t = {
   handler : (unit, step) Effect.Deep.handler;
   events : Event_queue.t;  (* (time, seq) -> tid *)
   mutable seq : int;
-  threads : (int, thread) Hashtbl.t;
-  mutable thread_by_tid : thread array;
-      (** flat tid index, rebuilt when [run] starts; threads cannot spawn
-          after that *)
+  mutable threads : thread array;
+      (** indexed by tid, grown by [spawn]; slots from [next_tid] on are
+          filler *)
   mutable next_tid : int;
   mutable live : int;
   mutable spawn_rr : int;  (* round-robin cursor for default CPU assignment *)
@@ -145,8 +144,7 @@ let create ?obs config ~memory ~scheduler =
     handler;
     events = Event_queue.create ();
     seq = 0;
-    threads = Hashtbl.create 32;
-    thread_by_tid = [||];
+    threads = [||];
     next_tid = 0;
     live = 0;
     spawn_rr = 0;
@@ -231,7 +229,12 @@ let spawn t ?cpu ?stack_vpage ~name body =
       deadlines = [];
     }
   in
-  Hashtbl.replace t.threads tid th;
+  if tid = Array.length t.threads then begin
+    let grown = Array.make (max 8 (2 * tid)) th in
+    Array.blit t.threads 0 grown 0 tid;
+    t.threads <- grown
+  end;
+  t.threads.(tid) <- th;
   t.live <- t.live + 1;
   (* Launch the body up to its first operation right away; the first chunk
      is processed when the run loop reaches the thread's initial event. *)
@@ -584,8 +587,6 @@ let turn t th =
 let run t =
   if t.running || t.completed then invalid_arg "Engine.run: already running";
   t.running <- true;
-  t.thread_by_tid <-
-    Array.init t.next_tid (fun tid -> Hashtbl.find t.threads tid);
   let rec loop () =
     let tid = Event_queue.min_tid t.events in
     if tid < 0 then begin
@@ -596,7 +597,7 @@ let run t =
     end
     else begin
       count_event t;
-      turn t t.thread_by_tid.(tid);
+      turn t t.threads.(tid);
       loop ()
     end
   in
@@ -612,30 +613,29 @@ let total_user_ns t = Array.fold_left ( +. ) 0. t.user
 let total_system_ns t = Array.fold_left ( +. ) 0. t.system
 let elapsed_ns t = Array.fold_left Float.max 0. t.clock
 let n_events t = t.n_events
-let n_threads t = Hashtbl.length t.threads
-(* Hot on serving paths: the flat index once [run] has built it, the table
-   before that. *)
+let n_threads t = t.next_tid
+
 let thread_cpu t ~tid =
-  if tid >= 0 && tid < Array.length t.thread_by_tid then t.thread_by_tid.(tid).cpu
-  else (Hashtbl.find t.threads tid).cpu
+  if tid < 0 || tid >= t.next_tid then invalid_arg "Engine.thread_cpu: unknown tid";
+  t.threads.(tid).cpu
 
 let rehome t ~tid ~cpu =
   if cpu < 0 || cpu >= t.config.n_cpus then invalid_arg "Engine.rehome: bad cpu";
-  match Hashtbl.find_opt t.threads tid with
-  | None -> false
-  | Some th ->
-      if finished th || th.cpu = cpu then false
-      else begin
-        (* th.cpu is only read at the start of a scheduling turn
-           (pick_cpu), so flipping it between chunks is a clean
-           reschedule: the thread's next chunk runs on the target. The
-           dispatch costs the same 50 us of system time as a
-           self-migration ([Op.Migrate]), charged to the target CPU. *)
-        th.cpu <- cpu;
-        (match t.profile with
-        | Some p -> Numa_obs.Profile.charge_dispatch p ~cpu 50_000.
-        | None -> ());
-        t.system.(cpu) <- t.system.(cpu) +. 50_000.;
-        t.clock.(cpu) <- t.clock.(cpu) +. 50_000.;
-        true
-      end
+  if tid < 0 || tid >= t.next_tid then false
+  else
+    let th = t.threads.(tid) in
+    if finished th || th.cpu = cpu then false
+    else begin
+      (* th.cpu is only read at the start of a scheduling turn
+         (pick_cpu), so flipping it between chunks is a clean
+         reschedule: the thread's next chunk runs on the target. The
+         dispatch costs the same 50 us of system time as a
+         self-migration ([Op.Migrate]), charged to the target CPU. *)
+      th.cpu <- cpu;
+      (match t.profile with
+      | Some p -> Numa_obs.Profile.charge_dispatch p ~cpu 50_000.
+      | None -> ());
+      t.system.(cpu) <- t.system.(cpu) +. 50_000.;
+      t.clock.(cpu) <- t.clock.(cpu) +. 50_000.;
+      true
+    end

@@ -112,7 +112,8 @@ val elapsed_ns : t -> float
 val n_events : t -> int
 val n_threads : t -> int
 val thread_cpu : t -> tid:int -> int
-(** CPU the thread last ran on. *)
+(** CPU the thread last ran on. [Invalid_argument] for a tid this engine
+    never spawned. *)
 
 val rehome : t -> tid:int -> cpu:int -> bool
 (** Externally re-home a live thread onto [cpu]: its next scheduling

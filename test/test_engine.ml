@@ -232,6 +232,25 @@ let test_migrate_rebinds_thread () =
   Alcotest.(check bool) "reschedule charged as system time" true
     (Engine.system_ns e ~cpu:3 > 0.)
 
+(* Twenty spawns outgrow the thread array's first size. A tid the engine
+   never spawned is a programming error for [thread_cpu] and a no-op for
+   [rehome]. *)
+let test_unknown_tid () =
+  let e = make () in
+  for i = 0 to 19 do
+    let tid = Engine.spawn e ~cpu:(i mod 4) ~name:"t" (fun () -> Api.compute 1e3) in
+    Alcotest.(check int) "tids in spawn order" i tid
+  done;
+  Alcotest.(check int) "every spawn counted" 20 (Engine.n_threads e);
+  Alcotest.(check int) "homes kept across growth" 3 (Engine.thread_cpu e ~tid:19);
+  List.iter
+    (fun tid ->
+      Alcotest.check_raises "thread_cpu of an unknown tid"
+        (Invalid_argument "Engine.thread_cpu: unknown tid") (fun () ->
+          ignore (Engine.thread_cpu e ~tid));
+      Alcotest.(check bool) "rehome of an unknown tid" false (Engine.rehome e ~tid ~cpu:1))
+    [ -1; 20 ]
+
 let test_migrate_bad_cpu_fails () =
   let e = make () in
   ignore (Engine.spawn e ~cpu:0 ~name:"bad" (fun () -> Api.migrate ~cpu:99));
@@ -555,6 +574,7 @@ let suite =
     Alcotest.test_case "stuck barrier detected" `Quick test_deadlock_detection;
     Alcotest.test_case "migrate rebinds thread" `Quick test_migrate_rebinds_thread;
     Alcotest.test_case "migrate to bad cpu fails" `Quick test_migrate_bad_cpu_fails;
+    Alcotest.test_case "unknown tid" `Quick test_unknown_tid;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "spawn after run rejected" `Quick test_spawn_after_run_rejected;
     Alcotest.test_case "empty run" `Quick test_empty_run;
