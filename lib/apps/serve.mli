@@ -27,9 +27,13 @@ val make :
     p99-derived delay, optional per-shard circuit breakers with
     node-fault coupling and shard failover, plus the request-conservation
     sweep and the report's [resilience] section. A config with no
-    mechanisms (only a deadline) is observe-only: the serving path is the
-    plain tier's, with outcomes classified against the deadline. When
-    omitted, runs are byte-identical to earlier releases. *)
+    mechanisms (only a deadline) is observe-only: it serves with the
+    plain tier's body and classifies outcomes against the deadline, but
+    under a timer that never fires, which adds two zero-time ops per
+    request. With one worker per CPU the serving section and CPU times
+    are the plain tier's; when workers share a CPU the extra ops change
+    the interleaving, and with it the latencies. When omitted, runs are
+    byte-identical to earlier releases. *)
 
 val app : App_sig.t
 (** The default instance, registered as ["serve"]. *)

@@ -160,8 +160,8 @@ type t = {
       (** present only when page tables were materialised ([--pt-mode]
           other than [none]); same byte-identity guarantee *)
   serving : serving option;
-      (** present only for served-traffic workloads (the app registered a
-          serving collector); batch-app reports keep the same byte-identity
+      (** present only for served-traffic workloads (the app's component
+          filled it); batch-app reports keep the same byte-identity
           guarantee *)
   resilience : resilience option;
       (** present only when the serving app ran with a resilience policy
