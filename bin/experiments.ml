@@ -92,7 +92,7 @@ type ctx = {
   apps : string option;
   policies : string option;
   in_all : bool;
-  mutable table3_rows : Table3.row list option;
+  mutable table3_rows : Runner.measurement list option;
 }
 
 let parse_apps s =

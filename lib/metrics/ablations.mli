@@ -1,19 +1,17 @@
 (** Studies beyond the paper's two tables: the policy-parameter and design
     questions the paper raises in sections 2.3.2, 4.2, 4.3, 4.6, 4.7 and 5.
-    Each returns structured rows plus a renderer, and is reachable from
-    [bin/experiments.exe]. *)
+    Each returns its runs' reports or measurements, with the labels and
+    baselines they do not hold, plus a renderer that derives every column
+    from them; each is reachable from [bin/experiments.exe]. *)
+
+type priced = {
+  app : string;
+  t_local : float;  (** the app's single-CPU user time, gamma's denominator *)
+  r : Numa_system.Report.t;
+}
+(** One run of a sweep that prices every run against its app's T_local. *)
 
 (** {1 Move-threshold sweep (section 2.3.2)} *)
-
-type threshold_row = {
-  ts_app : string;
-  ts_threshold : int option;  (** [None] = never pin *)
-  ts_t_numa : float;
-  ts_t_system : float;
-  ts_gamma : float;
-  ts_moves : int;
-  ts_pins : int;
-}
 
 val threshold_sweep :
   ?apps:Numa_apps.App_sig.t list ->
@@ -21,121 +19,78 @@ val threshold_sweep :
   ?thresholds:int option list ->
   ?spec:Runner.run_spec ->
   unit ->
-  threshold_row list
-(** [?jobs] here and in the other sweeps distributes the independent runs
-    over that many domains ({!Parallel.map}); rows come back in the same
-    order, with the same values, as the sequential sweep. *)
+  priced list
+(** One run per app and threshold ([None] = never pin), app-major.
+    [?jobs] here and in the other sweeps distributes the independent runs
+    over that many domains ({!Parallel.map}); results come back in the
+    same order, with the same values, as the sequential sweep. *)
 
-val render_threshold_sweep : threshold_row list -> string
+val render_threshold_sweep : priced list -> string
 
 (** {1 Scheduler affinity (section 4.7)} *)
 
-type scheduler_row = {
-  sc_app : string;
-  sc_affinity_user : float;
-  sc_single_queue_user : float;
-  sc_slowdown : float;  (** single-queue / affinity user time *)
-}
-
 val scheduler_study :
   ?apps:Numa_apps.App_sig.t list -> ?jobs:int -> ?spec:Runner.run_spec -> unit ->
-  scheduler_row list
+  (string * Numa_system.Report.t * Numa_system.Report.t) list
+(** Per app: its name, the affinity-scheduled run and the original Mach
+    single-queue run. *)
 
-val render_scheduler_study : scheduler_row list -> string
+val render_scheduler_study :
+  (string * Numa_system.Report.t * Numa_system.Report.t) list -> string
 
 (** {1 G/L ratio sensitivity} *)
 
-type gl_row = {
-  gl_factor : float;  (** multiplier on global reference times *)
-  gl_ratio : float;  (** resulting G/L (mixed) *)
-  gl_gamma : float;
-  gl_alpha : float;
-}
-
 val gl_sweep :
   ?app:Numa_apps.App_sig.t -> ?jobs:int -> ?factors:float list -> ?spec:Runner.run_spec ->
-  unit -> gl_row list
+  unit -> (float * Runner.measurement) list
+(** Per multiplier on the global reference times, the measurement on
+    that machine; the rendered G/L is the measurement's model ratio
+    (the mixed one for the default fft). *)
 
-val render_gl_sweep : gl_row list -> string
+val render_gl_sweep : (float * Runner.measurement) list -> string
 
 (** {1 Placement pragmas (section 4.3)} *)
 
-type pragma_row = {
-  pr_variant : string;
-  pr_t_numa : float;
-  pr_s_numa : float;
-  pr_moves : int;
-}
-
-val pragma_study : ?spec:Runner.run_spec -> unit -> pragma_row list
+val pragma_study : ?spec:Runner.run_spec -> unit -> (string * Numa_system.Report.t) list
 (** primes3 with and without noncacheable pragmas on its shared vectors. *)
 
-val render_pragma_study : pragma_row list -> string
+val render_pragma_study : (string * Numa_system.Report.t) list -> string
 
 (** {1 Unix master (section 4.6)} *)
 
-type unix_master_row = {
-  um_variant : string;
-  um_user : float;
-  um_system : float;
-  um_stack_global_refs : int;  (** global references made to stack regions *)
-}
+val unix_master_study :
+  ?spec:Runner.run_spec -> unit -> (string * Numa_system.Report.t) list
+(** syscall-mix with system calls on the Unix master, then fixed. *)
 
-val unix_master_study : ?spec:Runner.run_spec -> unit -> unix_master_row list
+val stack_global_refs : Numa_system.Report.t -> int
+(** Global references the run made to stack regions. *)
 
-val render_unix_master_study : unix_master_row list -> string
+val render_unix_master_study : (string * Numa_system.Report.t) list -> string
 
 (** {1 Processor-count sweep} *)
 
-type cpu_row = {
-  cs_app : string;
-  cs_cpus : int;
-  cs_t_numa : float;
-  cs_gamma : float;
-  cs_alpha_counted : float;
-}
-
 val cpu_sweep :
   ?apps:Numa_apps.App_sig.t list -> ?jobs:int -> ?cpu_counts:int list ->
-  ?spec:Runner.run_spec -> unit -> cpu_row list
+  ?spec:Runner.run_spec -> unit -> priced list
 (** The paper's method requires measurements "not vary too much with the
     number of processors"; this sweep checks that requirement for our
-    programs (T_numa and alpha across 2-8 CPUs). *)
+    programs (T_numa and alpha across 2-8 CPUs), app-major. *)
 
-val render_cpu_sweep : cpu_row list -> string
+val render_cpu_sweep : priced list -> string
 
 (** {1 Butterfly-class machines (section 4.4)} *)
 
-type butterfly_row = {
-  bf_app : string;
-  bf_gamma_ace : float;
-  bf_gamma_butterfly : float;
-  bf_alpha_ace : float;
-  bf_alpha_butterfly : float;
-}
-
 val butterfly_study :
   ?apps:Numa_apps.App_sig.t list -> ?jobs:int -> ?spec:Runner.run_spec -> unit ->
-  butterfly_row list
-(** The same programs on a machine whose shared level is as slow as remote
-    memory (no physically global memory): placement quality (alpha) is
-    machine-independent, but the penalty for the residual shared
-    references grows with the steeper ratio. *)
+  (Runner.measurement * Runner.measurement) list
+(** Per app, its measurement on the ACE and on a machine whose shared
+    level is as slow as remote memory (no physically global memory):
+    placement quality (alpha) is machine-independent, but the penalty
+    for the residual shared references grows with the steeper ratio. *)
 
-val render_butterfly_study : butterfly_row list -> string
+val render_butterfly_study : (Runner.measurement * Runner.measurement) list -> string
 
 (** {1 Topology sweep (N-node distance matrices)} *)
-
-type topology_row = {
-  tp_topology : string;
-  tp_app : string;
-  tp_t_numa : float;
-  tp_gamma : float;
-  tp_alpha : float;
-  tp_remote_refs : int;
-  tp_global_refs : int;
-  tp_moves : int;
-}
 
 val topology_sweep :
   ?apps:Numa_apps.App_sig.t list ->
@@ -143,24 +98,24 @@ val topology_sweep :
   ?topologies:string list ->
   ?spec:Runner.run_spec ->
   unit ->
-  topology_row list
+  (string * Runner.measurement) list
 (** The same workload and policy on machines that differ only in their
     distance matrix ({!Numa_machine.Config.builtin_topologies} by
     default: the classic ACE, the scalar butterfly retiming, the true
-    striped-shared-level butterfly, and a two-tier multi-socket matrix).
-    Placement quality (alpha) is machine-independent; the cost of the
-    residual shared and remote references is not. *)
+    striped-shared-level butterfly, and a two-tier multi-socket matrix),
+    as (topology, measurement), app-major. Placement quality (alpha) is
+    machine-independent; the cost of the residual shared and remote
+    references is not. *)
 
-val render_topology_sweep : topology_row list -> string
+val render_topology_sweep : (string * Runner.measurement) list -> string
 
 (** {1 IPC-bus contention} *)
 
 type bus_row = {
   bu_bandwidth_mb_s : float;  (** 0 = infinite (the default model) *)
-  bu_t_numa : float;
-  bu_t_global : float;
-  bu_bus_delay_s : float;  (** queueing delay in the all-global run *)
-  bu_gamma : float;
+  bu_numa : Numa_system.Report.t;
+  bu_global : Numa_system.Report.t;  (** the all-global run, whose bus queue is shown *)
+  bu_t_local : float;
 }
 
 val bus_study :
@@ -176,40 +131,24 @@ val render_bus_study : bus_row list -> string
 
 (** {1 Remote references (section 4.4)} *)
 
-type remote_row = {
-  rm_variant : string;
-  rm_producer_user : float;  (** user seconds of the producing CPU *)
-  rm_total_user : float;
-  rm_remote_refs : int;
-}
-
-val remote_study : ?spec:Runner.run_spec -> unit -> remote_row list
+val remote_study : ?spec:Runner.run_spec -> unit -> (string * Numa_system.Report.t) list
 (** The lopsided workload with the status buffer under normal policy
     (pinned global) vs homed in the producer's local memory. *)
 
-val render_remote_study : remote_row list -> string
+val render_remote_study : (string * Numa_system.Report.t) list -> string
 
 (** {1 Thread migration (section 4.7)} *)
 
-type migration_row = {
-  mg_variant : string;
-  mg_user : float;
-  mg_moves : int;
-  mg_pins : int;
-  mg_alpha : float;
-}
-
-val migration_study : ?spec:Runner.run_spec -> unit -> migration_row list
+val migration_study : ?spec:Runner.run_spec -> unit -> (string * Numa_system.Report.t) list
 (** The re-homed thread with and without kernel page migration. *)
 
-val render_migration_study : migration_row list -> string
+val render_migration_study : (string * Numa_system.Report.t) list -> string
 
 (** {1 Pin reconsideration (footnote 4 / section 5)} *)
 
-type reconsider_row = { rc_policy : string; rc_user : float; rc_final_global_pages : int }
-
-val reconsider_study : ?spec:Runner.run_spec -> ?window_ms:float -> unit -> reconsider_row list
+val reconsider_study :
+  ?spec:Runner.run_spec -> ?window_ms:float -> unit -> (string * Numa_system.Report.t) list
 (** The phase-shifting workload under move-limit vs the reconsider
-    extension. *)
+    extension, labelled by policy. *)
 
-val render_reconsider_study : reconsider_row list -> string
+val render_reconsider_study : (string * Numa_system.Report.t) list -> string

@@ -1,6 +1,7 @@
 open Numa_util
 module Sys_ = Numa_system.System
 module Plan = Numa_faults.Plan
+module Report = Numa_system.Report
 
 type scenario = { name : string; plan : Plan.t }
 
@@ -26,30 +27,21 @@ let default_scenarios () =
        spurious-shootdown:0.2";
   ]
 
-type cell = {
-  app_name : string;
-  gamma : float;  (** faulted T_numa over the {e intact} machine's T_local *)
-  user_s : float;
-  r : Numa_system.Report.t;  (** the faulted run's report *)
-}
+type cell = { app_name : string; t_local : float; r : Report.t }
+type row = { scenario : scenario; cells : cell list }
 
-type row = {
-  scenario : scenario;
-  cells : cell list;
-  mean_gamma : float;
-  faults_injected : int;
-  node_drains : int;
-  drained_pages : int;
-  reclaim_retries : int;
-  spurious_shootdowns : int;
-  invariant_checks : int;
-  invariant_violations : int;
-}
+let gamma c =
+  let user_s = Report.total_user_s c.r in
+  if c.t_local > 0. then user_s /. c.t_local else nan
 
-let sum_robustness cells f =
+let mean_gamma row = Sweep.mean (List.map gamma row.cells)
+
+let robustness f row =
   Sweep.sum
-    (fun c -> match c.r.Numa_system.Report.robustness with None -> 0 | Some rb -> f rb)
-    cells
+    (fun c -> match c.r.Report.robustness with None -> 0 | Some rb -> f rb)
+    row.cells
+
+let audits f row = Sweep.sum (fun c -> f (Sweep.audits c.r)) row.cells
 
 let run ?jobs ?apps ?scenarios ?(spec = Runner.default_spec) () =
   let apps = match apps with Some l -> l | None -> Numa_apps.Registry.table4 in
@@ -66,7 +58,7 @@ let run ?jobs ?apps ?scenarios ?(spec = Runner.default_spec) () =
   let t_locals =
     Parallel.map ?jobs
       (fun app ->
-        Numa_system.Report.total_user_s
+        Report.total_user_s
           (Runner.run app
              {
                spec with
@@ -77,37 +69,20 @@ let run ?jobs ?apps ?scenarios ?(spec = Runner.default_spec) () =
              }))
       apps
   in
-  Sweep.grid ?jobs scenarios (List.combine apps t_locals) (fun s (app, tl) ->
+  Sweep.grid ?jobs scenarios (List.combine apps t_locals) (fun s (app, t_local) ->
       let r = Runner.run app { spec with Runner.faults = s.plan; paranoid = true } in
-      let user_s = Numa_system.Report.total_user_s r in
-      {
-        app_name = app.Numa_apps.App_sig.name;
-        gamma = (if tl > 0. then user_s /. tl else nan);
-        user_s;
-        r;
-      })
-  |> List.map (fun (scenario, cells) ->
-         let open Numa_system.Report in
-         {
-           scenario;
-           cells;
-           mean_gamma = Sweep.mean (List.map (fun c -> c.gamma) cells);
-           faults_injected = sum_robustness cells (fun rb -> rb.faults_injected);
-           node_drains = sum_robustness cells (fun rb -> rb.node_drains);
-           drained_pages = sum_robustness cells (fun rb -> rb.drained_pages);
-           reclaim_retries = sum_robustness cells (fun rb -> rb.reclaim_retries);
-           spurious_shootdowns = sum_robustness cells (fun rb -> rb.spurious_shootdowns);
-           invariant_checks = Sweep.sum (fun c -> fst (Sweep.audits c.r)) cells;
-           invariant_violations = Sweep.sum (fun c -> snd (Sweep.audits c.r)) cells;
-         })
+      { app_name = app.Numa_apps.App_sig.name; t_local; r })
+  |> List.map (fun (scenario, cells) -> { scenario; cells })
 
-let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
+let violations = audits snd
+let total_violations rows = Sweep.sum violations rows
 
 let render ~topology rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let gamma_of i r = Text_table.cell_f2 (List.nth r.cells i).gamma in
+  let gamma_of i r = Text_table.cell_f2 (gamma (List.nth r.cells i)) in
+  let count f r = Text_table.cell_int (robustness f r) in
   Printf.sprintf
     "Chaos sweep on %s: per-app and mean gamma under injected faults \
      (T_numa/T_local against the intact machine; the healthy row is the \
@@ -119,11 +94,11 @@ let render ~topology rows =
           ((("Scenario", Left, fun r -> r.scenario.name)
            :: List.mapi (fun i a -> (a, Right, gamma_of i)) apps)
           @ [
-              ("mean gamma", Right, fun r -> cell_f2 r.mean_gamma);
-              ("faults", Right, fun r -> cell_int r.faults_injected);
-              ("drains", Right, fun r -> cell_int r.node_drains);
-              ("reclaims", Right, fun r -> cell_int r.reclaim_retries);
-              ("violations", Right, fun r -> cell_int r.invariant_violations);
+              ("mean gamma", Right, fun r -> cell_f2 (mean_gamma r));
+              ("faults", Right, count (fun rb -> rb.Report.faults_injected));
+              ("drains", Right, count (fun rb -> rb.Report.node_drains));
+              ("reclaims", Right, count (fun rb -> rb.Report.reclaim_retries));
+              ("violations", Right, fun r -> cell_int (violations r));
             ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
@@ -136,18 +111,19 @@ let to_json ~topology rows : Numa_obs.Json.t =
         List
           (List.map
              (fun r ->
+               let total f = Int (robustness f r) in
                Obj
                  [
                    ("scenario", String r.scenario.name);
                    ("plan", String (Plan.to_string r.scenario.plan));
-                   ("mean_gamma", Float r.mean_gamma);
-                   ("faults_injected", Int r.faults_injected);
-                   ("node_drains", Int r.node_drains);
-                   ("drained_pages", Int r.drained_pages);
-                   ("reclaim_retries", Int r.reclaim_retries);
-                   ("spurious_shootdowns", Int r.spurious_shootdowns);
-                   ("invariant_checks", Int r.invariant_checks);
-                   ("invariant_violations", Int r.invariant_violations);
+                   ("mean_gamma", Float (mean_gamma r));
+                   ("faults_injected", total (fun rb -> rb.Report.faults_injected));
+                   ("node_drains", total (fun rb -> rb.Report.node_drains));
+                   ("drained_pages", total (fun rb -> rb.Report.drained_pages));
+                   ("reclaim_retries", total (fun rb -> rb.Report.reclaim_retries));
+                   ("spurious_shootdowns", total (fun rb -> rb.Report.spurious_shootdowns));
+                   ("invariant_checks", Int (audits fst r));
+                   ("invariant_violations", Int (violations r));
                    ( "apps",
                      List
                        (List.map
@@ -155,9 +131,9 @@ let to_json ~topology rows : Numa_obs.Json.t =
                             Obj
                               [
                                 ("app", String c.app_name);
-                                ("gamma", Float c.gamma);
-                                ("user_s", Float c.user_s);
-                                ("report", Numa_system.Report.to_json c.r);
+                                ("gamma", Float (gamma c));
+                                ("user_s", Float (Report.total_user_s c.r));
+                                ("report", Report.to_json c.r);
                               ])
                           r.cells) );
                  ])

@@ -22,23 +22,15 @@ val default_scenarios : unit -> scenario list
 
 type cell = {
   app_name : string;
-  gamma : float;  (** faulted T_numa over the {e intact} machine's T_local *)
-  user_s : float;
+  t_local : float;  (** the {e intact} machine's T_local for this app *)
   r : Numa_system.Report.t;  (** the faulted run's report *)
 }
 
-type row = {
-  scenario : scenario;
-  cells : cell list;  (** one per app, in app order *)
-  mean_gamma : float;
-  faults_injected : int;
-  node_drains : int;
-  drained_pages : int;
-  reclaim_retries : int;
-  spurious_shootdowns : int;
-  invariant_checks : int;
-  invariant_violations : int;  (** 0 = the protocol stayed coherent *)
-}
+type row = { scenario : scenario; cells : cell list (* one per app, in app order *) }
+
+val gamma : cell -> float
+(** Faulted T_numa over the intact machine's T_local ([nan] when that is
+    not positive). *)
 
 val run :
   ?jobs:int ->
@@ -55,8 +47,9 @@ val run :
 val total_violations : row list -> int
 
 val render : topology:string -> row list -> string
-(** Text table: per-app gamma columns plus fault/drain/reclaim/violation
-    totals, one row per scenario in matrix order. *)
+(** Text table: per-app gamma columns plus the mean gamma and the
+    fault/drain/reclaim/violation totals of each scenario's robustness
+    sections, one row per scenario in matrix order. *)
 
 val to_json : topology:string -> row list -> Numa_obs.Json.t
 (** The JSON artifact: per-scenario robustness totals and per-app gamma,

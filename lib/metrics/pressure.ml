@@ -36,33 +36,8 @@ let squeeze_plan =
   | Ok p -> p
   | Error msg -> invalid_arg ("Pressure.squeeze_plan: " ^ msg)
 
-type cell = {
-  app_name : string;
-  ram_pages : int;
-  footprint_pages : int;
-  time_s : float;
-  slowdown : float;
-  page_ins : int;
-  evictions : int;
-  writebacks_started : int;
-  sync_writebacks : int;
-  oom_faults : int;
-  invariant_violations : int;
-  r : Report.t;
-}
-
-type row = {
-  variant : variant;
-  cells : cell list;
-  mean_slowdown : float;
-  page_ins : int;
-  evictions : int;
-  writebacks_started : int;
-  sync_writebacks : int;
-  oom_faults : int;
-  invariant_checks : int;
-  invariant_violations : int;
-}
+type cell = { app_name : string; baseline : Report.t; r : Report.t }
+type row = { variant : variant; cells : cell list }
 
 (* Pages the run ever gave content: everything the final placement sweep
    does not report as untouched. The ample baseline run never pages, so
@@ -76,36 +51,31 @@ let footprint_of_report (r : Report.t) =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.Report.placement in
   total - untouched
 
-let paging_of_report (r : Report.t) =
-  match r.Report.paging with
-  | Some p -> (p.Report.page_ins, p.Report.evictions, p.Report.writebacks_started,
-               p.Report.sync_writebacks)
-  | None -> (0, 0, 0, 0)
+(* The pool a variant gives an app of this working set. *)
+let ram_pages v ~footprint = max 8 ((footprint + v.ratio - 1) / v.ratio)
 
 (* Slowdown over user + system time: the point of pressure is the kernel
    work it induces (page-ins, writebacks, evictions), all of which is
    charged as system time — a user-time-only gamma would hide the disk. *)
 let run_time_s (r : Report.t) = Report.total_user_s r +. Report.total_system_s r
 
-let cell_of_run app ~baseline ~footprint ~ram (r : Report.t) =
-  let time_s = run_time_s r in
-  let base_s = run_time_s baseline in
-  let page_ins, evictions, writebacks_started, sync_writebacks = paging_of_report r in
-  {
-    app_name = app.Numa_apps.App_sig.name;
-    ram_pages = ram;
-    footprint_pages = footprint;
-    time_s;
-    slowdown = (if base_s > 0. then time_s /. base_s else nan);
-    page_ins;
-    evictions;
-    writebacks_started;
-    sync_writebacks;
-    oom_faults =
-      (match r.Report.robustness with Some rb -> rb.Report.oom_faults | None -> 0);
-    invariant_violations = snd (Sweep.audits r);
-    r;
-  }
+let slowdown c =
+  let time_s = run_time_s c.r in
+  let base_s = run_time_s c.baseline in
+  if base_s > 0. then time_s /. base_s else nan
+
+let paging f c = match c.r.Report.paging with Some p -> f p | None -> 0
+let page_ins = paging (fun p -> p.Report.page_ins)
+let evictions = paging (fun p -> p.Report.evictions)
+let writebacks_started = paging (fun p -> p.Report.writebacks_started)
+let sync_writebacks = paging (fun p -> p.Report.sync_writebacks)
+
+let oom_faults c =
+  match c.r.Report.robustness with Some rb -> rb.Report.oom_faults | None -> 0
+
+let violations c = snd (Sweep.audits c.r)
+
+let total f row = Sweep.sum f row.cells
 
 let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
   let apps = match apps with Some l -> l | None -> Numa_apps.Registry.table4 in
@@ -127,8 +97,7 @@ let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
       apps
   in
   Sweep.grid ?jobs variants (List.combine apps baselines) (fun v (app, baseline) ->
-      let footprint = footprint_of_report baseline in
-      let ram = max 8 ((footprint + v.ratio - 1) / v.ratio) in
+      let ram = ram_pages v ~footprint:(footprint_of_report baseline) in
       let tweak c =
         let c = spec.Runner.config_tweak c in
         { c with Numa_machine.Config.global_pages = ram }
@@ -143,30 +112,19 @@ let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
             victim = v.victim;
           }
       in
-      cell_of_run app ~baseline ~footprint ~ram r)
-  |> List.map (fun (variant, cells) ->
-         let sum f = Sweep.sum f cells in
-         {
-           variant;
-           cells;
-           mean_slowdown = Sweep.mean (List.map (fun c -> c.slowdown) cells);
-           page_ins = sum (fun c -> c.page_ins);
-           evictions = sum (fun c -> c.evictions);
-           writebacks_started = sum (fun c -> c.writebacks_started);
-           sync_writebacks = sum (fun c -> c.sync_writebacks);
-           oom_faults = sum (fun c -> c.oom_faults);
-           invariant_checks = sum (fun c -> fst (Sweep.audits c.r));
-           invariant_violations = sum (fun c -> c.invariant_violations);
-         })
+      { app_name = app.Numa_apps.App_sig.name; baseline; r })
+  |> List.map (fun (variant, cells) -> { variant; cells })
 
-let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
-let total_oom rows = Sweep.sum (fun r -> r.oom_faults) rows
+let mean_slowdown row = Sweep.mean (List.map slowdown row.cells)
+let total_violations rows = Sweep.sum (total violations) rows
+let total_oom rows = Sweep.sum (total oom_faults) rows
 
 let render ~topology rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let slowdown_of i r = Text_table.cell_f2 (List.nth r.cells i).slowdown in
+  let slowdown_of i r = Text_table.cell_f2 (slowdown (List.nth r.cells i)) in
+  let count f r = Text_table.cell_int (total f r) in
   Printf.sprintf
     "Pressure sweep on %s: per-app slowdown against the ample-memory run, \
      at working-set/RAM ratios under both victim policies (ratio/victim \
@@ -179,14 +137,14 @@ let render ~topology rows =
           ((("Pressure", Left, fun r -> variant_name r.variant)
            :: List.mapi (fun i a -> (a, Right, slowdown_of i)) apps)
           @ [
-              ("mean slowdown", Right, fun r -> cell_f2 r.mean_slowdown);
-              ("page-ins", Right, fun r -> cell_int r.page_ins);
-              ("evictions", Right, fun r -> cell_int r.evictions);
+              ("mean slowdown", Right, fun r -> cell_f2 (mean_slowdown r));
+              ("page-ins", Right, count page_ins);
+              ("evictions", Right, count evictions);
               ( "writebacks",
                 Right,
-                fun r -> cell_int (r.writebacks_started + r.sync_writebacks) );
-              ("oom", Right, fun r -> cell_int r.oom_faults);
-              ("violations", Right, fun r -> cell_int r.invariant_violations);
+                fun r -> cell_int (total writebacks_started r + total sync_writebacks r) );
+              ("oom", Right, count oom_faults);
+              ("violations", Right, count violations);
             ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
@@ -200,33 +158,35 @@ let to_json ~topology rows : Numa_obs.Json.t =
         List
           (List.map
              (fun r ->
+               let count f = Int (total f r) in
                Obj
                  [
                    ("variant", String (variant_name r.variant));
                    ("ratio", Int r.variant.ratio);
                    ("victim", String (Numa_vm.Pageout.victim_name r.variant.victim));
                    ("squeeze", Bool r.variant.squeeze);
-                   ("mean_slowdown", Float r.mean_slowdown);
-                   ("page_ins", Int r.page_ins);
-                   ("evictions", Int r.evictions);
-                   ("writebacks_started", Int r.writebacks_started);
-                   ("sync_writebacks", Int r.sync_writebacks);
-                   ("oom_faults", Int r.oom_faults);
-                   ("invariant_checks", Int r.invariant_checks);
-                   ("invariant_violations", Int r.invariant_violations);
+                   ("mean_slowdown", Float (mean_slowdown r));
+                   ("page_ins", count page_ins);
+                   ("evictions", count evictions);
+                   ("writebacks_started", count writebacks_started);
+                   ("sync_writebacks", count sync_writebacks);
+                   ("oom_faults", count oom_faults);
+                   ("invariant_checks", count (fun c -> fst (Sweep.audits c.r)));
+                   ("invariant_violations", count violations);
                    ( "apps",
                      List
                        (List.map
                           (fun c ->
+                            let footprint = footprint_of_report c.baseline in
                             Obj
                               [
                                 ("app", String c.app_name);
-                                ("ram_pages", Int c.ram_pages);
-                                ("footprint_pages", Int c.footprint_pages);
-                                ("time_s", Float c.time_s);
-                                ("slowdown", Float c.slowdown);
-                                ("page_ins", Int c.page_ins);
-                                ("evictions", Int c.evictions);
+                                ("ram_pages", Int (ram_pages r.variant ~footprint));
+                                ("footprint_pages", Int footprint);
+                                ("time_s", Float (run_time_s c.r));
+                                ("slowdown", Float (slowdown c));
+                                ("page_ins", Int (page_ins c));
+                                ("evictions", Int (evictions c));
                                 ("report", Report.to_json c.r);
                               ])
                           r.cells) );

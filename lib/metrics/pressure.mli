@@ -27,31 +27,18 @@ val default_variants : unit -> variant list
 
 type cell = {
   app_name : string;
-  ram_pages : int;  (** the shrunk pool the run got *)
-  footprint_pages : int;  (** working set measured on the ample run *)
-  time_s : float;  (** user + system seconds — pressure's cost is kernel work *)
-  slowdown : float;  (** [time_s] over the ample-memory run's *)
-  page_ins : int;
-  evictions : int;
-  writebacks_started : int;  (** async, from the daemon tick *)
-  sync_writebacks : int;  (** paid inline by evictions of dirty pages *)
-  oom_faults : int;  (** faults the pager could not rescue; 0 = healthy *)
-  invariant_violations : int;
-  r : Numa_system.Report.t;
+  baseline : Numa_system.Report.t;
+      (** the ample-memory run: its placement gives the working set the
+          pool is shrunk from, its time prices the pressure *)
+  r : Numa_system.Report.t;  (** the pressured run *)
 }
 
-type row = {
-  variant : variant;
-  cells : cell list;  (** one per app, in app order *)
-  mean_slowdown : float;
-  page_ins : int;
-  evictions : int;
-  writebacks_started : int;
-  sync_writebacks : int;
-  oom_faults : int;
-  invariant_checks : int;
-  invariant_violations : int;  (** 0 = every audit passed under pressure *)
-}
+type row = { variant : variant; cells : cell list (* one per app, in app order *) }
+
+val slowdown : cell -> float
+(** User + system seconds of the pressured run over the baseline's
+    (pressure's cost is kernel work); [nan] when the baseline's is not
+    positive. *)
 
 val run :
   ?jobs:int ->
@@ -71,9 +58,10 @@ val total_violations : row list -> int
 val total_oom : row list -> int
 
 val render : topology:string -> row list -> string
-(** Text table: per-app slowdown columns plus paging and violation totals,
-    one row per variant in matrix order. *)
+(** Text table: per-app slowdown columns plus the mean slowdown and the
+    paging, OOM and violation totals, one row per variant in matrix
+    order. *)
 
 val to_json : topology:string -> row list -> Numa_obs.Json.t
-(** The whole sweep, including every cell's full report — the artifact the
-    CI smoke job uploads. *)
+(** The whole sweep, including every cell's pool size, working set and
+    full report — the artifact the CI smoke job uploads. *)

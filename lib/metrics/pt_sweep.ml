@@ -14,75 +14,41 @@ let default_variants () =
     (fun topology -> List.map (fun mode -> { mode; topology }) (default_modes ()))
     (default_topologies ())
 
-type cell = {
-  app_name : string;
-  time_s : float;
-  slowdown : float;  (** vs the [Off] run of the same app and topology *)
-  walks : int;
-  walk_levels : int;
-  walk_ns : float;
-  walk_share : float;
-  pte_updates : int;
-  pte_shootdowns : int;
-  replicas_built : int;
-  global_pt_pages : int;
-  tlb_miss_rate : float;
-  invariant_violations : int;
-  r : Report.t;
-}
-
-type row = {
-  variant : variant;
-  cells : cell list;
-  mean_slowdown : float;
-  mean_walk_share : float;
-  walks : int;
-  pte_updates : int;
-  pte_shootdowns : int;
-  replicas_built : int;
-  global_pt_pages : int;
-  invariant_checks : int;
-  invariant_violations : int;
-}
+type cell = { app_name : string; baseline : Report.t; r : Report.t }
+type row = { variant : variant; cells : cell list }
 
 (* User + system time: the walk and shootdown charges are kernel work, so
    a user-time-only slowdown would hide exactly the cost being measured. *)
 let run_time_s (r : Report.t) = Report.total_user_s r +. Report.total_system_s r
 
-let cell_of_run app ~baseline (r : Report.t) =
-  let time_s = run_time_s r in
-  let base_s = run_time_s baseline in
-  let walks, walk_levels, walk_ns, pte_updates, pte_shootdowns, built, global_pt =
-    match r.Report.pt with
-    | Some p ->
-        ( p.Report.walks,
-          p.Report.walk_levels,
-          p.Report.walk_ns,
-          p.Report.pte_updates,
-          p.Report.pte_shootdowns,
-          p.Report.replicas_built,
-          p.Report.global_pt_pages )
-    | None -> (0, 0, 0., 0, 0, 0, 0)
-  in
-  let total_ns = r.Report.total_user_ns +. r.Report.total_system_ns in
-  {
-    app_name = app.Numa_apps.App_sig.name;
-    time_s;
-    slowdown = (if base_s > 0. then time_s /. base_s else nan);
-    walks;
-    walk_levels;
-    walk_ns;
-    walk_share = (if total_ns > 0. then walk_ns /. total_ns else 0.);
-    pte_updates;
-    pte_shootdowns;
-    replicas_built = built;
-    global_pt_pages = global_pt;
-    tlb_miss_rate =
-      (let total = r.Report.tlb_hits + r.Report.tlb_misses in
-       if total = 0 then 0. else float_of_int r.Report.tlb_misses /. float_of_int total);
-    invariant_violations = snd (Sweep.audits r);
-    r;
-  }
+let slowdown c =
+  let time_s = run_time_s c.r in
+  let base_s = run_time_s c.baseline in
+  if base_s > 0. then time_s /. base_s else nan
+
+let pt f zero c = match c.r.Report.pt with Some p -> f p | None -> zero
+let walks = pt (fun p -> p.Report.walks) 0
+let walk_levels = pt (fun p -> p.Report.walk_levels) 0
+let walk_ns = pt (fun p -> p.Report.walk_ns) 0.
+let pte_updates = pt (fun p -> p.Report.pte_updates) 0
+let pte_shootdowns = pt (fun p -> p.Report.pte_shootdowns) 0
+let replicas_built = pt (fun p -> p.Report.replicas_built) 0
+let global_pt_pages = pt (fun p -> p.Report.global_pt_pages) 0
+
+(* Fraction of total time spent walking tables. *)
+let walk_share c =
+  let total_ns = c.r.Report.total_user_ns +. c.r.Report.total_system_ns in
+  if total_ns > 0. then walk_ns c /. total_ns else 0.
+
+(* What makes an app walk-heavy in the first place. *)
+let tlb_miss_rate c =
+  let total = c.r.Report.tlb_hits + c.r.Report.tlb_misses in
+  if total = 0 then 0. else float_of_int c.r.Report.tlb_misses /. float_of_int total
+
+let violations c = snd (Sweep.audits c.r)
+
+let total f row = Sweep.sum f row.cells
+let mean f row = Sweep.mean (List.map f row.cells)
 
 let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
   let apps = match apps with Some l -> l | None -> Numa_apps.Registry.table4 in
@@ -110,30 +76,17 @@ let run ?jobs ?apps ?variants ?(spec = Runner.default_spec) () =
         | Pt.Shared | Pt.Replicated _ ->
             Runner.run app { (on v.topology) with Runner.pt_mode = v.mode; paranoid = true }
       in
-      cell_of_run app ~baseline r)
-  |> List.map (fun (variant, cells) ->
-         let sum f = Sweep.sum f cells in
-         {
-           variant;
-           cells;
-           mean_slowdown = Sweep.mean (List.map (fun c -> c.slowdown) cells);
-           mean_walk_share = Sweep.mean (List.map (fun c -> c.walk_share) cells);
-           walks = sum (fun c -> c.walks);
-           pte_updates = sum (fun c -> c.pte_updates);
-           pte_shootdowns = sum (fun c -> c.pte_shootdowns);
-           replicas_built = sum (fun c -> c.replicas_built);
-           global_pt_pages = sum (fun c -> c.global_pt_pages);
-           invariant_checks = sum (fun c -> fst (Sweep.audits c.r));
-           invariant_violations = sum (fun c -> c.invariant_violations);
-         })
+      { app_name = app.Numa_apps.App_sig.name; baseline; r })
+  |> List.map (fun (variant, cells) -> { variant; cells })
 
-let total_violations rows = Sweep.sum (fun r -> r.invariant_violations) rows
+let total_violations rows = Sweep.sum (total violations) rows
 
 let render rows =
   let apps =
     match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
   in
-  let slowdown_of i r = Text_table.cell_f2 (List.nth r.cells i).slowdown in
+  let slowdown_of i r = Text_table.cell_f2 (slowdown (List.nth r.cells i)) in
+  let count f r = Text_table.cell_int (total f r) in
   Printf.sprintf
     "Page-table sweep: per-app slowdown against the free-translation run \
      of the same topology (mode/topology rows). Walk share is the fraction \
@@ -148,12 +101,14 @@ let render rows =
           ((("PT mode", Left, fun r -> variant_name r.variant)
            :: List.mapi (fun i a -> (a, Right, slowdown_of i)) apps)
           @ [
-              ("mean slowdown", Right, fun r -> cell_f2 r.mean_slowdown);
-              ("walk share", Right, fun r -> Printf.sprintf "%.1f%%" (100. *. r.mean_walk_share));
-              ("walks", Right, fun r -> cell_int r.walks);
-              ("shootdowns", Right, fun r -> cell_int r.pte_shootdowns);
-              ("replicas", Right, fun r -> cell_int r.replicas_built);
-              ("violations", Right, fun r -> cell_int r.invariant_violations);
+              ("mean slowdown", Right, fun r -> cell_f2 (mean slowdown r));
+              ( "walk share",
+                Right,
+                fun r -> Printf.sprintf "%.1f%%" (100. *. mean walk_share r) );
+              ("walks", Right, count walks);
+              ("shootdowns", Right, count pte_shootdowns);
+              ("replicas", Right, count replicas_built);
+              ("violations", Right, count violations);
             ]))
 
 let to_json rows : Numa_obs.Json.t =
@@ -165,20 +120,21 @@ let to_json rows : Numa_obs.Json.t =
         List
           (List.map
              (fun r ->
+               let count f = Int (total f r) in
                Obj
                  [
                    ("variant", String (variant_name r.variant));
                    ("mode", String (Pt.mode_to_string r.variant.mode));
                    ("topology", String r.variant.topology);
-                   ("mean_slowdown", Float r.mean_slowdown);
-                   ("mean_walk_share", Float r.mean_walk_share);
-                   ("walks", Int r.walks);
-                   ("pte_updates", Int r.pte_updates);
-                   ("pte_shootdowns", Int r.pte_shootdowns);
-                   ("replicas_built", Int r.replicas_built);
-                   ("global_pt_pages", Int r.global_pt_pages);
-                   ("invariant_checks", Int r.invariant_checks);
-                   ("invariant_violations", Int r.invariant_violations);
+                   ("mean_slowdown", Float (mean slowdown r));
+                   ("mean_walk_share", Float (mean walk_share r));
+                   ("walks", count walks);
+                   ("pte_updates", count pte_updates);
+                   ("pte_shootdowns", count pte_shootdowns);
+                   ("replicas_built", count replicas_built);
+                   ("global_pt_pages", count global_pt_pages);
+                   ("invariant_checks", count (fun c -> fst (Sweep.audits c.r)));
+                   ("invariant_violations", count violations);
                    ( "apps",
                      List
                        (List.map
@@ -186,16 +142,16 @@ let to_json rows : Numa_obs.Json.t =
                             Obj
                               [
                                 ("app", String c.app_name);
-                                ("time_s", Float c.time_s);
-                                ("slowdown", Float c.slowdown);
-                                ("walks", Int c.walks);
-                                ("walk_levels", Int c.walk_levels);
-                                ("walk_ns", Float c.walk_ns);
-                                ("walk_share", Float c.walk_share);
-                                ("tlb_miss_rate", Float c.tlb_miss_rate);
-                                ("pte_updates", Int c.pte_updates);
-                                ("pte_shootdowns", Int c.pte_shootdowns);
-                                ("replicas_built", Int c.replicas_built);
+                                ("time_s", Float (run_time_s c.r));
+                                ("slowdown", Float (slowdown c));
+                                ("walks", Int (walks c));
+                                ("walk_levels", Int (walk_levels c));
+                                ("walk_ns", Float (walk_ns c));
+                                ("walk_share", Float (walk_share c));
+                                ("tlb_miss_rate", Float (tlb_miss_rate c));
+                                ("pte_updates", Int (pte_updates c));
+                                ("pte_shootdowns", Int (pte_shootdowns c));
+                                ("replicas_built", Int (replicas_built c));
                                 ("report", Report.to_json c.r);
                               ])
                           r.cells) );

@@ -35,34 +35,16 @@ val default_variants : unit -> variant list
 
 type cell = {
   app_name : string;
-  time_s : float;  (** user + system seconds — walks are kernel work *)
-  slowdown : float;  (** vs the [Off] run of the same app and topology *)
-  walks : int;
-  walk_levels : int;
-  walk_ns : float;
-  walk_share : float;  (** fraction of total time spent walking tables *)
-  pte_updates : int;
-  pte_shootdowns : int;
-  replicas_built : int;
-  global_pt_pages : int;  (** table pages that fell back to the shared level *)
-  tlb_miss_rate : float;  (** what makes an app walk-heavy in the first place *)
-  invariant_violations : int;
-  r : Numa_system.Report.t;
+  baseline : Numa_system.Report.t;
+      (** the free-translation ([Off]) run of the same app and topology *)
+  r : Numa_system.Report.t;  (** the variant's run; [baseline] itself for [Off] *)
 }
 
-type row = {
-  variant : variant;
-  cells : cell list;  (** one per app, in app order *)
-  mean_slowdown : float;
-  mean_walk_share : float;
-  walks : int;
-  pte_updates : int;
-  pte_shootdowns : int;
-  replicas_built : int;
-  global_pt_pages : int;
-  invariant_checks : int;
-  invariant_violations : int;  (** 0 = every audit passed while tables churned *)
-}
+type row = { variant : variant; cells : cell list (* one per app, in app order *) }
+
+val slowdown : cell -> float
+(** User + system seconds over the baseline's (walks are kernel work);
+    [nan] when the baseline's is not positive. *)
 
 val run :
   ?jobs:int ->
@@ -82,8 +64,10 @@ val run :
 val total_violations : row list -> int
 
 val render : row list -> string
-(** Text table: per-app slowdown columns plus walk-share, walk, shootdown
-    and violation totals, one row per variant in matrix order. *)
+(** Text table: per-app slowdown columns plus the mean slowdown, the mean
+    walk share (fraction of total time spent walking tables) and the
+    walk, shootdown, replica and violation totals, one row per variant in
+    matrix order. *)
 
 val to_json : row list -> Numa_obs.Json.t
 (** The whole sweep, including every cell's full report — the artifact the

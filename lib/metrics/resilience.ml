@@ -70,17 +70,7 @@ let scenarios () =
     { scenario = "frame-squeeze"; plan = frame_squeeze_plan };
   ]
 
-type cell = {
-  config : string;
-  scenario_name : string;
-  res : Report.resilience;
-  serving : Report.serving;
-  invariant_checks : int;
-  invariant_violations : int;
-  user_s : float;
-  r : Report.t;
-}
-
+type cell = { config : string; scenario_name : string; r : Report.t }
 type row = { name : string; cells : cell list (* one per config, slate order *) }
 
 let plan_of_string s =
@@ -90,22 +80,14 @@ let plan_of_string s =
     | Ok p -> p
     | Error msg -> invalid_arg ("Resilience sweep: bad plan: " ^ msg)
 
-let resilience_of (r : Report.t) ~config ~scenario =
-  match r.Report.resilience with
+(* The run's resilience section, which [run] checks every cell has. *)
+let res c =
+  match c.r.Report.resilience with
   | Some res -> res
   | None ->
       invalid_arg
-        (Printf.sprintf
-           "Resilience sweep: run %s/%s produced no resilience section" scenario
-           config)
-
-let serving_of (r : Report.t) ~config ~scenario =
-  match r.Report.serving with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Resilience sweep: run %s/%s produced no serving section"
-           scenario config)
+        (Printf.sprintf "Resilience sweep: run %s/%s produced no resilience section"
+           c.scenario_name c.config)
 
 let run ?jobs ?(spec = Runner.default_spec) () =
   let spec =
@@ -123,22 +105,14 @@ let run ?jobs ?(spec = Runner.default_spec) () =
       let resilience = R.make ~deadline_us ?retry:c.retry ?hedge:c.hedge ?breaker:c.breaker () in
       let app = Numa_apps.Serve.make ~arrival:(arrival ()) ~resilience () in
       let r = Runner.run app { spec with Runner.faults = plan_of_string sc.plan } in
-      let invariant_checks, invariant_violations = Sweep.audits r in
-      {
-        config = c.label;
-        scenario_name = sc.scenario;
-        res = resilience_of r ~config:c.label ~scenario:sc.scenario;
-        serving = serving_of r ~config:c.label ~scenario:sc.scenario;
-        invariant_checks;
-        invariant_violations;
-        user_s = Report.total_user_s r;
-        r;
-      })
+      let cell = { config = c.label; scenario_name = sc.scenario; r } in
+      ignore (res cell);
+      cell)
   |> List.map (fun (sc, cells) -> { name = sc.scenario; cells })
 
 let all_cells rows = List.concat_map (fun row -> row.cells) rows
 
-let violations c = c.invariant_violations + c.res.Report.conservation_violations
+let violations c = snd (Sweep.audits c.r) + (res c).Report.conservation_violations
 let total_violations rows = Sweep.sum violations (all_cells rows)
 
 let find_cell rows ~scenario ~config =
@@ -150,8 +124,8 @@ let find_cell rows ~scenario ~config =
    "recovered" column; [None] without a positive intact goodput. *)
 let vs_intact rows c =
   match find_cell rows ~scenario:"intact" ~config:c.config with
-  | Some i when i.res.Report.goodput_rps > 0. ->
-      Some (c.res.Report.goodput_rps /. i.res.Report.goodput_rps)
+  | Some i when (res i).Report.goodput_rps > 0. ->
+      Some ((res c).Report.goodput_rps /. (res i).Report.goodput_rps)
   | Some _ | None -> None
 
 type gate = {
@@ -166,7 +140,7 @@ type gate = {
 let node_offline_gate rows =
   let goodput config =
     match find_cell rows ~scenario:"node-offline" ~config with
-    | Some c -> c.res.Report.goodput_rps
+    | Some c -> (res c).Report.goodput_rps
     | None -> nan
   in
   let base = goodput "no-resilience" in
@@ -183,7 +157,7 @@ let retries_started (res : Report.resilience) =
   max 0 (total - firsts - res.Report.hedges)
 
 let render rows =
-  let res f c = Text_table.cell_int (f c.res) in
+  let count f c = Text_table.cell_int (f (res c)) in
   let gate = node_offline_gate rows in
   Printf.sprintf
     "Resilience sweep: %d shard workers at 11k req/s open-loop, %d us deadline, \
@@ -200,20 +174,22 @@ let render rows =
           [
             ("Scenario", Left, fun c -> c.scenario_name);
             ("Config", Left, fun c -> c.config);
-            ("SLO %", Right, fun c -> Printf.sprintf "%.1f" c.res.Report.slo_pct);
-            ("goodput/s", Right, fun c -> Printf.sprintf "%.0f" c.res.Report.goodput_rps);
+            ("SLO %", Right, fun c -> Printf.sprintf "%.1f" (res c).Report.slo_pct);
+            ("goodput/s", Right, fun c -> Printf.sprintf "%.0f" (res c).Report.goodput_rps);
             ( "vs intact",
               Right,
               fun c ->
                 match vs_intact rows c with Some x -> Printf.sprintf "%.2fx" x | None -> "-" );
-            ("timeouts", Right, res (fun r -> r.Report.timeouts));
-            ("retries", Right, res retries_started);
+            ("timeouts", Right, count (fun r -> r.Report.timeouts));
+            ("retries", Right, count retries_started);
             ( "hedges (wins)",
               Right,
-              fun c -> Printf.sprintf "%d (%d)" c.res.Report.hedges c.res.Report.hedge_wins );
-            ("shed", Right, res (fun r -> r.Report.shed));
-            ("opens", Right, res (fun r -> r.Report.breaker_opens));
-            ("failovers", Right, res (fun r -> r.Report.shard_failovers));
+              fun c ->
+                let s = res c in
+                Printf.sprintf "%d (%d)" s.Report.hedges s.Report.hedge_wins );
+            ("shed", Right, count (fun r -> r.Report.shed));
+            ("opens", Right, count (fun r -> r.Report.breaker_opens));
+            ("failovers", Right, count (fun r -> r.Report.shard_failovers));
             ("violations", Right, fun c -> cell_int (violations c));
           ])
 
@@ -225,12 +201,12 @@ let to_json rows : Numa_obs.Json.t =
       [
         ("config", String c.config);
         ("scenario", String c.scenario_name);
-        ("resilience", Report.resilience_to_json c.res);
+        ("resilience", Report.resilience_to_json (res c));
         ( "goodput_vs_intact",
           match vs_intact rows c with Some x -> Float x | None -> Null );
-        ("user_s", Float c.user_s);
-        ("invariant_checks", Int c.invariant_checks);
-        ("invariant_violations", Int c.invariant_violations);
+        ("user_s", Float (Report.total_user_s c.r));
+        ("invariant_checks", Int (fst (Sweep.audits c.r)));
+        ("invariant_violations", Int (snd (Sweep.audits c.r)));
         ("report", Report.to_json c.r);
       ]
   in

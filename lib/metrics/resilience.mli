@@ -27,12 +27,7 @@ val configs : unit -> mechanisms list
 type cell = {
   config : string;  (** {!mechanisms} label *)
   scenario_name : string;
-  res : Numa_system.Report.resilience;
-  serving : Numa_system.Report.serving;
-  invariant_checks : int;
-  invariant_violations : int;
-  user_s : float;
-  r : Numa_system.Report.t;
+  r : Numa_system.Report.t;  (** carries a [resilience] section *)
 }
 
 type row = { name : string; cells : cell list (* one per config, slate order *) }

@@ -24,45 +24,25 @@ let offline_plan () =
   | Ok plan -> plan
   | Error msg -> invalid_arg ("Serve_sweep.offline_plan: " ^ msg)
 
-type cell = {
-  policy : Sys_.policy_spec;
-  faulted : bool;  (** ran under {!offline_plan}, not fault-free *)
-  serving : Report.serving;
-  user_s : float;
-  invariant_checks : int;
-  invariant_violations : int;
-  r : Report.t;
-}
+type cell = { policy : Sys_.policy_spec; faulted : bool; r : Report.t }
+type row = { topology : string; cells : cell list; offline : cell }
 
-type row = {
-  topology : string;
-  cells : cell list;  (** one per policy, fault-free, in slate order *)
-  offline : cell;  (** the default policy with node 1 offlined mid-warmup *)
-  p99_spread : float;
-      (** worst over best fault-free p99 — the tail-latency gap placement
-          policy alone opens on this machine *)
-}
-
-let serving_of_report ~policy (r : Report.t) =
-  match r.Report.serving with
+let serving c =
+  match c.r.Report.serving with
   | Some s -> s
   | None ->
       invalid_arg
         (Printf.sprintf
            "Serve_sweep: run under %s produced no serving section (not a serve app?)"
-           (Sys_.policy_spec_name policy))
+           (Sys_.policy_spec_name c.policy))
 
-let cell_of_run ~policy ~faulted (r : Report.t) =
-  let invariant_checks, invariant_violations = Sweep.audits r in
-  {
-    policy;
-    faulted;
-    serving = serving_of_report ~policy r;
-    user_s = Report.total_user_s r;
-    invariant_checks;
-    invariant_violations;
-    r;
-  }
+let p99_spread row =
+  let p99s = List.map (fun c -> float_of_int (serving c).Report.p99_us) row.cells in
+  let best = List.fold_left Float.min infinity p99s in
+  let worst = List.fold_left Float.max 0. p99s in
+  if best > 0. then worst /. best else nan
+
+let violations c = snd (Sweep.audits c.r)
 
 let run ?jobs ?app ?policies ?topologies ?(spec = Runner.default_spec) () =
   let app = match app with Some a -> a | None -> Numa_apps.Serve.app in
@@ -91,19 +71,17 @@ let run ?jobs ?app ?policies ?topologies ?(spec = Runner.default_spec) () =
             paranoid = true;
           }
       in
-      cell_of_run ~policy ~faulted r)
+      let c = { policy; faulted; r } in
+      ignore (serving c);
+      c)
   |> List.map (fun (topology, mine) ->
          let cells = List.filter (fun c -> not c.faulted) mine in
-         let offline = List.find (fun c -> c.faulted) mine in
-         let p99s = List.map (fun c -> float_of_int c.serving.Report.p99_us) cells in
-         let best = List.fold_left Float.min infinity p99s in
-         let worst = List.fold_left Float.max 0. p99s in
-         { topology; cells; offline; p99_spread = (if best > 0. then worst /. best else nan) })
+         { topology; cells; offline = List.find (fun c -> c.faulted) mine })
 
 let all_cells rows =
   List.concat_map (fun row -> row.cells @ [ row.offline ]) rows
 
-let total_violations rows = Sweep.sum (fun c -> c.invariant_violations) (all_cells rows)
+let total_violations rows = Sweep.sum violations (all_cells rows)
 
 let cell_label c =
   Sys_.policy_spec_name c.policy ^ if c.faulted then " +node-offline" else ""
@@ -112,10 +90,10 @@ let render ~scale rows =
   let spreads =
     String.concat ", "
       (List.map
-         (fun row -> Printf.sprintf "%s %.1fx" row.topology row.p99_spread)
+         (fun row -> Printf.sprintf "%s %.1fx" row.topology (p99_spread row))
          rows)
   in
-  let latency f (_, c) = Text_table.cell_int (f c.serving) in
+  let latency f (_, c) = Text_table.cell_int (f (serving c)) in
   Printf.sprintf
     "Serve sweep at scale %g: open-loop request latency (microseconds) per \
      placement policy and machine; identical offered load in every cell, so \
@@ -131,7 +109,9 @@ let render ~scale rows =
           [
             ("Topology", Left, fst);
             ("Policy", Left, fun (_, c) -> cell_label c);
-            ("mean us", Right, fun (_, c) -> Printf.sprintf "%.1f" c.serving.Report.mean_us);
+            ( "mean us",
+              Right,
+              fun (_, c) -> Printf.sprintf "%.1f" (serving c).Report.mean_us );
             ("p50", Right, latency (fun s -> s.Report.p50_us));
             ("p95", Right, latency (fun s -> s.Report.p95_us));
             ("p99", Right, latency (fun s -> s.Report.p99_us));
@@ -140,8 +120,8 @@ let render ~scale rows =
             ("queue p99", Right, latency (fun s -> s.Report.queue_p99_us));
             ( "req/s",
               Right,
-              fun (_, c) -> Printf.sprintf "%.0f" c.serving.Report.throughput_rps );
-            ("violations", Right, fun (_, c) -> cell_int c.invariant_violations);
+              fun (_, c) -> Printf.sprintf "%.0f" (serving c).Report.throughput_rps );
+            ("violations", Right, fun (_, c) -> cell_int (violations c));
           ])
 
 let serving_to_json (s : Report.serving) : Numa_obs.Json.t =
@@ -167,10 +147,10 @@ let to_json rows : Numa_obs.Json.t =
       [
         ("policy", String (Sys_.policy_spec_name c.policy));
         ("faulted", Bool c.faulted);
-        ("user_s", Float c.user_s);
-        ("latency", serving_to_json c.serving);
-        ("invariant_checks", Int c.invariant_checks);
-        ("invariant_violations", Int c.invariant_violations);
+        ("user_s", Float (Report.total_user_s c.r));
+        ("latency", serving_to_json (serving c));
+        ("invariant_checks", Int (fst (Sweep.audits c.r)));
+        ("invariant_violations", Int (violations c));
         ("report", Report.to_json c.r);
       ]
   in
@@ -184,7 +164,7 @@ let to_json rows : Numa_obs.Json.t =
                Obj
                  [
                    ("topology", String row.topology);
-                   ("p99_spread", Float row.p99_spread);
+                   ("p99_spread", Float (p99_spread row));
                    ("policies", List (List.map cell_json row.cells));
                    ("node_offline", cell_json row.offline);
                  ])

@@ -25,10 +25,6 @@ val offline_plan : unit -> Numa_faults.Plan.t
 type cell = {
   policy : Numa_system.System.policy_spec;
   faulted : bool;  (** ran under {!offline_plan}, not fault-free *)
-  serving : Numa_system.Report.serving;
-  user_s : float;
-  invariant_checks : int;
-  invariant_violations : int;  (** 0 = the protocol stayed coherent *)
   r : Numa_system.Report.t;
 }
 
@@ -36,10 +32,15 @@ type row = {
   topology : string;
   cells : cell list;  (** one per policy, fault-free, in slate order *)
   offline : cell;  (** the default policy with node 1 offlined mid-warmup *)
-  p99_spread : float;
-      (** worst over best fault-free p99 — the tail-latency gap placement
-          policy alone opens on this machine *)
 }
+
+val serving : cell -> Numa_system.Report.serving
+(** The run's serving section; [Invalid_argument] naming the policy if
+    the run has none (not a serve app). *)
+
+val p99_spread : row -> float
+(** Worst over best fault-free p99 — the tail-latency gap placement
+    policy alone opens on this machine. *)
 
 val run :
   ?jobs:int ->

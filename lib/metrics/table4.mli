@@ -2,21 +2,20 @@
     all-global runs on 7 processors, and the NUMA-management overhead
     Delta-S / T_numa. *)
 
-type row = {
-  app_name : string;
-  s_numa : float;  (** seconds of system time, policy run *)
-  s_global : float;  (** seconds of system time, all-global run *)
-  delta_s : float option;  (** [None] when negative (the paper's "na") *)
-  t_numa : float;
-  overhead_pct : float;
-}
+val of_measurements : Runner.measurement list -> Runner.measurement list
+(** Table 4 is computed from the same runs as Table 3: the measurements
+    of the five Table-4 programs, in order (others are filtered by
+    name). *)
 
-val of_measurements : Table3.row list -> row list
-(** Table 4 is computed from the same runs as Table 3; pass the rows for
-    the five Table-4 programs (others are filtered by name). *)
+val run : ?spec:Runner.run_spec -> unit -> Runner.measurement list
+(** Standalone: measure the five Table-4 programs. *)
 
-val run : ?spec:Runner.run_spec -> unit -> row list
-(** Standalone: run the five Table-4 programs and derive the rows. *)
+val delta_s : Runner.measurement -> float option
+(** System seconds of the numa run over the all-global run's; [None]
+    when not positive (the paper's "na"). *)
 
-val render : row list -> string
-val render_comparison : row list -> string
+val overhead_pct : Runner.measurement -> float
+(** {!delta_s} as a percentage of T_numa; 0 when {!delta_s} is [None]. *)
+
+val render : Runner.measurement list -> string
+val render_comparison : Runner.measurement list -> string

@@ -1,22 +1,22 @@
 open Numa_util
 module Sys_ = Numa_system.System
+module Report = Numa_system.Report
 
-type cell = { app_name : string; m : Runner.measurement }
+type row = { policy : Sys_.policy_spec; cells : Runner.measurement list }
 
-type row = {
-  policy : Sys_.policy_spec;
-  cells : cell list;
-  mean_gamma : float;
-  mean_alpha : float;
-  mean_beta : float;
-  total_moves : int;
-  total_pins : int;
-}
+let each f row = List.map f row.cells
+let mean_gamma row = Sweep.mean (each (fun m -> m.Runner.gamma) row)
 
 (* Mean over the cells where the paper would print a number at all;
    ParMult-style apps with no writable sharing make alpha "na" (nan), and
    one nan would otherwise poison the whole policy's column. *)
-let mean_defined xs = Sweep.mean (List.filter (fun x -> not (Float.is_nan x)) xs)
+let mean_alpha row =
+  Sweep.mean (List.filter (fun x -> not (Float.is_nan x)) (each (fun m -> m.Runner.alpha) row))
+
+let mean_beta row = Sweep.mean (each (fun m -> m.Runner.beta) row)
+let total f row = Sweep.sum (fun m -> f m.Runner.r_numa) row.cells
+let total_moves = total (fun r -> r.Report.numa_moves)
+let total_pins = total (fun r -> r.Report.pins)
 
 let run ?jobs ?policies ?apps ?(spec = Runner.default_spec) () =
   let policies = match policies with Some l -> l | None -> Sys_.builtin_policy_specs in
@@ -26,31 +26,18 @@ let run ?jobs ?policies ?apps ?(spec = Runner.default_spec) () =
   (* Fan the full policy x app product through the domain pool at once:
      the matrix is embarrassingly parallel and the long pole is whichever
      single measurement is slowest, not whichever policy is. *)
-  Sweep.grid ?jobs policies apps (fun p app ->
-      let m = Runner.measure app { spec with Runner.policy = p } in
-      { app_name = m.Runner.app_name; m })
-  |> List.map (fun (policy, cells) ->
-         let each f = List.map (fun c -> f c.m) cells in
-         let sum f = Sweep.sum (fun c -> f c.m.Runner.r_numa) cells in
-         {
-           policy;
-           cells;
-           mean_gamma = Sweep.mean (each (fun m -> m.Runner.gamma));
-           mean_alpha = mean_defined (each (fun m -> m.Runner.alpha));
-           mean_beta = Sweep.mean (each (fun m -> m.Runner.beta));
-           total_moves = sum (fun r -> r.Numa_system.Report.numa_moves);
-           total_pins = sum (fun r -> r.Numa_system.Report.pins);
-         })
+  Sweep.grid ?jobs policies apps (fun p app -> Runner.measure app { spec with Runner.policy = p })
+  |> List.map (fun (policy, cells) -> { policy; cells })
   (* Best policy first: gamma is the user-time expansion over all-local
      (equation 1), so smaller is better. The sort is stable, so ties keep
      registration order. *)
-  |> List.stable_sort (fun a b -> Float.compare a.mean_gamma b.mean_gamma)
+  |> List.stable_sort (fun a b -> Float.compare (mean_gamma a) (mean_gamma b))
 
 let render ~topology rows =
   let apps =
-    match rows with [] -> [] | r :: _ -> List.map (fun c -> c.app_name) r.cells
+    match rows with [] -> [] | r :: _ -> each (fun m -> m.Runner.app_name) r
   in
-  let gamma_of i r = Text_table.cell_f2 (List.nth r.cells i).m.Runner.gamma in
+  let gamma_of i r = Text_table.cell_f2 (List.nth r.cells i).Runner.gamma in
   Printf.sprintf
     "Policy tournament on %s: per-app and mean gamma (T_numa/T_local; 1.00 is \
      all-local speed, smaller is better), best policy first\n%s"
@@ -61,13 +48,15 @@ let render ~topology rows =
           ((("Policy", Left, fun r -> Sys_.policy_spec_name r.policy)
            :: List.mapi (fun i a -> (a, Right, gamma_of i)) apps)
           @ [
-              ("mean gamma", Right, fun r -> cell_f2 r.mean_gamma);
+              ("mean gamma", Right, fun r -> cell_f2 (mean_gamma r));
               ( "mean alpha",
                 Right,
-                fun r -> if Float.is_nan r.mean_alpha then "na" else cell_f2 r.mean_alpha );
-              ("mean beta", Right, fun r -> cell_f2 r.mean_beta);
-              ("moves", Right, fun r -> cell_int r.total_moves);
-              ("pins", Right, fun r -> cell_int r.total_pins);
+                fun r ->
+                  let a = mean_alpha r in
+                  if Float.is_nan a then "na" else cell_f2 a );
+              ("mean beta", Right, fun r -> cell_f2 (mean_beta r));
+              ("moves", Right, fun r -> cell_int (total_moves r));
+              ("pins", Right, fun r -> cell_int (total_pins r));
             ]))
 
 let to_json ~topology rows : Numa_obs.Json.t =
@@ -82,28 +71,26 @@ let to_json ~topology rows : Numa_obs.Json.t =
                Obj
                  [
                    ("policy", String (Sys_.policy_spec_name r.policy));
-                   ("mean_gamma", Float r.mean_gamma);
-                   ("mean_alpha", Float r.mean_alpha);
-                   ("mean_beta", Float r.mean_beta);
-                   ("total_moves", Int r.total_moves);
-                   ("total_pins", Int r.total_pins);
+                   ("mean_gamma", Float (mean_gamma r));
+                   ("mean_alpha", Float (mean_alpha r));
+                   ("mean_beta", Float (mean_beta r));
+                   ("total_moves", Int (total_moves r));
+                   ("total_pins", Int (total_pins r));
                    ( "apps",
                      List
-                       (List.map
-                          (fun c ->
-                            let m = c.m in
+                       (each
+                          (fun m ->
                             Obj
                               [
-                                ("app", String c.app_name);
+                                ("app", String m.Runner.app_name);
                                 ("gamma", Float m.Runner.gamma);
                                 ("alpha", Float m.Runner.alpha);
                                 ("beta", Float m.Runner.beta);
                                 ("times", Runner.times_to_json m.Runner.times);
-                                ( "moves",
-                                  Int m.Runner.r_numa.Numa_system.Report.numa_moves );
-                                ("pins", Int m.Runner.r_numa.Numa_system.Report.pins);
+                                ("moves", Int m.Runner.r_numa.Report.numa_moves);
+                                ("pins", Int m.Runner.r_numa.Report.pins);
                               ])
-                          r.cells) );
+                          r) );
                  ])
              rows) );
     ]

@@ -7,19 +7,13 @@
     (gamma/alpha/beta) rather than raw times. The whole matrix fans out
     through {!Parallel.map}. *)
 
-type cell = { app_name : string; m : Runner.measurement }
-
 type row = {
   policy : Numa_system.System.policy_spec;
-  cells : cell list;  (** one per app, in app order *)
-  mean_gamma : float;  (** arithmetic mean of per-app gamma (equation 1) *)
-  mean_alpha : float;
-      (** mean over the apps where alpha is meaningful; [nan] when it is
-          meaningful nowhere *)
-  mean_beta : float;
-  total_moves : int;  (** sum of NUMA page moves across the T_numa runs *)
-  total_pins : int;  (** sum of pages left pinned across the T_numa runs *)
+  cells : Runner.measurement list;  (** one per app, in app order *)
 }
+
+val mean_gamma : row -> float
+(** Arithmetic mean of per-app gamma (equation 1). *)
 
 val run :
   ?jobs:int ->
@@ -37,7 +31,9 @@ val run :
 
 val render : topology:string -> row list -> string
 (** Text comparison table: per-app gamma columns plus the
-    mean-gamma/alpha/beta and move/pin totals, best policy first. *)
+    mean-gamma/alpha/beta and the move/pin totals of the T_numa runs,
+    best policy first. Mean alpha is over the apps where alpha is
+    meaningful, ["na"] when it is meaningful nowhere. *)
 
 val to_json : topology:string -> row list -> Numa_obs.Json.t
 (** The JSON artifact: per-policy summaries with per-app
