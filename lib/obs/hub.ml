@@ -7,7 +7,6 @@ let create () = { sinks = []; clock = (fun () -> 0.) }
 let enabled t = t.sinks <> []
 
 let set_clock t f = t.clock <- f
-let now t = t.clock ()
 
 let attach t ~name handle = t.sinks <- t.sinks @ [ { sink_name = name; handle } ]
 

@@ -22,8 +22,6 @@ val enabled : t -> bool
 val set_clock : t -> (unit -> float) -> unit
 (** Install the virtual-time source (the engine's [now]). *)
 
-val now : t -> float
-
 val attach : t -> name:string -> (ts:float -> Event.t -> unit) -> unit
 (** Add a sink; sinks run in attachment order on every event. *)
 

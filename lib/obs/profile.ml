@@ -231,7 +231,6 @@ let lock_released t ~lock_id =
 
 (* --- conservation ------------------------------------------------------- *)
 
-let busy_ns t ~cpu = t.busy.(cpu)
 let attributed_ns t ~cpu = t.busy.(cpu) +. t.idle.(cpu)
 
 let finalize t ~elapsed_ns =

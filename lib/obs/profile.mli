@@ -113,7 +113,6 @@ val lock_released : t -> lock_id:int -> unit
 
 (** {1 Conservation} *)
 
-val busy_ns : t -> cpu:int -> float
 val attributed_ns : t -> cpu:int -> float
 (** Busy + idle: must equal the engine's clock for that CPU. *)
 

@@ -201,28 +201,3 @@ let to_csv t =
 let save_csv t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_csv t))
-
-let row_to_json r =
-  Json.Obj
-    [
-      ("epoch", Json.Int r.epoch);
-      ("t_start_ns", Json.Float r.t_start_ns);
-      ("refs", Json.Int r.refs);
-      ("local_refs", Json.Int r.local_refs);
-      ("global_refs", Json.Int r.global_refs);
-      ("remote_refs", Json.Int r.remote_refs);
-      ("alpha", Json.Float r.alpha);
-      ("bus_words", Json.Int r.bus_words);
-      ("bus_delay_ns", Json.Float r.bus_delay_ns);
-      ("moves", Json.Int r.moves);
-      ("pins", Json.Int r.pins);
-      ("copies", Json.Int r.copies);
-      ("flushes", Json.Int r.flushes);
-      ("syncs", Json.Int r.syncs);
-      ("fallbacks", Json.Int r.fallbacks);
-      ("live_replicas", Json.Int r.live_replicas);
-      ("move_mean", Json.Float r.move_mean);
-      ("move_p99", Json.Int r.move_p99);
-    ]
-
-let to_json t = Json.List (List.map row_to_json (rows t))

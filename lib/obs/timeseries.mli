@@ -7,8 +7,7 @@
     summary (mean, p99 via {!Numa_util.Histogram.percentile}) of the
     cumulative move counts carried by that epoch's move events.
 
-    This is the "BENCH trajectory" substrate: CSV out for plotting, JSON
-    out for machine consumption. *)
+    Rows come out as CSV for plotting ([numa_sim run --metrics-out]). *)
 
 type row = {
   epoch : int;
@@ -48,5 +47,3 @@ val rows : t -> row list
 val csv_header : string
 val to_csv : t -> string
 val save_csv : t -> string -> unit
-val row_to_json : row -> Json.t
-val to_json : t -> Json.t
