@@ -131,11 +131,9 @@ type t = {
   bus : Bus.t;
   engine : Engine.t;
   cost : Memory_iface.cost;  (** where [do_access] leaves each access's costs for the engine *)
-  mutable tasks : Numa_vm.Task.t list;  (** additional tasks beyond the default *)
   mutable next_task_id : int;
   mutable regions : region list;
   mutable next_obj_id : int;
-  mutable n_threads : int;
   mutable locks : Sync.lock list;
   refs_all : Report.ref_counts;
   refs_writable : Report.ref_counts;
@@ -648,11 +646,9 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
       bus;
       engine;
       cost;
-      tasks = [];
       next_task_id = 1;
       regions = [];
       next_obj_id = 0;
-      n_threads = 0;
       locks = [];
       refs_all = Report.zero_counts ();
       refs_writable = Report.zero_counts ();
@@ -758,7 +754,6 @@ let alloc_region t ?pragma ?task ~name ~kind ~sharing ~pages () =
 let create_task t ~name =
   let task = Numa_vm.Task.create ~ops:t.ops ~id:t.next_task_id ~name in
   t.next_task_id <- t.next_task_id + 1;
-  t.tasks <- task :: t.tasks;
   task
 
 let map_shared t ?pragma ~into source_region =
@@ -788,7 +783,7 @@ let make_barrier t ~name ~parties =
   Engine.make_barrier t.engine ~vpage:r.base_vpage ~parties
 
 let spawn t ?cpu ?task ?(stack_pages = 1) ~name body =
-  let tid_guess = t.n_threads in
+  let tid_guess = Engine.n_threads t.engine in
   let stack =
     alloc_region t ?task
       ~name:(Printf.sprintf "%s.stack" name)
@@ -801,7 +796,6 @@ let spawn t ?cpu ?task ?(stack_pages = 1) ~name body =
   in
   t.tasks_by_tid <- grown t.tasks_by_tid (tid + 1) t.task;
   t.tasks_by_tid.(tid) <- Option.value task ~default:t.task;
-  t.n_threads <- t.n_threads + 1;
   assert (tid = tid_guess);
   tid
 
@@ -836,7 +830,7 @@ let run t =
     {
       Report.policy_name = pol.Policy.name;
       n_cpus;
-      n_threads = t.n_threads;
+      n_threads = Engine.n_threads t.engine;
       user_ns_per_cpu = Array.init n_cpus (fun cpu -> Engine.user_ns t.engine ~cpu);
       system_ns_per_cpu = Array.init n_cpus (fun cpu -> Engine.system_ns t.engine ~cpu);
       total_user_ns = Engine.total_user_ns t.engine;
