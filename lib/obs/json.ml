@@ -309,25 +309,3 @@ let check_structure s =
     | None, [], true -> err "unterminated string at end of document"
     | None, [], false -> Ok ()
   end
-
-let has_key s ~key =
-  (* A quoted key followed (after whitespace) by a colon, anywhere in the
-     document. Sufficient for required-field checks without a parser. *)
-  let needle = "\"" ^ key ^ "\"" in
-  let nl = String.length needle and sl = String.length s in
-  let rec colon_after j =
-    if j >= sl then false
-    else
-      match s.[j] with ' ' | '\t' | '\n' | '\r' -> colon_after (j + 1) | ':' -> true | _ -> false
-  in
-  let rec scan i =
-    if i + nl > sl then false
-    else if String.sub s i nl = needle && colon_after (i + nl) then true
-    else scan (i + 1)
-  in
-  scan 0
-
-let required_keys s ~keys =
-  match List.find_opt (fun k -> not (has_key s ~key:k)) keys with
-  | None -> Ok ()
-  | Some k -> Error (Printf.sprintf "required key %S missing" k)

@@ -1,14 +1,12 @@
-(** A minimal hand-rolled JSON emitter (no external dependencies).
+(** A minimal hand-rolled JSON emitter and parser (no external
+    dependencies).
 
     Every machine-readable artefact of the repository — Chrome trace
-    exports, report dumps, bench records — goes through this module, so
+    exports, report dumps, sweep artifacts — goes through this module, so
     output stays valid JSON (string escaping, no [inf]/[nan] literals)
-    without pulling in a JSON library.
-
-    The "validation" half is deliberately parser-less: {!check_structure}
-    only verifies bracket/string balance and {!has_key} only looks for a
-    quoted key followed by a colon. That is enough for the structural
-    round-trip tests without committing to a full parser. *)
+    without pulling in a JSON library. {!parse} reads documents back, and
+    {!member} finds a key where it lives; {!check_structure} is a cheaper
+    bracket and string balance check that builds no tree. *)
 
 type t =
   | Null
@@ -53,10 +51,3 @@ val check_structure : string -> (unit, string) result
 (** Quote-aware bracket balancing over a serialized document: every
     [{]/[[] closes with the matching [}]/[]], strings terminate, document
     non-empty. Does not validate commas, colons or literals. *)
-
-val has_key : string -> key:string -> bool
-(** [has_key s ~key] is true when ["key"] appears in [s] as a quoted
-    string immediately followed (modulo whitespace) by a colon. *)
-
-val required_keys : string -> keys:string list -> (unit, string) result
-(** First key from [keys] failing {!has_key}, as an error. *)
