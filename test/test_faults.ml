@@ -375,6 +375,66 @@ let test_checker_catches_global_via_local_frame () =
     ~phys:(Mmu.Frame (replica mgr ~lpage:1 ~node:0))
     "global page 0: mapping on cpu 0 bypasses the global frame"
 
+(* Damage that only one layer's table can show: each page below is
+   untouched, unreplicated, unmapped and paging-Empty in every layer but
+   one, so a sweep that skipped that layer's pages would miss it. *)
+
+let test_checker_sees_mmu_only_damage () =
+  let mgr, _, pmap, _ = checker_fixture () in
+  check_planted mgr ~pmap ~cpu:0 ~lpage:7 ~prot:Prot.Read_only
+    ~phys:(Mmu.Global_frame 7) "untouched page 7 is mapped"
+
+let test_checker_sees_manager_only_damage () =
+  let mgr, _, _, enter = checker_fixture () in
+  enter ~cpu:0 ~lpage:0 Access.Store;
+  ignore (Numa_manager.spurious_shootdown (Pmap_manager.manager mgr) ~lpage:0);
+  Alcotest.(check (list string)) "coherent before the damage" []
+    (sweep mgr).Invariant.violations;
+  (* The page is now held by the directory alone: no mapping reaches it. *)
+  Frame_table.set_node_online (Pmap_manager.frames mgr) ~node:0 false;
+  Alcotest.(check (list string))
+    "the stranded replica"
+    [
+      "page 0: replica survives on offline node 0";
+      "local-writable page 0: dirty owner frame 0 on offline node 0";
+    ]
+    (sweep mgr).Invariant.violations
+
+(* primes1 on a 16-page pool leaves lpage 15 on the free list at the end,
+   with an Empty paging entry and nothing in any other layer. *)
+let free_page_system () =
+  let config = Config.ace ~n_cpus:2 ~global_pages:16 () in
+  let sys = System.create ~config () in
+  let app = Option.get (Numa_apps.Registry.find "primes1") in
+  app.App_sig.setup sys { App_sig.nthreads = 2; scale = 0.01; seed = 42L };
+  ignore (System.run sys);
+  Alcotest.(check bool) "lpage 15 is free" false
+    (Numa_vm.Lpage_pool.is_allocated (System.pool sys) 15);
+  Alcotest.(check (list string)) "coherent before the damage" []
+    (System.audit sys).Invariant.violations;
+  sys
+
+let frames_of sys = Pmap_manager.frames (System.pmap_manager sys)
+
+let test_checker_sees_paging_only_dirty () =
+  let sys = free_page_system () in
+  Frame_table.write_global (frames_of sys) ~lpage:15 1;
+  Alcotest.(check (list string))
+    "the dirty free page"
+    [ "page 15: on the free list but its paging entry is dirty" ]
+    (System.audit sys).Invariant.violations
+
+let test_checker_sees_paging_only_reading () =
+  let sys = free_page_system () in
+  Paging.begin_read (Option.get (Frame_table.paging (frames_of sys))) ~lpage:15;
+  Alcotest.(check (list string))
+    "the open page-in on a free page"
+    [
+      "page 15: paging entry stuck in Reading between requests";
+      "page 15: on the free list but its paging entry is reading";
+    ]
+    (System.audit sys).Invariant.violations
+
 (* --- satellite: malformed policy specs ---------------------------------- *)
 
 let test_policy_spec_errors () =
@@ -502,6 +562,14 @@ let suite =
       test_checker_catches_non_owner_mapping;
     Alcotest.test_case "checker catches global via local" `Quick
       test_checker_catches_global_via_local_frame;
+    Alcotest.test_case "checker sees mmu-only damage" `Quick
+      test_checker_sees_mmu_only_damage;
+    Alcotest.test_case "checker sees manager-only damage" `Quick
+      test_checker_sees_manager_only_damage;
+    Alcotest.test_case "checker sees paging-only dirty entry" `Quick
+      test_checker_sees_paging_only_dirty;
+    Alcotest.test_case "checker sees paging-only reading entry" `Quick
+      test_checker_sees_paging_only_reading;
     Alcotest.test_case "malformed policy specs rejected" `Quick test_policy_spec_errors;
     Alcotest.test_case "valid policy specs accepted" `Quick test_policy_spec_ok;
     Alcotest.test_case "OOM is typed and observed" `Quick test_oom_is_typed_and_observed;
