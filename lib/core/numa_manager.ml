@@ -63,6 +63,14 @@ let replica_nodes t ~lpage =
 
 let moves_of t ~lpage = (page t lpage).moves
 
+let iter_held t f =
+  for lpage = 0 to Array.length t.pages - 1 do
+    let p = t.pages.(lpage) in
+    match p.state with
+    | Untouched -> if Hashtbl.length p.replicas > 0 then f lpage
+    | Read_only | Local_writable _ | Global_writable | Homed _ -> f lpage
+  done
+
 let charge t ~cpu ?cat ~lpage ns = Cost_sink.charge t.sink ~cpu ?cat ~lpage ns
 
 (* A failed local-frame allocation retries once through the pager: page-out

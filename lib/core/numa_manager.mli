@@ -86,6 +86,12 @@ val replica_nodes : t -> lpage:int -> int list
 val moves_of : t -> lpage:int -> int
 (** Inter-memory moves this page has made since (re)allocation. *)
 
+val iter_held : t -> (int -> unit) -> unit
+(** [iter_held t f] calls [f lpage], in increasing order, on every page
+    whose directory entry is not [Untouched] or still holds a replica:
+    one pass over the directory itself. Every other page is [Untouched]
+    with no copy anywhere. *)
+
 val migrate_owned_pages : t -> src:int -> dst:int -> int
 (** Kernel page migration (the section 4.7 load-balancing requirement:
     "migrate processes to new homes and move their local pages with

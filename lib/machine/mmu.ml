@@ -135,6 +135,8 @@ let entries_of_lpage t ~lpage =
   | None -> []
   | Some b -> Hashtbl.fold (fun _ e acc -> e :: acc) b []
 
+let iter_mapped_lpages t f = Hashtbl.iter (fun lpage _ -> f lpage) t.reverse
+
 let entries_of_pmap t ~pmap =
   Hashtbl.fold (fun _ e acc -> if e.pmap = pmap then e :: acc else acc) t.forward []
 

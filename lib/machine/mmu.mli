@@ -71,6 +71,12 @@ val entries_of_lpage : t -> lpage:int -> entry list
 (** Every mapping, on any processor and in any pmap, that reaches the
     logical page. *)
 
+val iter_mapped_lpages : t -> (int -> unit) -> unit
+(** [iter_mapped_lpages t f] calls [f lpage] once, in no particular
+    order, on every logical page that at least one mapping reaches: one
+    pass over the reverse index's buckets, which exist exactly while
+    they are non-empty. *)
+
 val entries_of_pmap : t -> pmap:int -> entry list
 (** Every mapping of one pmap. Linear in the total number of mappings;
     used only on the rare pmap-destroy path. *)

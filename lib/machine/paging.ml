@@ -93,6 +93,11 @@ let state t ~lpage = (entry t ~lpage).st
 let n_pages t = Array.length t.entries
 let in_flight_lpages t = t.in_flight
 
+let iter_held t f =
+  for lpage = 0 to Array.length t.entries - 1 do
+    if t.entries.(lpage).st <> Empty then f lpage
+  done
+
 let emit t ev =
   match t.obs with Some h when Hub.enabled h -> Hub.emit h ev | _ -> ()
 

@@ -53,6 +53,10 @@ val in_flight_lpages : t -> int list
 (** Exactly the entries currently in [Writeback]; the Invariant checker
     cross-checks this against the per-entry states. *)
 
+val iter_held : t -> (int -> unit) -> unit
+(** [iter_held t f] calls [f lpage], in increasing order, on every entry
+    that is not [Empty]: one pass over the entry table itself. *)
+
 val touch : t -> lpage:int -> unit
 (** Bump the entry's last-use tick (called on every fault-time entry);
     feeds the LRU-approx victim policy. *)
