@@ -209,6 +209,162 @@ let prop_app_policy_topology_coherent =
           else rb.Report.invariant_checks > 0
       | None -> QCheck.Test.fail_reportf "paranoid run lost its robustness section")
 
+(* --- the page-marking audit against the exhaustive sweep -------------------- *)
+
+(* Damage planted after a run. The first four are aimed at pages only one
+   layer holds (an untouched page, a page on the free list, a page whose
+   mappings were shot down), the last at a replica page table. *)
+type plant = Plant_mapping | Plant_dirty | Plant_reading | Plant_stranded | Plant_stale_pte
+
+let plant_name = function
+  | Plant_mapping -> "mapping"
+  | Plant_dirty -> "dirty"
+  | Plant_reading -> "reading"
+  | Plant_stranded -> "stranded"
+  | Plant_stale_pte -> "stale-pte"
+
+let describe_report (r : Invariant.report) =
+  Printf.sprintf "pages %d, mappings %d, replicas %d, paging %d, pt %d, violations [%s]"
+    r.pages_checked r.mappings_checked r.replicas_checked r.paging_checked r.pt_checked
+    (String.concat "; " r.violations)
+
+(* [Invariant.check] must report exactly what the exhaustive sweep
+   reports, counts included, at every audit of a paranoid run and on
+   every planted corruption after it. The audit rides the system's
+   component, which replaces serve's own: the property needs only the
+   protocol state. *)
+let prop_marked_audit_matches_oracle =
+  let module System = Numa_system.System in
+  let module Runner = Numa_metrics.Runner in
+  let gen =
+    let open QCheck.Gen in
+    tup6
+      (oneofl (Numa_apps.Registry.table3 @ [ Numa_apps.Serve.app ]))
+      (oneofl System.builtin_policy_specs)
+      (oneofl [ Pt.Off; Pt.Shared; Pt.Replicated None; Pt.Replicated (Some 1) ])
+      (oneofl
+         [
+           "";
+           "node-offline:1@2";
+           "node-offline:1@1,node-online:1@3";
+           "frame-squeeze:0:0.5@1";
+           "spurious-shootdown:0.5";
+           "stale-pte:0@2";
+         ])
+      (oneofl [ None; Some 12 ])
+      (list_size (int_range 1 3)
+         (pair
+            (oneofl
+               [ Plant_mapping; Plant_dirty; Plant_reading; Plant_stranded; Plant_stale_pte ])
+            (int_bound 10_000)))
+  in
+  let print ((app : Numa_apps.App_sig.t), policy, pt_mode, plan, pages, plants) =
+    Printf.sprintf "%s policy=%s pt=%s faults=%S pages=%s plants=[%s]" app.name
+      (System.policy_spec_name policy) (Pt.mode_to_string pt_mode) plan
+      (match pages with Some n -> string_of_int n | None -> "ample")
+      (String.concat "; "
+         (List.map (fun (p, k) -> Printf.sprintf "%s/%d" (plant_name p) k) plants))
+  in
+  QCheck.Test.make ~name:"page-marking audit equals the exhaustive sweep" ~count:24
+    (QCheck.make ~print gen)
+    (fun (app, policy, pt_mode, plan, pages, plants) ->
+      let faults =
+        match Numa_faults.Plan.of_string plan with
+        | Ok p -> p
+        | Error e -> QCheck.Test.fail_reportf "plan %S: %s" plan e
+      in
+      let config_tweak c =
+        match pages with Some n -> { c with Config.global_pages = n } | None -> c
+      in
+      let spec =
+        {
+          Runner.default_spec with
+          Runner.policy;
+          scale = 0.02;
+          n_cpus = 4;
+          nthreads = 4;
+          paranoid = true;
+          faults;
+          pt_mode;
+          config_tweak;
+        }
+      in
+      let sys = Runner.system app spec in
+      let pmap_mgr = System.pmap_manager sys in
+      let manager = Pmap_manager.manager pmap_mgr and mmu = Pmap_manager.mmu pmap_mgr in
+      let frames = Pmap_manager.frames pmap_mgr and config = System.config sys in
+      let pool = System.pool sys in
+      let compare_checkers () =
+        let pinned = (System.policy sys).Policy.is_pinned in
+        let live = Invariant.check ~pinned ~pool ~manager ~mmu ~frames ~config () in
+        let oracle = Invariant_oracle.check ~pinned ~pool ~manager ~mmu ~frames ~config () in
+        if live = oracle then None
+        else Some (describe_report live, describe_report oracle)
+      in
+      let audits = ref 0 and mismatch = ref None in
+      System.set_component sys
+        {
+          System.on_fault = ignore;
+          audit =
+            Some
+              (fun () ->
+                incr audits;
+                if !mismatch = None then mismatch := compare_checkers ();
+                []);
+          report = Fun.id;
+        };
+      ignore (System.run sys);
+      let fail_on ~at = function
+        | None -> ()
+        | Some (live, oracle) ->
+            QCheck.Test.fail_reportf "%s:\n  marked: %s\n  oracle: %s" at live oracle
+      in
+      fail_on ~at:"during the run" !mismatch;
+      if !audits = 0 then QCheck.Test.fail_reportf "the paranoid run never audited";
+      let n_pages = config.Config.global_pages in
+      (* The [k]-th page (cyclically) satisfying [p], or page [k] if none does. *)
+      let pick k p =
+        match List.filter p (List.init n_pages Fun.id) with
+        | [] -> k mod n_pages
+        | l -> List.nth l (k mod List.length l)
+      in
+      let untouched lpage = Numa_manager.state_of manager ~lpage = Numa_manager.Untouched in
+      let touched lpage = not (untouched lpage) in
+      let free lpage = not (Numa_vm.Lpage_pool.is_allocated pool lpage) in
+      let paging = Option.get (Frame_table.paging frames) in
+      let plant (kind, k) =
+        match kind with
+        | Plant_mapping ->
+            let lpage = pick k untouched in
+            Mmu.enter mmu ~pmap:(System.task sys).Numa_vm.Task.pmap ~cpu:(k mod 4)
+              ~vpage:lpage ~lpage ~prot:Prot.Read_only ~phys:(Mmu.Global_frame lpage)
+        | Plant_dirty -> Frame_table.write_global frames ~lpage:(pick k free) 1
+        | Plant_reading -> (
+            let lpage = pick k free in
+            match Paging.state paging ~lpage with
+            | Paging.Empty | Paging.Dirty -> Paging.begin_read paging ~lpage
+            | Paging.Reading | Paging.Clean | Paging.Writeback -> ())
+        | Plant_stranded ->
+            let lpage = pick k touched in
+            ignore (Numa_manager.spurious_shootdown manager ~lpage);
+            let node =
+              match Numa_manager.replica_nodes manager ~lpage with
+              | node :: _ -> node
+              | [] -> k mod Topo.cpu_nodes (System.topo sys)
+            in
+            Frame_table.set_node_online frames ~node false
+        | Plant_stale_pte -> (
+            match Mmu.pt mmu with
+            | Some pt -> ignore (Pt.corrupt_replica pt ~lpage:(pick k touched))
+            | None -> ())
+      in
+      List.iter
+        (fun (kind, k) ->
+          plant (kind, k);
+          fail_on ~at:("after planting " ^ plant_name kind) (compare_checkers ()))
+        plants;
+      true)
+
 (* --- model sanity --------------------------------------------------------------- *)
 
 let prop_model_roundtrip =
@@ -497,6 +653,7 @@ let suite =
     qcheck prop_coherence_random_policy;
     qcheck prop_system_coherence;
     qcheck prop_app_policy_topology_coherent;
+    qcheck prop_marked_audit_matches_oracle;
     qcheck prop_model_roundtrip;
     qcheck prop_optimal_bounded;
     qcheck prop_segregated_never_mixes_classes;
