@@ -1,7 +1,7 @@
 (** The protocol invariant checker.
 
-    A full sweep of the coherence directory against the MMU, the frame
-    pools and (optionally) the policy's pin set, stating what the
+    A sweep of the coherence directory against the MMU, the frame pools
+    and (optionally) the policy's pin set, stating what the
     Li & Hudak-style protocol promises between requests:
 
     - a local-writable page is owned by exactly one node, whose frame
@@ -13,12 +13,25 @@
     - a page the policy has pinned global holds no local copies.
 
     It is the one checker of the directory/MMU relation. It never raises,
-    it collects {e every} violation, and it is cheap enough to run from
-    the daemon tick under [--paranoid], after each injected fault, at the
-    end of every run, and after every step of the property tests. It
-    knows nothing of the applications above it: the system layer appends
-    an application's own audit (the serve app's request ledger) after
-    this sweep's findings. *)
+    it collects {e every} violation, and it knows nothing of the
+    applications above it: the system layer appends an application's own
+    audit (the serve app's request ledger) after this sweep's findings.
+
+    It is cheap enough to run from the daemon tick under [--paranoid],
+    after each injected fault, at the end of every run, and after every
+    step of the property tests, because the per-page clauses run only on
+    the pages some layer holds state for. Those are the union of
+    {!Numa_manager.iter_held}, {!Numa_machine.Paging.iter_held} and
+    {!Numa_machine.Mmu.iter_mapped_lpages}, each one pass over that
+    layer's own table, marked in a bitset of [global_pages] bits. Any
+    other page is [Untouched], with no replica, no mapping and an [Empty]
+    paging entry, and such a page passes every per-page clause, so the
+    sweep skips it, eight pages to a byte test. An audit therefore costs
+    three table passes, the clauses on the held pages, and, when page
+    tables are materialised, the page-table relation, which is linear in
+    PTEs.
+    The test suite keeps the sweep over every page as the oracle this one
+    must match, counts and violation order included. *)
 
 open Numa_machine
 
