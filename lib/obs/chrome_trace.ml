@@ -1,9 +1,8 @@
-type recorded = { ts : float; lane : int; ev : Event.t }
-
 type t = {
   n_cpus : int;
-  mutable events : recorded list;  (** newest first *)
-  mutable n : int;
+  mutable stamps : float array;  (** clamped stamps, in recording order *)
+  mutable events : Event.t array;
+  mutable n : int;  (** the used prefix of [stamps] and [events] *)
   last_ts : float array;  (** per-lane high-water mark, for monotone lanes *)
 }
 
@@ -11,20 +10,30 @@ let protocol_lane t = t.n_cpus
 
 let create ~n_cpus =
   if n_cpus <= 0 then invalid_arg "Chrome_trace.create: n_cpus must be positive";
-  { n_cpus; events = []; n = 0; last_ts = Array.make (n_cpus + 1) 0. }
+  { n_cpus; stamps = [||]; events = [||]; n = 0; last_ts = Array.make (n_cpus + 1) 0. }
+
+let lane t ev =
+  match Event.lane ev with
+  | Event.Protocol_lane -> protocol_lane t
+  | Event.Cpu_lane c -> if c >= 0 && c < t.n_cpus then c else protocol_lane t
 
 let record t ~ts ev =
-  let lane =
-    match Event.lane ev with
-    | Event.Protocol_lane -> protocol_lane t
-    | Event.Cpu_lane c -> if c >= 0 && c < t.n_cpus then c else protocol_lane t
-  in
+  let lane = lane t ev in
   (* Events are stamped with the engine's global virtual clock, which can
      step back slightly across inline turns; clamp per lane so each lane
      reads as a monotone timeline in the viewer. *)
   let ts = Float.max ts t.last_ts.(lane) in
   t.last_ts.(lane) <- ts;
-  t.events <- { ts; lane; ev } :: t.events;
+  if t.n = Array.length t.events then begin
+    let cap = max 256 (2 * t.n) in
+    let stamps = Array.make cap 0. and events = Array.make cap ev in
+    Array.blit t.stamps 0 stamps 0 t.n;
+    Array.blit t.events 0 events 0 t.n;
+    t.stamps <- stamps;
+    t.events <- events
+  end;
+  t.stamps.(t.n) <- ts;
+  t.events.(t.n) <- ev;
   t.n <- t.n + 1
 
 let attach t hub = Hub.attach hub ~name:"chrome-trace" (fun ~ts ev -> record t ~ts ev)
@@ -33,81 +42,56 @@ let length t = t.n
 
 let lane_name t lane = if lane = protocol_lane t then "protocol" else Printf.sprintf "CPU %d" lane
 
-let pid = 1
-
-let metadata_events t =
-  let thread_name lane =
-    Json.Obj
-      [
-        ("name", Json.String "thread_name");
-        ("ph", Json.String "M");
-        ("ts", Json.Float 0.);
-        ("pid", Json.Int pid);
-        ("tid", Json.Int lane);
-        ("args", Json.Obj [ ("name", Json.String (lane_name t lane)) ]);
-      ]
-  in
-  Json.Obj
-    [
-      ("name", Json.String "process_name");
-      ("ph", Json.String "M");
-      ("ts", Json.Float 0.);
-      ("pid", Json.Int pid);
-      ("tid", Json.Int 0);
-      ("args", Json.Obj [ ("name", Json.String "numa_sim") ]);
-    ]
-  :: List.init (t.n_cpus + 1) thread_name
-
-let event_to_json { ts; lane; ev } =
-  Json.Obj
-    [
-      ("name", Json.String (Event.name ev));
-      ("cat", Json.String "numa");
-      ("ph", Json.String "i");
-      ("s", Json.String "t");
-      ("ts", Json.Float ts);
-      ("pid", Json.Int pid);
-      ("tid", Json.Int lane);
-      ("args", Json.Obj (Event.args ev));
-    ]
-
-let other_data t =
-  Json.Obj
-    [ ("clock", Json.String "virtual-ns"); ("cpus", Json.Int t.n_cpus); ("events", Json.Int t.n) ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("traceEvents", Json.List (metadata_events t @ List.rev_map event_to_json t.events));
-      ("displayTimeUnit", Json.String "ns");
-      ("otherData", other_data t);
-    ]
-
-(* The bytes of [Json.save (to_json t)], streamed one trace event at a
-   time through a reused buffer that is flushed as it fills, so neither
-   the whole tree nor the whole string ever exists. *)
+(* Each event's envelope is literal text around its name, stamp, lane and
+   args, written straight into a reused buffer that is flushed as it fills.
+   One engine turn emits several events at one virtual time, so a stamp
+   whose bits equal the previous event's reuses that stamp's text. *)
 let save t path =
   let chunk = 65536 in
   Out_channel.with_open_text path (fun oc ->
       let buf = Buffer.create (2 * chunk) in
-      let first = ref true in
-      let item json =
-        if !first then first := false else Buffer.add_char buf ',';
-        Json.to_buffer buf json;
+      Buffer.add_string buf {|{"traceEvents":[{"name":"process_name","ph":"M","ts":0.0,|};
+      Buffer.add_string buf {|"pid":1,"tid":0,"args":{"name":"numa_sim"}}|};
+      for lane = 0 to t.n_cpus do
+        Buffer.add_string buf {|,{"name":"thread_name","ph":"M","ts":0.0,"pid":1,"tid":|};
+        Json.add_int buf lane;
+        Buffer.add_string buf {|,"args":{"name":|};
+        Json.add_string buf (lane_name t lane);
+        Buffer.add_string buf "}}"
+      done;
+      let memo_bits = ref (Int64.bits_of_float Float.nan) and memo_text = ref "null" in
+      for i = 0 to t.n - 1 do
+        let ev = t.events.(i) and ts = t.stamps.(i) in
+        Buffer.add_string buf {|,{"name":|};
+        Json.add_string buf (Event.name ev);
+        Buffer.add_string buf {|,"cat":"numa","ph":"i","s":"t","ts":|};
+        let bits = Int64.bits_of_float ts in
+        if Int64.equal bits !memo_bits then Buffer.add_string buf !memo_text
+        else begin
+          let start = Buffer.length buf in
+          Json.add_float buf ts;
+          memo_bits := bits;
+          memo_text := Buffer.sub buf start (Buffer.length buf - start)
+        end;
+        Buffer.add_string buf {|,"pid":1,"tid":|};
+        Json.add_int buf (lane t ev);
+        Buffer.add_string buf {|,"args":|};
+        Event.add_args buf ev;
+        Buffer.add_char buf '}';
         if Buffer.length buf >= chunk then begin
           Buffer.output_buffer oc buf;
           Buffer.clear buf
         end
-      in
-      Buffer.add_string buf "{\"traceEvents\":[";
-      List.iter item (metadata_events t);
-      let events = Array.of_list t.events in
-      for i = Array.length events - 1 downto 0 do
-        item (event_to_json events.(i))
       done;
-      Buffer.add_string buf "],\"displayTimeUnit\":\"ns\",\"otherData\":";
-      Json.to_buffer buf (other_data t);
-      Buffer.add_string buf "}\n";
+      Buffer.add_string buf
+        {|],"displayTimeUnit":"ns","otherData":{"clock":"virtual-ns","cpus":|};
+      Json.add_int buf t.n_cpus;
+      Buffer.add_string buf {|,"events":|};
+      Json.add_int buf t.n;
+      Buffer.add_string buf "}}\n";
       Buffer.output_buffer oc buf)
 
-let iter t f = List.iter (fun r -> f ~ts:r.ts ~lane:r.lane r.ev) (List.rev t.events)
+let iter t f =
+  for i = 0 to t.n - 1 do
+    f ~ts:t.stamps.(i) ~lane:(lane t t.events.(i)) t.events.(i)
+  done

@@ -161,136 +161,101 @@ let lpage = function
   | Request_hedged _ | Request_shed _ | Breaker_transition _ | Shard_failover _ ->
       None
 
-let args ev : (string * Json.t) list =
-  match ev with
+(* Field writers for [add_args]: [sep] is the ['{'] that opens the object
+   or the [','] before a later field. They are top-level functions, so a
+   call allocates nothing. *)
+let key b sep k =
+  Buffer.add_char b sep;
+  Buffer.add_char b '"';
+  Buffer.add_string b k;
+  Buffer.add_string b "\":"
+
+let int b sep k v = key b sep k; Json.add_int b v
+let float b sep k v = key b sep k; Json.add_float b v
+let str b sep k v = key b sep k; Json.add_string b v
+let bool b sep k v = key b sep k; Buffer.add_string b (if v then "true" else "false")
+
+let add_args b ev =
+  (match ev with
   | Fault_resolved { cpu; vpage; lpage; write; state } ->
-      [
-        ("cpu", Json.Int cpu);
-        ("vpage", Json.Int vpage);
-        ("lpage", Json.Int lpage);
-        ("write", Json.Bool write);
-        ("state", Json.String state);
-      ]
+      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
+      bool b ',' "write" write; str b ',' "state" state
   | Policy_decision { lpage; cpu; global; reason } ->
-      [
-        ("lpage", Json.Int lpage);
-        ("cpu", Json.Int cpu);
-        ("decision", Json.String (if global then "GLOBAL" else "LOCAL"));
-        ("reason", Json.String reason);
-      ]
+      int b '{' "lpage" lpage; int b ',' "cpu" cpu;
+      str b ',' "decision" (if global then "GLOBAL" else "LOCAL"); str b ',' "reason" reason
   | Page_move { lpage; to_node; moves } ->
-      [ ("lpage", Json.Int lpage); ("to_node", Json.Int to_node); ("moves", Json.Int moves) ]
+      int b '{' "lpage" lpage; int b ',' "to_node" to_node; int b ',' "moves" moves
   | Page_pin { lpage; cpu; reason } ->
-      [ ("lpage", Json.Int lpage); ("cpu", Json.Int cpu); ("reason", Json.String reason) ]
-  | Page_unpin { lpage } -> [ ("lpage", Json.Int lpage) ]
+      int b '{' "lpage" lpage; int b ',' "cpu" cpu; str b ',' "reason" reason
+  | Page_unpin { lpage } -> int b '{' "lpage" lpage
   | Replica_create { lpage; node } | Replica_flush { lpage; node }
   | Sync_to_global { lpage; node } ->
-      [ ("lpage", Json.Int lpage); ("node", Json.Int node) ]
-  | Zero_fill { lpage; node } ->
-      [
-        ("lpage", Json.Int lpage);
-        ("node", match node with Some n -> Json.Int n | None -> Json.String "global");
-      ]
-  | Local_fallback { lpage; cpu } -> [ ("lpage", Json.Int lpage); ("cpu", Json.Int cpu) ]
-  | Page_freed { lpage; moves } -> [ ("lpage", Json.Int lpage); ("moves", Json.Int moves) ]
+      int b '{' "lpage" lpage; int b ',' "node" node
+  | Zero_fill { lpage; node } -> (
+      int b '{' "lpage" lpage;
+      match node with Some n -> int b ',' "node" n | None -> str b ',' "node" "global")
+  | Local_fallback { lpage; cpu } -> int b '{' "lpage" lpage; int b ',' "cpu" cpu
+  | Page_freed { lpage; moves } -> int b '{' "lpage" lpage; int b ',' "moves" moves
   | Refs { cpu; n; write; loc; node } ->
-      [
-        ("cpu", Json.Int cpu);
-        ("n", Json.Int n);
-        ("write", Json.Bool write);
-        ("loc", Json.String (loc_to_string loc));
-        ("node", Json.Int node);
-      ]
+      int b '{' "cpu" cpu; int b ',' "n" n; bool b ',' "write" write;
+      str b ',' "loc" (loc_to_string loc); int b ',' "node" node
   | Bus_queued { cpu; words; delay_ns } ->
-      [ ("cpu", Json.Int cpu); ("words", Json.Int words); ("delay_ns", Json.Float delay_ns) ]
+      int b '{' "cpu" cpu; int b ',' "words" words; float b ',' "delay_ns" delay_ns
   | Lock_acquired { lock_id; cpu; tid }
   | Lock_contended { lock_id; cpu; tid }
   | Lock_released { lock_id; cpu; tid } ->
-      [ ("lock", Json.Int lock_id); ("cpu", Json.Int cpu); ("tid", Json.Int tid) ]
+      int b '{' "lock" lock_id; int b ',' "cpu" cpu; int b ',' "tid" tid
   | Dispatch { tid; cpu; name } ->
-      [ ("tid", Json.Int tid); ("cpu", Json.Int cpu); ("thread", Json.String name) ]
+      int b '{' "tid" tid; int b ',' "cpu" cpu; str b ',' "thread" name
   | Syscall { tid; cpu; service_ns } ->
-      [ ("tid", Json.Int tid); ("cpu", Json.Int cpu); ("service_ns", Json.Float service_ns) ]
+      int b '{' "tid" tid; int b ',' "cpu" cpu; float b ',' "service_ns" service_ns
   | Tlb_shootdown { cpu; vpage; lpage } ->
-      [ ("cpu", Json.Int cpu); ("vpage", Json.Int vpage); ("lpage", Json.Int lpage) ]
+      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage
   | Thread_migrated { tid; from_cpu; to_cpu } ->
-      [ ("tid", Json.Int tid); ("from_cpu", Json.Int from_cpu); ("to_cpu", Json.Int to_cpu) ]
-  | Reconsider_scan { expired } -> [ ("expired", Json.Int expired) ]
-  | Fault_injected { kind; detail } ->
-      [ ("kind", Json.String kind); ("detail", Json.String detail) ]
-  | Node_offline { node } | Node_online { node } -> [ ("node", Json.Int node) ]
+      int b '{' "tid" tid; int b ',' "from_cpu" from_cpu; int b ',' "to_cpu" to_cpu
+  | Reconsider_scan { expired } -> int b '{' "expired" expired
+  | Fault_injected { kind; detail } -> str b '{' "kind" kind; str b ',' "detail" detail
+  | Node_offline { node } | Node_online { node } -> int b '{' "node" node
   | Node_drained { node; pages; threads } ->
-      [ ("node", Json.Int node); ("pages", Json.Int pages); ("threads", Json.Int threads) ]
+      int b '{' "node" node; int b ',' "pages" pages; int b ',' "threads" threads
   | Link_degraded { src; dst; factor } ->
-      [ ("src", Json.Int src); ("dst", Json.Int dst); ("factor", Json.Float factor) ]
-  | Invariant_checked { violations } -> [ ("violations", Json.Int violations) ]
-  | Out_of_memory { cpu; vpage } -> [ ("cpu", Json.Int cpu); ("vpage", Json.Int vpage) ]
-  | Page_in { lpage } -> [ ("lpage", Json.Int lpage) ]
-  | Page_evicted { lpage; dirty } ->
-      [ ("lpage", Json.Int lpage); ("dirty", Json.Bool dirty) ]
-  | Writeback_started { lpage } -> [ ("lpage", Json.Int lpage) ]
+      int b '{' "src" src; int b ',' "dst" dst; float b ',' "factor" factor
+  | Invariant_checked { violations } -> int b '{' "violations" violations
+  | Out_of_memory { cpu; vpage } -> int b '{' "cpu" cpu; int b ',' "vpage" vpage
+  | Page_in { lpage } -> int b '{' "lpage" lpage
+  | Page_evicted { lpage; dirty } -> int b '{' "lpage" lpage; bool b ',' "dirty" dirty
+  | Writeback_started { lpage } -> int b '{' "lpage" lpage
   | Writeback_done { lpage; redirtied } ->
-      [ ("lpage", Json.Int lpage); ("redirtied", Json.Bool redirtied) ]
+      int b '{' "lpage" lpage; bool b ',' "redirtied" redirtied
   | Pt_walk { cpu; vpage; lpage; levels; ns } ->
-      [
-        ("cpu", Json.Int cpu);
-        ("vpage", Json.Int vpage);
-        ("lpage", Json.Int lpage);
-        ("levels", Json.Int levels);
-        ("ns", Json.Float ns);
-      ]
+      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
+      int b ',' "levels" levels; float b ',' "ns" ns
   | Pt_shootdown { cpu; vpage; lpage; node } ->
-      [
-        ("cpu", Json.Int cpu);
-        ("vpage", Json.Int vpage);
-        ("lpage", Json.Int lpage);
-        ("node", Json.Int node);
-      ]
+      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
+      int b ',' "node" node
   | Pt_replica_create { pmap; node; frames } ->
-      [ ("pmap", Json.Int pmap); ("node", Json.Int node); ("frames", Json.Int frames) ]
-  | Pt_replica_drop { pmap; node } ->
-      [ ("pmap", Json.Int pmap); ("node", Json.Int node) ]
+      int b '{' "pmap" pmap; int b ',' "node" node; int b ',' "frames" frames
+  | Pt_replica_drop { pmap; node } -> int b '{' "pmap" pmap; int b ',' "node" node
   | Request_arrived { client; key; worker } ->
-      [ ("client", Json.Int client); ("key", Json.Int key); ("worker", Json.Int worker) ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "worker" worker
   | Request_served { client; key; cpu; queue_ns; service_ns } ->
-      [
-        ("client", Json.Int client);
-        ("key", Json.Int key);
-        ("cpu", Json.Int cpu);
-        ("queue_ns", Json.Float queue_ns);
-        ("service_ns", Json.Float service_ns);
-      ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
+      float b ',' "queue_ns" queue_ns; float b ',' "service_ns" service_ns
   | Request_timeout { client; key; cpu; attempt } ->
-      [
-        ("client", Json.Int client);
-        ("key", Json.Int key);
-        ("cpu", Json.Int cpu);
-        ("attempt", Json.Int attempt);
-      ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
+      int b ',' "attempt" attempt
   | Request_retry { client; key; cpu; attempt; backoff_ns } ->
-      [
-        ("client", Json.Int client);
-        ("key", Json.Int key);
-        ("cpu", Json.Int cpu);
-        ("attempt", Json.Int attempt);
-        ("backoff_ns", Json.Float backoff_ns);
-      ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
+      int b ',' "attempt" attempt; float b ',' "backoff_ns" backoff_ns
   | Request_hedged { client; key; cpu } ->
-      [ ("client", Json.Int client); ("key", Json.Int key); ("cpu", Json.Int cpu) ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu
   | Request_shed { client; key; worker } ->
-      [ ("client", Json.Int client); ("key", Json.Int key); ("worker", Json.Int worker) ]
+      int b '{' "client" client; int b ',' "key" key; int b ',' "worker" worker
   | Breaker_transition { worker; from_state; to_state } ->
-      [
-        ("worker", Json.Int worker);
-        ("from", Json.String from_state);
-        ("to", Json.String to_state);
-      ]
+      int b '{' "worker" worker; str b ',' "from" from_state; str b ',' "to" to_state
   | Shard_failover { worker; from_cpu; to_cpu } ->
-      [
-        ("worker", Json.Int worker);
-        ("from_cpu", Json.Int from_cpu);
-        ("to_cpu", Json.Int to_cpu);
-      ]
+      int b '{' "worker" worker; int b ',' "from_cpu" from_cpu; int b ',' "to_cpu" to_cpu);
+  Buffer.add_char b '}'
 
 let describe ev =
   match ev with
