@@ -20,6 +20,21 @@
       disagrees with the master — reachable only through fault injection —
       is a protocol violation the {!Numa_core.Invariant} sweep reports.
 
+    {e Layout.} Every table is rows of arrays indexed directly, so a
+    walk, an install or a shootdown finds its page and its PTE without
+    hashing or allocating a key. Each level has one row of radix pages,
+    indexed by path prefix, and each CPU one row of PTEs, indexed by
+    vpage. A row doubles when an index lands past its end, so no row is
+    longer than twice the largest prefix or vpage entered (vpages are
+    dense from 0). The pmaps' tables sit in one array indexed by pmap id.
+
+    A table's pages are visited root first, by level and then by prefix,
+    when a replica is built, dropped or evacuated. So when a pool runs
+    dry partway through a replica build, the pages nearest the root keep
+    the local frames and the rest fall back to the shared level. A
+    pmap's replicas stay in a hash table keyed by node, whose order
+    fixes the order of propagation charges and [Pt_shootdown] events.
+
     The module is cost + bookkeeping + invariant state only: the
     functional truth of translation stays in {!Mmu}'s forward table, so
     attaching a [Pt.t] changes timings and counters but never behaviour,

@@ -2,7 +2,9 @@
    table-frame accounting against the per-node pools, Mitosis-style
    replication (eager and on-demand) with shootdown-aware PTE management,
    the stale-replica-PTE invariant regression, conservation under
-   replication, and the byte-identity of [--pt-mode none]. *)
+   replication, the byte-identity of [--pt-mode none], the array tables
+   against the hashtable ones they replaced ([Pt_oracle]), and the
+   root-first copy of a replica build that runs its pool dry. *)
 
 open Numa_machine
 module System = Numa_system.System
@@ -340,6 +342,245 @@ let test_replicated_deterministic () =
   in
   Alcotest.(check string) "same bytes twice" (once ()) (once ())
 
+(* --- the array tables against the hashtable oracle ------------------------- *)
+
+type pt_op =
+  | P_enter of {
+      pmap : int;
+      cpu : int;
+      vpage : int;
+      lpage : int;
+      frame : int option;
+      prot : Prot.t;
+    }
+  | P_remove of { pmap : int; cpu : int; vpage : int; lpage : int }
+  | P_prot of { pmap : int; cpu : int; vpage : int; lpage : int; prot : Prot.t }
+  | P_walk of { pmap : int; cpu : int; vpage : int; lpage : int }
+  | P_offline of int
+  | P_online of int
+  | P_sweep of int
+  | P_corrupt of int
+
+let pt_op_print = function
+  | P_enter { pmap; cpu; vpage; lpage; frame; _ } ->
+      Printf.sprintf "enter(p%d c%d v%d l%d %s)" pmap cpu vpage lpage
+        (match frame with Some n -> Printf.sprintf "frame@%d" n | None -> "global")
+  | P_remove { pmap; cpu; vpage; _ } -> Printf.sprintf "remove(p%d c%d v%d)" pmap cpu vpage
+  | P_prot { pmap; cpu; vpage; _ } -> Printf.sprintf "prot(p%d c%d v%d)" pmap cpu vpage
+  | P_walk { pmap; cpu; vpage; _ } -> Printf.sprintf "walk(p%d c%d v%d)" pmap cpu vpage
+  | P_offline n -> Printf.sprintf "offline(%d)" n
+  | P_online n -> Printf.sprintf "online(%d)" n
+  | P_sweep c -> Printf.sprintf "sweep(c%d)" c
+  | P_corrupt l -> Printf.sprintf "corrupt(l%d)" l
+
+type pt_case = { n_cpus : int; mode : Pt.mode; dry : bool list; ops : pt_op list }
+
+(* Vpages spread over three leaf pages, so leaf rows and path pages both
+   grow mid-sequence. *)
+let pt_case_gen =
+  let open QCheck.Gen in
+  let* n_cpus = int_range 2 7 in
+  let* mode =
+    oneofl
+      [ Pt.Off; Pt.Shared; Pt.Replicated None; Pt.Replicated (Some 1); Pt.Replicated (Some 2) ]
+  in
+  let* dry = list_repeat n_cpus (frequency [ (3, return false); (1, return true) ]) in
+  let pmap = int_bound 1 and cpu = int_bound (n_cpus - 1) and lpage = int_bound 9 in
+  let vpage = oneofl [ 0; 1; 9; 255; 256; 300; 511; 512; 700 ] in
+  let prot = oneofl [ Prot.No_access; Prot.Read_only; Prot.Read_write ] in
+  let op =
+    frequency
+      [
+        ( 6,
+          let+ pmap and+ cpu and+ vpage and+ lpage and+ prot
+          and+ frame = opt (int_bound (n_cpus - 1)) in
+          P_enter { pmap; cpu; vpage; lpage; frame; prot } );
+        (2, let+ pmap and+ cpu and+ vpage and+ lpage in P_remove { pmap; cpu; vpage; lpage });
+        ( 2,
+          let+ pmap and+ cpu and+ vpage and+ lpage and+ prot in
+          P_prot { pmap; cpu; vpage; lpage; prot } );
+        (5, let+ pmap and+ cpu and+ vpage and+ lpage in P_walk { pmap; cpu; vpage; lpage });
+        (1, map (fun n -> P_offline n) cpu);
+        (1, map (fun n -> P_online n) cpu);
+        (1, map (fun c -> P_sweep c) cpu);
+        (1, map (fun l -> P_corrupt l) lpage);
+      ]
+  in
+  let+ ops = list_size (int_range 1 40) op in
+  { n_cpus; mode; dry; ops }
+
+let pt_case_arbitrary =
+  QCheck.make
+    ~shrink:(fun c -> QCheck.Iter.map (fun ops -> { c with ops }) (QCheck.Shrink.list c.ops))
+    ~print:(fun c ->
+      Printf.sprintf "%d cpus, %s, dry pools [%s]: %s" c.n_cpus (Pt.mode_to_string c.mode)
+        (String.concat "; " (List.map string_of_bool c.dry))
+        (String.concat "; " (List.map pt_op_print c.ops)))
+    pt_case_gen
+
+(* One implementation's machine: its own pools (one data frame taken on
+   every node before any pool is squeezed), sink and hub. *)
+type pt_side = {
+  frames : Frame_table.t;
+  sink : Cost_sink.t;
+  hub : Numa_obs.Hub.t;
+  data : Frame_table.local_frame array;
+  events : Numa_obs.Event.t list ref;
+}
+
+let pt_side config dry =
+  let frames = Frame_table.create config in
+  let data =
+    Array.init config.Config.n_cpus (fun node ->
+        Option.get (Frame_table.alloc_local frames ~node))
+  in
+  List.iteri (fun node d -> if d then ignore (Frame_table.squeeze frames ~node ~frac:0.)) dry;
+  let hub = Numa_obs.Hub.create () in
+  let events = ref [] in
+  Numa_obs.Hub.attach hub ~name:"twin" (fun ~ts:_ ev -> events := ev :: !events);
+  { frames; sink = Cost_sink.create ~n_cpus:config.Config.n_cpus; hub; data; events }
+
+let frame_key =
+  Option.map (fun (f : Frame_table.local_frame) -> (f.Frame_table.node, f.Frame_table.id))
+
+(* Everything the two implementations must agree on, in one comparable
+   value. The ACE latencies are whole nanoseconds, so charge sums are
+   exact whatever order the table pages are visited in. *)
+let pt_view side ~pmaps ~master ~replicas ~frames_of ~stats =
+  let sorted l = List.sort compare l in
+  let n = Array.length side.data in
+  let census = Array.make n 0 in
+  List.iter (fun (node, _) -> census.(node) <- census.(node) + 1) frames_of;
+  ( stats,
+    Array.init n (fun cpu -> Cost_sink.total_charged side.sink ~cpu),
+    List.rev !(side.events),
+    List.map
+      (fun pmap ->
+        (pmap, sorted (master pmap), List.map (fun (node, l) -> (node, sorted l)) (replicas pmap)))
+      pmaps,
+    census,
+    Array.init n (fun node -> Frame_table.pt_in_use side.frames ~node) )
+
+let array_view side pt =
+  let ptes =
+    List.map (fun (k, (p : Pt.pte)) -> (k, (p.pte_lpage, frame_key p.pte_frame, p.pte_prot)))
+  in
+  let s = Pt.stats pt in
+  pt_view side ~pmaps:(Pt.pmaps pt)
+    ~master:(fun pmap -> ptes (Pt.master_ptes pt ~pmap))
+    ~replicas:(fun pmap ->
+      List.map
+        (fun node -> (node, ptes (Pt.replica_ptes pt ~pmap ~node)))
+        (Pt.replica_nodes pt ~pmap))
+    ~frames_of:(Pt.table_frames pt)
+    ~stats:
+      ( (s.walks, s.walk_levels, s.walk_ns, s.pte_updates, s.pte_shootdowns),
+        (s.shootdown_ns, s.replicas_built, s.replicas_dropped, s.pt_frames, s.global_pt_pages) )
+
+let oracle_view side pt =
+  let ptes =
+    List.map (fun (k, (p : Pt_oracle.pte)) -> (k, (p.pte_lpage, frame_key p.pte_frame, p.pte_prot)))
+  in
+  let s = Pt_oracle.stats pt in
+  pt_view side ~pmaps:(Pt_oracle.pmaps pt)
+    ~master:(fun pmap -> ptes (Pt_oracle.master_ptes pt ~pmap))
+    ~replicas:(fun pmap ->
+      List.map
+        (fun node -> (node, ptes (Pt_oracle.replica_ptes pt ~pmap ~node)))
+        (Pt_oracle.replica_nodes pt ~pmap))
+    ~frames_of:(Pt_oracle.table_frames pt)
+    ~stats:
+      ( (s.walks, s.walk_levels, s.walk_ns, s.pte_updates, s.pte_shootdowns),
+        (s.shootdown_ns, s.replicas_built, s.replicas_dropped, s.pt_frames, s.global_pt_pages) )
+
+let oracle_mode = function
+  | Pt.Off -> Pt_oracle.Off
+  | Pt.Shared -> Pt_oracle.Shared
+  | Pt.Replicated cap -> Pt_oracle.Replicated cap
+
+let prop_pt_matches_oracle =
+  QCheck.Test.make ~name:"array page tables = hashtable oracle" ~count:300 pt_case_arbitrary
+    (fun c ->
+      let config = Config.ace ~n_cpus:c.n_cpus ~local_pages_per_cpu:64 () in
+      let a = pt_side config c.dry and o = pt_side config c.dry in
+      let pt = Pt.create ~obs:a.hub ~config ~frames:a.frames ~sink:a.sink ~mode:c.mode () in
+      let oracle =
+        Pt_oracle.create ~obs:o.hub ~config ~frames:o.frames ~sink:o.sink
+          ~mode:(oracle_mode c.mode) ()
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | P_enter { pmap; cpu; vpage; lpage; frame; prot } ->
+              let frame side = Option.map (fun n -> side.data.(n)) frame in
+              Pt.enter pt ~pmap ~cpu ~vpage ~lpage ~frame:(frame a) ~prot;
+              Pt_oracle.enter oracle ~pmap ~cpu ~vpage ~lpage ~frame:(frame o) ~prot
+          | P_remove { pmap; cpu; vpage; lpage } ->
+              Pt.remove pt ~pmap ~cpu ~vpage ~lpage;
+              Pt_oracle.remove oracle ~pmap ~cpu ~vpage ~lpage
+          | P_prot { pmap; cpu; vpage; lpage; prot } ->
+              Pt.update_prot pt ~pmap ~cpu ~vpage ~lpage ~prot;
+              Pt_oracle.update_prot oracle ~pmap ~cpu ~vpage ~lpage ~prot
+          | P_walk { pmap; cpu; vpage; lpage } ->
+              Pt.walk pt ~pmap ~cpu ~vpage ~lpage;
+              Pt_oracle.walk oracle ~pmap ~cpu ~vpage ~lpage
+          | P_offline node ->
+              Frame_table.set_node_online a.frames ~node false;
+              Frame_table.set_node_online o.frames ~node false;
+              Pt.node_offline pt ~node;
+              Pt_oracle.node_offline oracle ~node
+          | P_online node ->
+              Frame_table.set_node_online a.frames ~node true;
+              Frame_table.set_node_online o.frames ~node true
+          | P_sweep by_cpu ->
+              let built = Pt.daemon_sweep pt ~by_cpu in
+              if built <> Pt_oracle.daemon_sweep oracle ~by_cpu then
+                QCheck.Test.fail_reportf "op %d (%s): daemon sweeps built differently" i
+                  (pt_op_print op)
+          | P_corrupt lpage ->
+              if Pt.corrupt_replica pt ~lpage <> Pt_oracle.corrupt_replica oracle ~lpage then
+                QCheck.Test.fail_reportf "op %d (%s): corrupted different replicas" i
+                  (pt_op_print op));
+          if array_view a pt <> oracle_view o oracle then
+            QCheck.Test.fail_reportf "op %d (%s): the tables disagree" i (pt_op_print op))
+        c.ops;
+      true)
+
+(* A replica build that runs its pool dry partway copies root first: the
+   root, then the directory, then the leaves by prefix, so the pool's
+   last frames go to the pages nearest the root. *)
+let test_replica_build_root_first () =
+  let config = Config.ace ~n_cpus:2 ~local_pages_per_cpu:64 () in
+  let frames = Frame_table.create config in
+  let sink = Cost_sink.create ~n_cpus:2 in
+  let hub = Numa_obs.Hub.create () in
+  let walks = ref [] in
+  Numa_obs.Hub.attach hub ~name:"walks" (fun ~ts:_ ev ->
+      match ev with
+      | Numa_obs.Event.Pt_walk { vpage; ns; _ } -> walks := (vpage, ns) :: !walks
+      | _ -> ());
+  let pt = Pt.create ~obs:hub ~config ~frames ~sink ~mode:(Pt.Replicated (Some 1)) () in
+  (* Root, directory and three leaves, all on node 0. *)
+  List.iter
+    (fun vpage ->
+      Pt.enter pt ~pmap:0 ~cpu:0 ~vpage ~lpage:vpage ~frame:None ~prot:Prot.Read_write)
+    [ 512; 0; 256 ];
+  Alcotest.(check int) "five master pages on node 0" 5 (Pt.stats pt).Pt.pt_frames.(0);
+  (* Room for three table pages on node 1, then its first walk builds
+     the replica there. *)
+  Alcotest.(check int) "node 1 squeezed to three frames" 3
+    (Frame_table.squeeze frames ~node:1 ~frac:(3. /. 64.));
+  List.iter (fun vpage -> Pt.walk pt ~pmap:0 ~cpu:1 ~vpage ~lpage:vpage) [ 0; 256; 512 ];
+  let s = Pt.stats pt in
+  Alcotest.(check (list int)) "replica on node 1" [ 1 ] (Pt.replica_nodes pt ~pmap:0);
+  Alcotest.(check int) "three replica pages local" 3 s.Pt.pt_frames.(1);
+  Alcotest.(check int) "two went to the shared level" 2 s.Pt.global_pt_pages;
+  let local = config.Config.local_fetch_ns and global = config.Config.global_fetch_ns in
+  Alcotest.(check (list (pair int (float 0.))))
+    "root, directory and the first leaf are the local ones"
+    [ (0, 3. *. local); (256, (2. *. local) +. global); (512, (2. *. local) +. global) ]
+    (List.rev !walks)
+
 let suite =
   [
     Alcotest.test_case "pt-mode parser round-trips and rejects" `Quick test_mode_parse;
@@ -370,4 +611,7 @@ let suite =
       test_explain_page_has_pt_events;
     Alcotest.test_case "replicated runs are deterministic" `Quick
       test_replicated_deterministic;
+    Alcotest.test_case "a dry replica build copies root first" `Quick
+      test_replica_build_root_first;
+    QCheck_alcotest.to_alcotest prop_pt_matches_oracle;
   ]
