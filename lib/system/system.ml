@@ -577,6 +577,7 @@ let create ?obs ?(policy = Move_limit { threshold = 4 }) ?(scheduler = Engine.Af
     {
       Numa_vm.Fault.ops;
       config;
+      topo;
       sink = Numa_core.Pmap_manager.sink pmap_mgr;
       pool;
       pageout = Some pageout;

@@ -3,6 +3,7 @@ open Numa_machine
 type ctx = {
   ops : Pmap_intf.ops;
   config : Config.t;
+  topo : Topo.t;
   sink : Cost_sink.t;
   pool : Lpage_pool.t;
   pageout : Pageout.t option;
@@ -39,7 +40,7 @@ let handle ctx (task : Task.t) ~cpu ~vpage ~access =
           | Ok lpage as ok ->
               if paged_out then
                 Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Disk_read ~lpage
-                  (Cost.disk_read_ns ctx.config ~topo:(Config.topology ctx.config) ~lpage);
+                  (Cost.disk_read_ns ctx.config ~topo:ctx.topo ~lpage);
               ok
           | Error _ as e -> e
         in

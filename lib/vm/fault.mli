@@ -11,6 +11,7 @@ open Numa_machine
 type ctx = {
   ops : Pmap_intf.ops;
   config : Config.t;
+  topo : Topo.t;  (** [config]'s topology, resolved once: page-ins price from it *)
   sink : Cost_sink.t;
   pool : Lpage_pool.t;
   pageout : Pageout.t option;

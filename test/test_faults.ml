@@ -498,6 +498,7 @@ let test_oom_is_typed_and_observed () =
     {
       Fault.ops;
       config;
+      topo = Config.topology config;
       sink = Numa_core.Pmap_manager.sink pmap_mgr;
       pool;
       pageout = None;

@@ -21,7 +21,15 @@ let make_env ?(config = small_config ()) () =
   let pool = Lpage_pool.create config ~ops in
   let task = Task.create ~ops ~id:0 ~name:"test" in
   let ctx =
-    { Fault.ops; config; sink = Numa_core.Pmap_manager.sink pmap_mgr; pool; pageout = None; obs = None }
+    {
+      Fault.ops;
+      config;
+      topo = Config.topology config;
+      sink = Numa_core.Pmap_manager.sink pmap_mgr;
+      pool;
+      pageout = None;
+      obs = None;
+    }
   in
   { ops; pool; task; ctx; pmap_mgr }
 
