@@ -4,7 +4,7 @@ type node_pool = {
   capacity : int;
   mutable free : local_frame list;
   mutable in_use : int;
-  free_set : (int, unit) Hashtbl.t;  (** ids currently free, to detect double frees *)
+  free_ids : Bytes.t;  (** one flag per id, set while the frame is free: catches double frees *)
   mutable online : bool;  (** offline pools refuse allocation *)
   mutable limit : int;  (** effective capacity; squeezed below [capacity] by faults *)
   mutable pt_in_use : int;  (** frames of [in_use] backing page-table pages *)
@@ -20,14 +20,11 @@ let create (config : Config.t) =
   let topo = Config.topology config in
   let make_pool node =
     let capacity = Topo.pool_pages topo ~node in
-    let frames = List.init capacity (fun id -> { node; id; cell = 0; lpage = -1 }) in
-    let free_set = Hashtbl.create 64 in
-    List.iter (fun f -> Hashtbl.replace free_set f.id ()) frames;
     {
       capacity;
-      free = frames;
+      free = List.init capacity (fun id -> { node; id; cell = 0; lpage = -1 });
       in_use = 0;
-      free_set;
+      free_ids = Bytes.make capacity '\001';
       online = true;
       limit = capacity;
       pt_in_use = 0;
@@ -62,18 +59,18 @@ let alloc_local t ~node =
     | frame :: rest ->
         pool.free <- rest;
         pool.in_use <- pool.in_use + 1;
-        Hashtbl.remove pool.free_set frame.id;
+        Bytes.set pool.free_ids frame.id '\000';
         frame.cell <- 0;
         frame.lpage <- -1;
         Some frame
 
 let free_local t frame =
   let pool = t.pools.(frame.node) in
-  if Hashtbl.mem pool.free_set frame.id then
+  if Bytes.get pool.free_ids frame.id <> '\000' then
     invalid_arg
       (Printf.sprintf "Frame_table.free_local: double free of frame %d on node %d"
          frame.id frame.node);
-  Hashtbl.replace pool.free_set frame.id ();
+  Bytes.set pool.free_ids frame.id '\001';
   pool.free <- frame :: pool.free;
   pool.in_use <- pool.in_use - 1;
   frame.lpage <- -1
@@ -123,7 +120,7 @@ let squeeze t ~node ~frac =
   pool.limit
 
 let frame_is_free t (frame : local_frame) =
-  Hashtbl.mem t.pools.(frame.node).free_set frame.id
+  Bytes.get t.pools.(frame.node).free_ids frame.id <> '\000'
 
 let read_local (f : local_frame) = f.cell
 
