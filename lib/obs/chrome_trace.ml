@@ -13,16 +13,17 @@ let create ~n_cpus =
   { n_cpus; stamps = [||]; events = [||]; n = 0; last_ts = Array.make (n_cpus + 1) 0. }
 
 let lane t ev =
-  match Event.lane ev with
-  | Event.Protocol_lane -> protocol_lane t
-  | Event.Cpu_lane c -> if c >= 0 && c < t.n_cpus then c else protocol_lane t
+  let c = Event.lane ev in
+  if c >= 0 && c < t.n_cpus then c else protocol_lane t
 
 let record t ~ts ev =
   let lane = lane t ev in
   (* Events are stamped with the engine's global virtual clock, which can
      step back slightly across inline turns; clamp per lane so each lane
-     reads as a monotone timeline in the viewer. *)
-  let ts = Float.max ts t.last_ts.(lane) in
+     reads as a monotone timeline in the viewer. A nan stamp takes the
+     lane's high-water mark, so it cannot poison the stamps after it. *)
+  let last = t.last_ts.(lane) in
+  let ts = if Float.is_nan ts then last else Float.max ts last in
   t.last_ts.(lane) <- ts;
   if t.n = Array.length t.events then begin
     let cap = max 256 (2 * t.n) in

@@ -8,7 +8,7 @@
     Timestamps are virtual nanoseconds written into the [ts] field
     (declared via [displayTimeUnit]/[otherData.clock]); within each lane
     they are clamped to be non-decreasing so every lane is a monotone
-    timeline. *)
+    timeline; a nan stamp takes its lane's high-water mark. *)
 
 type t
 

@@ -100,10 +100,8 @@ let name = function
   | Breaker_transition _ -> "breaker_transition"
   | Shard_failover _ -> "shard_failover"
 
-type lane = Cpu_lane of int | Protocol_lane
-
-(* Placement-protocol bookkeeping renders on its own lane; everything that
-   happens "on" a processor renders on that processor's lane. *)
+(* Placement-protocol bookkeeping renders on its own lane (-1); everything
+   that happens "on" a processor renders on that processor's lane. *)
 let lane = function
   | Page_move _ | Page_pin _ | Page_unpin _ | Replica_create _ | Replica_flush _
   | Sync_to_global _ | Zero_fill _ | Page_freed _ | Reconsider_scan _
@@ -111,7 +109,7 @@ let lane = function
   | Link_degraded _ | Invariant_checked _ | Page_in _ | Page_evicted _
   | Writeback_started _ | Writeback_done _ | Pt_replica_create _ | Pt_replica_drop _
   | Request_arrived _ | Request_shed _ | Breaker_transition _ ->
-      Protocol_lane
+      -1
   | Fault_resolved { cpu; _ }
   | Policy_decision { cpu; _ }
   | Local_fallback { cpu; _ }
@@ -130,8 +128,8 @@ let lane = function
   | Request_timeout { cpu; _ }
   | Request_retry { cpu; _ }
   | Request_hedged { cpu; _ } ->
-      Cpu_lane cpu
-  | Thread_migrated { to_cpu; _ } | Shard_failover { to_cpu; _ } -> Cpu_lane to_cpu
+      cpu
+  | Thread_migrated { to_cpu; _ } | Shard_failover { to_cpu; _ } -> to_cpu
 
 let lpage = function
   | Fault_resolved { lpage; _ }

@@ -125,11 +125,10 @@ type t =
 val name : t -> string
 (** Stable snake_case tag, used as the Chrome trace event name. *)
 
-type lane = Cpu_lane of int | Protocol_lane
-
-val lane : t -> lane
-(** Which Chrome-trace lane the event renders on: per-CPU for things that
-    happen on a processor, the protocol lane for placement bookkeeping. *)
+val lane : t -> int
+(** Which Chrome-trace lane the event renders on: the CPU for things that
+    happen on a processor, [-1] (the protocol lane) for placement
+    bookkeeping. *)
 
 val lpage : t -> int option
 (** The logical page the event concerns, for per-page audits. *)
