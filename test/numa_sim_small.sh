@@ -35,6 +35,11 @@ case_ run serve --scale 0.1 --arrival 50000:2 --zipf 0.5 --clients 1000 \
   --report-json serve.report.json --explain-page 3 --profile-out serve.profile.json
 case_ run imatmult --scale 0.1 --pages 12 --paranoid --victim lru \
   --pt-mode replicated --faults frame-squeeze:0:0.5@5
+# Replicated tables under spurious shootdowns: the trace pins the order
+# of the MMU's TLB shootdowns and of the replica PTE shootdowns.
+case_ run imatmult --scale 0.05 --cpus 4 --pt-mode replicated \
+  --faults spurious-shootdown:0.2 --trace-out shootdown.trace.json \
+  --profile-out shootdown.profile.json
 
 case_ profile imatmult --scale 0.1 --top 3 --folded-out imatmult.folded \
   --json-out imatmult.profile.json
@@ -77,4 +82,5 @@ case_ measure primes1 --scale 0.05 --threads=-1
 
 echo "=== artifacts"
 md5sum serve.trace.json serve.metrics.csv serve.report.json serve.profile.json \
-  imatmult.folded imatmult.profile.json primes3.trace
+  imatmult.folded imatmult.profile.json primes3.trace shootdown.trace.json \
+  shootdown.profile.json
