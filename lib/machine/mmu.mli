@@ -8,7 +8,15 @@
     reason.
 
     A reverse index from logical page to the mappings that reach it backs
-    [pmap_remove_all]-style protocol actions. *)
+    [pmap_remove_all]-style protocol actions.
+
+    {e Layout.} The forward table is rows indexed pmap, then cpu, then
+    vpage ({!Rows}), so a lookup neither hashes nor allocates a key. The
+    reverse index is an array indexed by logical page; each page's
+    mappings sit in a hash table, whose fold order is the order
+    {!entries_of_lpage} lists them in. A page whose last mapping goes
+    keeps its table, reset to the size it was made with, so that order
+    is the same as if the page had never been mapped. *)
 
 type phys = Frame of Frame_table.local_frame | Global_frame of int
 
@@ -40,14 +48,16 @@ val pt : t -> Pt.t option
 val enter :
   t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> prot:Prot.t -> phys:phys -> unit
 (** Install or replace a mapping. Replacement shoots down any cached
-    translation of the old mapping. *)
+    translation of the old mapping. Raises [Invalid_argument] on a cpu
+    outside the machine or a negative pmap, vpage or lpage. *)
 
 val lookup : t -> pmap:int -> cpu:int -> vpage:int -> entry option
+(** [None] for any index no mapping has, negative ones included. *)
 
 val translate : t -> pmap:int -> cpu:int -> vpage:int -> entry option
 (** Like {!lookup} but through the referencing CPU's software TLB
-    ({!Tlb}): a hit resolves in O(1) without touching the forward hash
-    table, a miss fills the cache. Counts one TLB hit or miss; use
+    ({!Tlb}): a hit resolves without touching the forward table, a miss
+    reads it by index and fills the cache. Counts one TLB hit or miss; use
     {!lookup} from paths (protocol actions, introspection) that should not
     perturb the counters. *)
 
@@ -73,13 +83,15 @@ val entries_of_lpage : t -> lpage:int -> entry list
 
 val iter_mapped_lpages : t -> (int -> unit) -> unit
 (** [iter_mapped_lpages t f] calls [f lpage] once, in no particular
-    order, on every logical page that at least one mapping reaches: one
-    pass over the reverse index's buckets, which exist exactly while
-    they are non-empty. *)
+    order, on every logical page that at least one mapping reaches. It
+    reads a dense list of those pages, so its cost is proportional to
+    how many there are, not to the size of the reverse index. [f] must
+    not change the mappings. *)
 
 val entries_of_pmap : t -> pmap:int -> entry list
-(** Every mapping of one pmap. Linear in the total number of mappings;
-    used only on the rare pmap-destroy path. *)
+(** Every mapping of one pmap, by cpu and then vpage. It reads only that
+    pmap's rows; used on the pmap-destroy path and by the page-table
+    audit. *)
 
 val remove_range : t -> pmap:int -> vpage:int -> n:int -> unit
 (** Drop all mappings (on every CPU) for a virtual range of one pmap. *)

@@ -36,9 +36,8 @@ type pte = {
    pool refused (the pseudo-page [prefix] picks the stripe home). *)
 type home = Local of Frame_table.local_frame | Global of int
 
-(* Rows are indexed directly, so a lookup neither hashes nor allocates a
-   key; a row doubles when an index lands past its end, and an index
-   beyond a row's end reads as absent. *)
+(* Rows are indexed directly ({!Rows}), so a lookup neither hashes nor
+   allocates a key. *)
 type table = {
   t_node : int;  (** master: first-touch node; replica: its node *)
   pages : home option array array;  (** level -> prefix -> page home *)
@@ -48,7 +47,10 @@ type table = {
 type space = {
   sp_pmap : int;
   master : table;
-  replicas : (int, table) Hashtbl.t;  (** node -> full table copy *)
+  replicas : (int, table) Hashtbl.t;
+      (** node -> full table copy; only iterated, since its order fixes the
+          order of propagation charges and [Pt_shootdown] events *)
+  by_node : table option array;  (** node -> its replica, as in [replicas] *)
 }
 
 type counters = {
@@ -131,27 +133,6 @@ let free_page t = function
   | Local f -> Frame_table.free_pt t.frames f
   | Global _ -> ()
 
-(* [row] with room for index [i]: [row] itself when [i] fits, otherwise a
-   copy at least twice as long, padded with [None]. *)
-let fit row i =
-  let n = Array.length row in
-  if i < n then row
-  else begin
-    let grown = Array.make (max (i + 1) (2 * n)) None in
-    Array.blit row 0 grown 0 n;
-    grown
-  end
-
-(* Entry [j] of row [i]; past the row's end it reads as absent. *)
-let get rows i j =
-  let row = rows.(i) in
-  if j < Array.length row then row.(j) else None
-
-let set rows i j v =
-  let row = fit rows.(i) j in
-  rows.(i) <- row;
-  row.(j) <- v
-
 (* Every page of [tbl], root first: by level, then by prefix. *)
 let iter_pages f tbl =
   Array.iteri
@@ -162,9 +143,9 @@ let iter_pages f tbl =
     tbl.pages
 
 let ensure_page t tbl ~alloc_node ~level ~prefix =
-  match get tbl.pages level prefix with
+  match Rows.get tbl.pages level prefix with
   | Some _ -> ()
-  | None -> set tbl.pages level prefix (Some (alloc_page t ~node:alloc_node ~prefix))
+  | None -> Rows.set tbl.pages level prefix (Some (alloc_page t ~node:alloc_node ~prefix))
 
 let ensure_path t tbl ~alloc_node ~vpage =
   for level = 0 to t.levels - 1 do
@@ -194,13 +175,14 @@ let build_replica t space ~node ~by_cpu =
   iter_pages
     (fun ~level ~prefix src_home ->
       let dst_home = alloc_page t ~node ~prefix in
-      set r.pages level prefix (Some dst_home);
+      Rows.set r.pages level prefix (Some dst_home);
       incr copied;
       Cost_sink.charge t.sink ~cpu:by_cpu ~cat:Profile.Page_copy
         (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:by_cpu
            ~src:(home_place t src_home) ~dst:(home_place t dst_home)))
     space.master;
   Hashtbl.replace space.replicas node r;
+  space.by_node.(node) <- Some r;
   t.c.c_replicas_built <- t.c.c_replicas_built + 1;
   if Hub.enabled t.obs then
     Hub.emit t.obs
@@ -214,9 +196,14 @@ let ensure_space t ~pmap ~cpu =
   | Some sp -> sp
   | None ->
       let sp =
-        { sp_pmap = pmap; master = new_table t ~node:cpu; replicas = Hashtbl.create 4 }
+        {
+          sp_pmap = pmap;
+          master = new_table t ~node:cpu;
+          replicas = Hashtbl.create 4;
+          by_node = Array.make (Topo.cpu_nodes t.topo) None;
+        }
       in
-      t.spaces <- fit t.spaces pmap;
+      t.spaces <- Rows.fit t.spaces pmap None;
       t.spaces.(pmap) <- Some sp;
       (match t.mode with
       | Replicated None ->
@@ -233,7 +220,7 @@ let iter_spaces f t = Array.iter (Option.iter f) t.spaces
 (* --- PTE propagation ----------------------------------------------------- *)
 
 let leaf_home t tbl ~vpage =
-  match get tbl.pages (t.levels - 1) (prefix_at t ~level:(t.levels - 1) vpage) with
+  match Rows.get tbl.pages (t.levels - 1) (prefix_at t ~level:(t.levels - 1) vpage) with
   | Some home -> home_node t home
   | None -> tbl.t_node
 
@@ -243,7 +230,7 @@ let propagate_update t space ~cpu ~vpage ~lpage pte =
   Hashtbl.iter
     (fun _node r ->
       ensure_path t r ~alloc_node:r.t_node ~vpage;
-      set r.ptes cpu vpage pte;
+      Rows.set r.ptes cpu vpage pte;
       let ns =
         Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
           ~node:(leaf_home t r ~vpage)
@@ -259,8 +246,8 @@ let propagate_update t space ~cpu ~vpage ~lpage pte =
 let propagate_shootdown t space ~cpu ~vpage ~lpage pte =
   Hashtbl.iter
     (fun node r ->
-      if Option.is_some (get r.ptes cpu vpage) then begin
-        set r.ptes cpu vpage pte;
+      if Option.is_some (Rows.get r.ptes cpu vpage) then begin
+        Rows.set r.ptes cpu vpage pte;
         let ns =
           Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
             ~node:(leaf_home t r ~vpage)
@@ -278,25 +265,25 @@ let enter t ~pmap ~cpu ~vpage ~lpage ~frame ~prot =
   let sp = ensure_space t ~pmap ~cpu in
   ensure_path t sp.master ~alloc_node:cpu ~vpage;
   let pte = Some { pte_lpage = lpage; pte_frame = frame; pte_prot = prot } in
-  set sp.master.ptes cpu vpage pte;
+  Rows.set sp.master.ptes cpu vpage pte;
   propagate_update t sp ~cpu ~vpage ~lpage pte
 
 let remove t ~pmap ~cpu ~vpage ~lpage =
   match space t ~pmap with
   | None -> ()
   | Some sp ->
-      set sp.master.ptes cpu vpage None;
+      Rows.set sp.master.ptes cpu vpage None;
       propagate_shootdown t sp ~cpu ~vpage ~lpage None
 
 let update_prot t ~pmap ~cpu ~vpage ~lpage ~prot =
   match space t ~pmap with
   | None -> ()
   | Some sp -> (
-      match get sp.master.ptes cpu vpage with
+      match Rows.get sp.master.ptes cpu vpage with
       | None -> ()
       | Some old ->
           let pte = Some { old with pte_prot = prot } in
-          set sp.master.ptes cpu vpage pte;
+          Rows.set sp.master.ptes cpu vpage pte;
           propagate_shootdown t sp ~cpu ~vpage ~lpage pte)
 
 (* --- the walk ------------------------------------------------------------ *)
@@ -312,7 +299,7 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
         | Replicated cap -> (
             if cpu = sp.master.t_node then sp.master
             else
-              match Hashtbl.find_opt sp.replicas cpu with
+              match sp.by_node.(cpu) with
               | Some r -> r
               | None -> (
                   (* On demand: the first local walk pays for mitosis, up
@@ -331,7 +318,7 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
       let ns = ref 0. in
       (try
          for level = 0 to t.levels - 1 do
-           match get tbl.pages level (prefix_at t ~level vpage) with
+           match Rows.get tbl.pages level (prefix_at t ~level vpage) with
            | Some home ->
                incr read;
                ns :=
@@ -351,11 +338,12 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
 (* --- degradation and the daemon ------------------------------------------ *)
 
 let drop_replica t space ~node =
-  match Hashtbl.find_opt space.replicas node with
+  match space.by_node.(node) with
   | None -> ()
   | Some r ->
       iter_pages (fun ~level:_ ~prefix:_ home -> free_page t home) r;
       Hashtbl.remove space.replicas node;
+      space.by_node.(node) <- None;
       t.c.c_replicas_dropped <- t.c.c_replicas_dropped + 1;
       if Hub.enabled t.obs then
         Hub.emit t.obs (Event.Pt_replica_drop { pmap = space.sp_pmap; node })
@@ -385,7 +373,7 @@ let node_offline t ~node =
                     t.c.c_global_pt_pages <- t.c.c_global_pt_pages + 1;
                     Global prefix
               in
-              set sp.master.pages level prefix (Some fresh);
+              Rows.set sp.master.pages level prefix (Some fresh);
               Cost_sink.charge t.sink ~cpu:node ~cat:Profile.Page_copy
                 (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:node
                    ~src:(home_place t home) ~dst:(home_place t fresh))
@@ -403,7 +391,7 @@ let daemon_sweep t ~by_cpu =
           for node = 0 to Topo.cpu_nodes t.topo - 1 do
             if
               node <> sp.master.t_node && online t ~node
-              && not (Hashtbl.mem sp.replicas node)
+              && Option.is_none sp.by_node.(node)
             then begin
               ignore (build_replica t sp ~node ~by_cpu);
               incr built
@@ -415,7 +403,9 @@ let daemon_sweep t ~by_cpu =
 (* --- fault injection ----------------------------------------------------- *)
 
 let sorted_nodes sp =
-  List.sort Int.compare (Hashtbl.fold (fun n _ acc -> n :: acc) sp.replicas [])
+  List.filter
+    (fun node -> Option.is_some sp.by_node.(node))
+    (List.init (Array.length sp.by_node) Fun.id)
 
 let corrupt_replica t ~lpage =
   let hit = ref None in
@@ -436,7 +426,7 @@ let corrupt_replica t ~lpage =
                       hit := Some (sp.sp_pmap, node)
                   | Some _ | None -> ())
                 row)
-            (Hashtbl.find sp.replicas node).ptes)
+            (Option.get sp.by_node.(node)).ptes)
         (sorted_nodes sp))
     t;
   !hit
@@ -451,7 +441,7 @@ let pmaps t =
 let master_pte t ~pmap ~cpu ~vpage =
   match space t ~pmap with
   | None -> None
-  | Some sp -> get sp.master.ptes cpu vpage
+  | Some sp -> Rows.get sp.master.ptes cpu vpage
 
 let replica_nodes t ~pmap =
   match space t ~pmap with
@@ -475,11 +465,9 @@ let master_ptes t ~pmap =
 
 let replica_ptes t ~pmap ~node =
   match space t ~pmap with
-  | None -> []
-  | Some sp -> (
-      match Hashtbl.find_opt sp.replicas node with
-      | None -> []
-      | Some r -> table_ptes r)
+  | Some sp when node >= 0 && node < Array.length sp.by_node ->
+      Option.fold ~none:[] ~some:table_ptes sp.by_node.(node)
+  | Some _ | None -> []
 
 let table_frames t =
   let acc = ref [] in

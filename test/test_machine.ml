@@ -223,6 +223,293 @@ let test_mmu_phys_location () =
   Alcotest.(check bool) "global frame" true
     (Mmu.phys_location ~cpu:0 (Mmu.Global_frame 1) = Location.In_global)
 
+(* --- the array MMU against the hashtable oracle ---------------------------- *)
+
+type mmu_op =
+  | M_enter of {
+      pmap : int;
+      cpu : int;
+      vpage : int;
+      lpage : int;
+      prot : Prot.t;
+      frame : int option;
+    }
+  | M_spread of { pmap : int; vpage : int; lpage : int }
+      (** forty mappings of one lpage, over every CPU: its bucket resizes *)
+  | M_remove of { pmap : int; cpu : int; vpage : int }
+  | M_remove_entry of { lpage : int; nth : int }
+  | M_remove_stale
+  | M_remove_all of int  (** every mapping of one lpage, as the protocol drops them *)
+  | M_set_prot of { lpage : int; nth : int; prot : Prot.t }
+  | M_translate of { pmap : int; cpu : int; vpage : int }
+  | M_remove_range of { pmap : int; vpage : int; n : int }
+  | M_lookup of { pmap : int; cpu : int; vpage : int }
+
+let mmu_op_print = function
+  | M_enter { pmap; cpu; vpage; lpage; frame; _ } ->
+      Printf.sprintf "enter(p%d c%d v%d l%d %s)" pmap cpu vpage lpage
+        (match frame with Some n -> Printf.sprintf "frame@%d" n | None -> "global")
+  | M_spread { pmap; vpage; lpage } -> Printf.sprintf "spread(p%d v%d l%d)" pmap vpage lpage
+  | M_remove { pmap; cpu; vpage } -> Printf.sprintf "remove(p%d c%d v%d)" pmap cpu vpage
+  | M_remove_entry { lpage; nth } -> Printf.sprintf "remove_entry(l%d #%d)" lpage nth
+  | M_remove_stale -> "remove_stale"
+  | M_remove_all lpage -> Printf.sprintf "remove_all(l%d)" lpage
+  | M_set_prot { lpage; nth; _ } -> Printf.sprintf "set_prot(l%d #%d)" lpage nth
+  | M_translate { pmap; cpu; vpage } -> Printf.sprintf "translate(p%d c%d v%d)" pmap cpu vpage
+  | M_remove_range { pmap; vpage; n } -> Printf.sprintf "remove_range(p%d v%d n%d)" pmap vpage n
+  | M_lookup { pmap; cpu; vpage } -> Printf.sprintf "lookup(p%d c%d v%d)" pmap cpu vpage
+
+type mmu_case = { m_cpus : int; pt_mode : Pt.mode; m_ops : mmu_op list }
+
+let mmu_lpages = 6
+
+(* Sparse vpages, so rows grow mid-sequence; lookups, translations and
+   removals also reach past every row and below zero. *)
+let mmu_case_gen =
+  let open QCheck.Gen in
+  let* m_cpus = int_range 1 8 in
+  let* pt_mode = oneofl [ Pt.Off; Pt.Shared; Pt.Replicated None; Pt.Replicated (Some 1) ] in
+  let pmap = int_bound 2 and cpu = int_bound (m_cpus - 1) and lpage = int_bound (mmu_lpages - 1) in
+  let vpage = oneofl [ 0; 1; 7; 63; 64; 300; 1023; 1024; 5000 ] in
+  let wild l = frequency [ (4, l); (1, oneofl [ -1; -7; 3; 9; 100_000 ]) ] in
+  let prot = oneofl [ Prot.No_access; Prot.Read_only; Prot.Read_write ] in
+  let nth = int_bound 30 in
+  let op =
+    frequency
+      [
+        ( 8,
+          let+ pmap and+ cpu and+ vpage and+ lpage and+ prot
+          and+ frame = opt (int_bound (m_cpus - 1)) in
+          M_enter { pmap; cpu; vpage; lpage; prot; frame } );
+        (1, let+ pmap and+ vpage and+ lpage in M_spread { pmap; vpage; lpage });
+        ( 2,
+          let+ pmap = wild pmap and+ cpu = wild cpu and+ vpage = wild vpage in
+          M_remove { pmap; cpu; vpage } );
+        (3, let+ lpage and+ nth in M_remove_entry { lpage; nth });
+        (1, return M_remove_stale);
+        (2, map (fun l -> M_remove_all l) lpage);
+        (2, let+ lpage and+ nth and+ prot in M_set_prot { lpage; nth; prot });
+        ( 5,
+          let+ pmap = wild pmap and+ cpu and+ vpage = wild vpage in
+          M_translate { pmap; cpu; vpage } );
+        ( 1,
+          let+ pmap = wild pmap and+ vpage = wild vpage and+ n = int_range 1 1100 in
+          M_remove_range { pmap; vpage; n } );
+        ( 2,
+          let+ pmap = wild pmap and+ cpu = wild cpu and+ vpage = wild vpage in
+          M_lookup { pmap; cpu; vpage } );
+      ]
+  in
+  let+ m_ops = list_size (int_range 1 60) op in
+  { m_cpus; pt_mode; m_ops }
+
+let mmu_case_arbitrary =
+  QCheck.make
+    ~shrink:(fun c -> QCheck.Iter.map (fun m_ops -> { c with m_ops }) (QCheck.Shrink.list c.m_ops))
+    ~print:(fun c ->
+      Printf.sprintf "%d cpus, pt %s: %s" c.m_cpus (Pt.mode_to_string c.pt_mode)
+        (String.concat "; " (List.map mmu_op_print c.m_ops)))
+    mmu_case_gen
+
+(* One implementation's machine: its own pools (one data frame taken on
+   every node), sink, hub and, unless the case's mode is off, tables. *)
+type mmu_side = {
+  ft : Frame_table.t;
+  data : Frame_table.local_frame array;
+  m_sink : Cost_sink.t;
+  m_hub : Numa_obs.Hub.t;
+  m_events : Numa_obs.Event.t list ref;
+}
+
+let mmu_side config pt_mode =
+  let ft = Frame_table.create config in
+  let data =
+    Array.init config.Config.n_cpus (fun node -> Option.get (Frame_table.alloc_local ft ~node))
+  in
+  let m_hub = Numa_obs.Hub.create () in
+  let m_events = ref [] in
+  Numa_obs.Hub.attach m_hub ~name:"twin" (fun ~ts:_ ev -> m_events := ev :: !m_events);
+  let m_sink = Cost_sink.create ~n_cpus:config.Config.n_cpus in
+  let pt =
+    match pt_mode with
+    | Pt.Off -> None
+    | Pt.Shared | Pt.Replicated _ ->
+        Some (Pt.create ~obs:m_hub ~config ~frames:ft ~sink:m_sink ~mode:pt_mode ())
+  in
+  ({ ft; data; m_sink; m_hub; m_events }, pt)
+
+type entry_view = int * int * int * int * Prot.t * (int * int) option * int
+
+let frame_view (f : Frame_table.local_frame) = Some (f.Frame_table.node, f.Frame_table.id)
+
+let array_entry (e : Mmu.entry) : entry_view =
+  let frame, global = match e.phys with Mmu.Frame f -> (frame_view f, -1) | Mmu.Global_frame g -> (None, g) in
+  (e.pmap, e.cpu, e.vpage, e.lpage, e.prot, frame, global)
+
+let oracle_entry (e : Mmu_oracle.entry) : entry_view =
+  let frame, global =
+    match e.phys with Mmu_oracle.Frame f -> (frame_view f, -1) | Mmu_oracle.Global_frame g -> (None, g)
+  in
+  (e.pmap, e.cpu, e.vpage, e.lpage, e.prot, frame, global)
+
+(* Everything the two implementations must agree on, in one comparable
+   value: reverse-map listings in order, pmap listings and the mapped
+   lpages as sets, counters, per-CPU charges and hub events in order. *)
+let mmu_view side ~n_cpus ~by_lpage ~by_pmap ~mapped ~n ~tlb =
+  let probes = (-1 :: List.init mmu_lpages Fun.id) @ [ 100_000 ] in
+  ( List.map by_lpage probes,
+    List.map (fun pmap -> List.sort compare (by_pmap pmap)) [ -1; 0; 1; 2; 99 ],
+    List.sort compare mapped,
+    n,
+    tlb,
+    Array.init n_cpus (fun cpu -> Cost_sink.total_charged side.m_sink ~cpu),
+    List.rev !(side.m_events) )
+
+let array_mmu_view side mmu ~n_cpus =
+  let mapped = ref [] in
+  Mmu.iter_mapped_lpages mmu (fun l -> mapped := l :: !mapped);
+  mmu_view side ~n_cpus
+    ~by_lpage:(fun lpage -> List.map array_entry (Mmu.entries_of_lpage mmu ~lpage))
+    ~by_pmap:(fun pmap -> List.map array_entry (Mmu.entries_of_pmap mmu ~pmap))
+    ~mapped:!mapped ~n:(Mmu.n_mappings mmu)
+    ~tlb:
+      ( (Mmu.tlb_hits mmu, Mmu.tlb_misses mmu, Mmu.tlb_shootdowns mmu),
+        List.init n_cpus (fun cpu -> Mmu.tlb_stats mmu ~cpu) )
+
+let oracle_mmu_view side mmu ~n_cpus =
+  let mapped = ref [] in
+  Mmu_oracle.iter_mapped_lpages mmu (fun l -> mapped := l :: !mapped);
+  mmu_view side ~n_cpus
+    ~by_lpage:(fun lpage -> List.map oracle_entry (Mmu_oracle.entries_of_lpage mmu ~lpage))
+    ~by_pmap:(fun pmap -> List.map oracle_entry (Mmu_oracle.entries_of_pmap mmu ~pmap))
+    ~mapped:!mapped ~n:(Mmu_oracle.n_mappings mmu)
+    ~tlb:
+      ( (Mmu_oracle.tlb_hits mmu, Mmu_oracle.tlb_misses mmu, Mmu_oracle.tlb_shootdowns mmu),
+        List.init n_cpus (fun cpu -> Mmu_oracle.tlb_stats mmu ~cpu) )
+
+(* A bucket that grew past 32 mappings (the 16 hash buckets that
+   [Hashtbl.create 8] makes) and then emptied lists its next mappings as
+   a new table would: the order the hashtable MMU, which dropped emptied
+   buckets, shot them down in. *)
+let test_mmu_emptied_bucket_order () =
+  let config = small_config () in
+  let mmu = Mmu.create config and oracle = Mmu_oracle.create config in
+  let enter ~cpu ~vpage =
+    Mmu.enter mmu ~pmap:0 ~cpu ~vpage ~lpage:1 ~prot:Prot.Read_only ~phys:(Mmu.Global_frame 1);
+    Mmu_oracle.enter oracle ~pmap:0 ~cpu ~vpage ~lpage:1 ~prot:Prot.Read_only
+      ~phys:(Mmu_oracle.Global_frame 1)
+  in
+  for v = 0 to 39 do
+    enter ~cpu:(v mod 4) ~vpage:v
+  done;
+  List.iter (Mmu.remove_entry mmu) (Mmu.entries_of_lpage mmu ~lpage:1);
+  List.iter (Mmu_oracle.remove_entry oracle) (Mmu_oracle.entries_of_lpage oracle ~lpage:1);
+  Alcotest.(check int) "emptied" 0 (Mmu.n_mappings mmu);
+  for v = 0 to 7 do
+    enter ~cpu:(v mod 4) ~vpage:(100 + v)
+  done;
+  Alcotest.(check (list (pair int int)))
+    "the oracle's order"
+    (List.map
+       (fun (e : Mmu_oracle.entry) -> (e.cpu, e.vpage))
+       (Mmu_oracle.entries_of_lpage oracle ~lpage:1))
+    (List.map (fun (e : Mmu.entry) -> (e.cpu, e.vpage)) (Mmu.entries_of_lpage mmu ~lpage:1))
+
+let nth_of l nth = match l with [] -> None | l -> Some (List.nth l (nth mod List.length l))
+
+let prop_mmu_matches_oracle =
+  QCheck.Test.make ~name:"array MMU = hashtable oracle" ~count:300 mmu_case_arbitrary (fun c ->
+      let n_cpus = c.m_cpus in
+      let config = Config.ace ~n_cpus ~local_pages_per_cpu:64 () in
+      let a, a_pt = mmu_side config c.pt_mode and o, o_pt = mmu_side config c.pt_mode in
+      let mmu = Mmu.create ~obs:a.m_hub config and oracle = Mmu_oracle.create ~obs:o.m_hub config in
+      Option.iter (Mmu.attach_pt mmu) a_pt;
+      Option.iter (Mmu_oracle.attach_pt oracle) o_pt;
+      (* The last entry each side removed by [remove_entry], for a stale
+         second removal. *)
+      let a_gone = ref None and o_gone = ref None in
+      let enter ~pmap ~cpu ~vpage ~lpage ~prot ~frame =
+        let phys side ~local ~global =
+          match frame with Some n -> local side.data.(n) | None -> global lpage
+        in
+        Mmu.enter mmu ~pmap ~cpu ~vpage ~lpage ~prot
+          ~phys:(phys a ~local:(fun f -> Mmu.Frame f) ~global:(fun g -> Mmu.Global_frame g));
+        Mmu_oracle.enter oracle ~pmap ~cpu ~vpage ~lpage ~prot
+          ~phys:
+            (phys o
+               ~local:(fun f -> Mmu_oracle.Frame f)
+               ~global:(fun g -> Mmu_oracle.Global_frame g))
+      in
+      let nth_entries ~lpage ~nth =
+        ( nth_of (Mmu.entries_of_lpage mmu ~lpage) nth,
+          nth_of (Mmu_oracle.entries_of_lpage oracle ~lpage) nth )
+      in
+      List.iteri
+        (fun i op ->
+          let disagree what =
+            QCheck.Test.fail_reportf "op %d (%s): %s" i (mmu_op_print op) what
+          in
+          (match op with
+          | M_enter { pmap; cpu; vpage; lpage; prot; frame } ->
+              enter ~pmap ~cpu ~vpage ~lpage ~prot ~frame
+          | M_spread { pmap; vpage; lpage } ->
+              for k = 0 to 39 do
+                enter ~pmap ~cpu:(k mod n_cpus) ~vpage:(vpage + k) ~lpage ~prot:Prot.Read_only
+                  ~frame:None
+              done
+          | M_remove { pmap; cpu; vpage } ->
+              Mmu.remove mmu ~pmap ~cpu ~vpage;
+              Mmu_oracle.remove oracle ~pmap ~cpu ~vpage
+          | M_remove_entry { lpage; nth } -> (
+              match nth_entries ~lpage ~nth with
+              | Some e, Some e' ->
+                  Mmu.remove_entry mmu e;
+                  Mmu_oracle.remove_entry oracle e';
+                  a_gone := Some e;
+                  o_gone := Some e'
+              | None, None -> ()
+              | Some _, None | None, Some _ -> disagree "one side has no entry")
+          | M_remove_stale -> (
+              match (!a_gone, !o_gone) with
+              | Some e, Some e' ->
+                  Mmu.remove_entry mmu e;
+                  Mmu_oracle.remove_entry oracle e'
+              | _ -> ())
+          | M_remove_all lpage ->
+              List.iter (Mmu.remove_entry mmu) (Mmu.entries_of_lpage mmu ~lpage);
+              List.iter (Mmu_oracle.remove_entry oracle) (Mmu_oracle.entries_of_lpage oracle ~lpage)
+          | M_set_prot { lpage; nth; prot } -> (
+              match nth_entries ~lpage ~nth with
+              | Some e, Some e' ->
+                  Mmu.set_prot mmu e prot;
+                  Mmu_oracle.set_prot oracle e' prot
+              | None, None -> ()
+              | Some _, None | None, Some _ -> disagree "one side has no entry")
+          | M_translate { pmap; cpu; vpage } ->
+              (* With tables attached, a negative pmap raises in [Pt] on
+                 both sides. *)
+              let outcome translate view =
+                match translate ~pmap ~cpu ~vpage with
+                | found -> Ok (Option.map view found)
+                | exception Invalid_argument msg -> Error msg
+              in
+              if
+                outcome (Mmu.translate mmu) array_entry
+                <> outcome (Mmu_oracle.translate oracle) oracle_entry
+              then disagree "translations differ"
+          | M_remove_range { pmap; vpage; n } ->
+              Mmu.remove_range mmu ~pmap ~vpage ~n;
+              Mmu_oracle.remove_range oracle ~pmap ~vpage ~n
+          | M_lookup { pmap; cpu; vpage } ->
+              if
+                Option.map array_entry (Mmu.lookup mmu ~pmap ~cpu ~vpage)
+                <> Option.map oracle_entry (Mmu_oracle.lookup oracle ~pmap ~cpu ~vpage)
+              then disagree "lookups differ");
+          if array_mmu_view a mmu ~n_cpus <> oracle_mmu_view o oracle ~n_cpus then
+            disagree "the maps disagree")
+        c.m_ops;
+      true)
+
 (* --- software TLB ------------------------------------------------------------------- *)
 
 let test_tlb_hit_miss_counters () =
@@ -346,6 +633,8 @@ let suite =
     Alcotest.test_case "mmu replace updates reverse" `Quick test_mmu_replace_updates_reverse;
     Alcotest.test_case "mmu remove range" `Quick test_mmu_remove_range;
     Alcotest.test_case "mmu phys location" `Quick test_mmu_phys_location;
+    Alcotest.test_case "mmu emptied bucket keeps its order" `Quick test_mmu_emptied_bucket_order;
+    QCheck_alcotest.to_alcotest prop_mmu_matches_oracle;
     Alcotest.test_case "tlb hit/miss counters" `Quick test_tlb_hit_miss_counters;
     Alcotest.test_case "tlb precise shootdown" `Quick test_tlb_invalidate;
     Alcotest.test_case "tlb conflict eviction" `Quick test_tlb_conflict_eviction;
