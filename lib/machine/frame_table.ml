@@ -1,8 +1,13 @@
 type local_frame = { node : int; id : int; mutable cell : int; mutable lpage : int }
 
+(* A pool mints its frames on first use: [free] holds the freed ones,
+   most recent first, and ids [fresh] and up have never been handed out.
+   So the pool allocates in the order of one list holding every frame,
+   freed ones first, then the unused ids ascending. *)
 type node_pool = {
   capacity : int;
   mutable free : local_frame list;
+  mutable fresh : int;
   mutable in_use : int;
   free_ids : Bytes.t;  (** one flag per id, set while the frame is free: catches double frees *)
   mutable online : bool;  (** offline pools refuse allocation *)
@@ -22,7 +27,8 @@ let create (config : Config.t) =
     let capacity = Topo.pool_pages topo ~node in
     {
       capacity;
-      free = List.init capacity (fun id -> { node; id; cell = 0; lpage = -1 });
+      free = [];
+      fresh = 0;
       in_use = 0;
       free_ids = Bytes.make capacity '\001';
       online = true;
@@ -53,16 +59,24 @@ let write_global t ~lpage v =
 let alloc_local t ~node =
   let pool = t.pools.(node) in
   if (not pool.online) || pool.in_use >= pool.limit then None
-  else
-    match pool.free with
-    | [] -> None
-    | frame :: rest ->
-        pool.free <- rest;
-        pool.in_use <- pool.in_use + 1;
-        Bytes.set pool.free_ids frame.id '\000';
-        frame.cell <- 0;
-        frame.lpage <- -1;
-        Some frame
+  else begin
+    (* [in_use < limit <= capacity], so a frame is freed or still fresh. *)
+    let frame =
+      match pool.free with
+      | frame :: rest ->
+          pool.free <- rest;
+          frame
+      | [] ->
+          let frame = { node; id = pool.fresh; cell = 0; lpage = -1 } in
+          pool.fresh <- pool.fresh + 1;
+          frame
+    in
+    pool.in_use <- pool.in_use + 1;
+    Bytes.set pool.free_ids frame.id '\000';
+    frame.cell <- 0;
+    frame.lpage <- -1;
+    Some frame
+  end
 
 let free_local t frame =
   let pool = t.pools.(frame.node) in
@@ -98,6 +112,8 @@ let free_pt t frame =
   free_local t frame
 
 let pt_in_use t ~node = t.pools.(node).pt_in_use
+
+let n_pools t = Array.length t.pools
 
 let local_in_use t ~node = t.pools.(node).in_use
 

@@ -72,6 +72,9 @@ val pt_in_use : t -> node:int -> int
 (** How many of the node's in-use frames currently back page-table
     pages. *)
 
+val n_pools : t -> int
+(** How many local pools there are: one per CPU node. *)
+
 val local_in_use : t -> node:int -> int
 
 val local_capacity : t -> node:int -> int
