@@ -289,8 +289,7 @@ let check ?pinned ?pool ~manager ~mmu ~frames ~(config : Config.t) () =
         (Pt.pmaps pt);
       (* Table pages themselves: allocated frames on live nodes, and the
          per-pool page-table census agrees with the tables' own count. *)
-      let topo = Config.topology config in
-      let counted = Array.make (Topo.cpu_nodes topo) 0 in
+      let counted = Array.make (Frame_table.n_pools frames) 0 in
       List.iter
         (fun (node, (f : Frame_table.local_frame)) ->
           counted.(node) <- counted.(node) + 1;
