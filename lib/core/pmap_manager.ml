@@ -67,7 +67,9 @@ let set_pragma t ~pmap ~vpage ~n pragma =
     | Some p -> Hashtbl.replace t.pragmas (pmap, v) p
   done
 
-let pragma_at t ~pmap ~vpage = Hashtbl.find_opt t.pragmas (pmap, vpage)
+(* Most runs set no pragma, so skip hashing a fresh key on every enter. *)
+let pragma_at t ~pmap ~vpage =
+  if Hashtbl.length t.pragmas = 0 then None else Hashtbl.find_opt t.pragmas (pmap, vpage)
 
 (* --- the pmap interface ------------------------------------------------ *)
 
