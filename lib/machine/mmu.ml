@@ -12,9 +12,9 @@ type entry = {
 type key = { k_pmap : int; k_cpu : int; k_vpage : int }
 
 (* One logical page's mappings. The table is made by [Hashtbl.create 8]
-   and reset, never dropped, when it empties, which restores that same
-   8-bucket table: its fold order is the order [entries_of_lpage] lists
-   in, so the order of protocol shootdowns depends on it. *)
+   and reset, never dropped, when it empties, which returns it to the
+   size it was made with: its fold order is the order [entries_of_lpage]
+   lists in, so the order of protocol shootdowns depends on it. *)
 type bucket = {
   maps : (key, entry) Hashtbl.t;
   mutable at : int;  (** index in [mapped] while [maps] is non-empty, else -1 *)

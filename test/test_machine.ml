@@ -256,7 +256,8 @@ let mmu_op_print = function
   | M_remove_all lpage -> Printf.sprintf "remove_all(l%d)" lpage
   | M_set_prot { lpage; nth; _ } -> Printf.sprintf "set_prot(l%d #%d)" lpage nth
   | M_translate { pmap; cpu; vpage } -> Printf.sprintf "translate(p%d c%d v%d)" pmap cpu vpage
-  | M_remove_range { pmap; vpage; n } -> Printf.sprintf "remove_range(p%d v%d n%d)" pmap vpage n
+  | M_remove_range { pmap; vpage; n } ->
+      Printf.sprintf "remove_range(p%d v%d n%d)" pmap vpage n
   | M_lookup { pmap; cpu; vpage } -> Printf.sprintf "lookup(p%d c%d v%d)" pmap cpu vpage
 
 type mmu_case = { m_cpus : int; pt_mode : Pt.mode; m_ops : mmu_op list }
@@ -343,12 +344,16 @@ type entry_view = int * int * int * int * Prot.t * (int * int) option * int
 let frame_view (f : Frame_table.local_frame) = Some (f.Frame_table.node, f.Frame_table.id)
 
 let array_entry (e : Mmu.entry) : entry_view =
-  let frame, global = match e.phys with Mmu.Frame f -> (frame_view f, -1) | Mmu.Global_frame g -> (None, g) in
+  let frame, global =
+    match e.phys with Mmu.Frame f -> (frame_view f, -1) | Mmu.Global_frame g -> (None, g)
+  in
   (e.pmap, e.cpu, e.vpage, e.lpage, e.prot, frame, global)
 
 let oracle_entry (e : Mmu_oracle.entry) : entry_view =
   let frame, global =
-    match e.phys with Mmu_oracle.Frame f -> (frame_view f, -1) | Mmu_oracle.Global_frame g -> (None, g)
+    match e.phys with
+    | Mmu_oracle.Frame f -> (frame_view f, -1)
+    | Mmu_oracle.Global_frame g -> (None, g)
   in
   (e.pmap, e.cpu, e.vpage, e.lpage, e.prot, frame, global)
 
@@ -422,7 +427,8 @@ let prop_mmu_matches_oracle =
       let n_cpus = c.m_cpus in
       let config = Config.ace ~n_cpus ~local_pages_per_cpu:64 () in
       let a, a_pt = mmu_side config c.pt_mode and o, o_pt = mmu_side config c.pt_mode in
-      let mmu = Mmu.create ~obs:a.m_hub config and oracle = Mmu_oracle.create ~obs:o.m_hub config in
+      let mmu = Mmu.create ~obs:a.m_hub config in
+      let oracle = Mmu_oracle.create ~obs:o.m_hub config in
       Option.iter (Mmu.attach_pt mmu) a_pt;
       Option.iter (Mmu_oracle.attach_pt oracle) o_pt;
       (* The last entry each side removed by [remove_entry], for a stale
@@ -477,7 +483,8 @@ let prop_mmu_matches_oracle =
               | _ -> ())
           | M_remove_all lpage ->
               List.iter (Mmu.remove_entry mmu) (Mmu.entries_of_lpage mmu ~lpage);
-              List.iter (Mmu_oracle.remove_entry oracle) (Mmu_oracle.entries_of_lpage oracle ~lpage)
+              List.iter (Mmu_oracle.remove_entry oracle)
+                (Mmu_oracle.entries_of_lpage oracle ~lpage)
           | M_set_prot { lpage; nth; prot } -> (
               match nth_entries ~lpage ~nth with
               | Some e, Some e' ->
