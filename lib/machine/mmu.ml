@@ -66,7 +66,7 @@ let link_reverse t e =
         b
   in
   if b.at < 0 then begin
-    t.mapped <- Rows.fit t.mapped t.n_mapped 0;
+    if t.n_mapped = Array.length t.mapped then t.mapped <- Rows.fit t.mapped t.n_mapped 0;
     t.mapped.(t.n_mapped) <- e.lpage;
     b.at <- t.n_mapped;
     t.n_mapped <- t.n_mapped + 1
@@ -114,7 +114,7 @@ let remove_entry t e =
 
 (* The cpu rows of [pmap], made on its first mapping. *)
 let pmap_rows t pmap =
-  t.forward <- Rows.fit t.forward pmap [||];
+  if pmap >= Array.length t.forward then t.forward <- Rows.fit t.forward pmap [||];
   if Array.length t.forward.(pmap) = 0 then t.forward.(pmap) <- Array.make t.n_cpus [||];
   t.forward.(pmap)
 

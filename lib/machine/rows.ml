@@ -13,7 +13,13 @@ let get rows i j =
     let row = rows.(i) in
     if j < 0 || j >= Array.length row then None else row.(j)
 
+(* The row is stored back only when it grew, which spares the write
+   barrier on every other set. *)
 let set rows i j v =
-  let row = fit rows.(i) j None in
-  rows.(i) <- row;
-  row.(j) <- v
+  let row = rows.(i) in
+  if j < Array.length row then row.(j) <- v
+  else begin
+    let row = fit row j None in
+    rows.(i) <- row;
+    row.(j) <- v
+  end
