@@ -40,6 +40,17 @@ case_ run imatmult --scale 0.1 --pages 12 --paranoid --victim lru \
 case_ run imatmult --scale 0.05 --cpus 4 --pt-mode replicated \
   --faults spurious-shootdown:0.2 --trace-out shootdown.trace.json \
   --profile-out shootdown.profile.json
+# The NUMA manager's placement paths: homed placement, its demotion when
+# node 0 drains and the fallbacks after it; kernel page migration; a pin
+# with a thread re-homing hint; and pins, cheap-global answers and
+# replica flushes under bandwidth-aware placement.
+case_ run lopsided-homed --scale 0.2 --paranoid --faults node-offline:0@5 \
+  --trace-out homed.trace.json
+case_ run rebalance-migrate --scale 0.2 --trace-out migrate.trace.json
+case_ run lopsided --scale 0.2 --policy migrate-threads:1 --topology butterfly \
+  --trace-out hints.trace.json
+case_ run plytrace --scale 0.2 --policy bandwidth-aware:1 --topology butterfly \
+  --trace-out bw.trace.json
 
 case_ profile imatmult --scale 0.1 --top 3 --folded-out imatmult.folded \
   --json-out imatmult.profile.json
@@ -83,4 +94,5 @@ case_ measure primes1 --scale 0.05 --threads=-1
 echo "=== artifacts"
 md5sum serve.trace.json serve.metrics.csv serve.report.json serve.profile.json \
   imatmult.folded imatmult.profile.json primes3.trace shootdown.trace.json \
-  shootdown.profile.json
+  shootdown.profile.json homed.trace.json migrate.trace.json hints.trace.json \
+  bw.trace.json
