@@ -228,7 +228,61 @@ let test_policy_info_strings () =
     Policy.reconsider ~threshold:2 ~window_ns:5e6 ~now:(fun () -> 0.) ~n_pages:4 ()
   in
   Alcotest.(check bool) "reconsider exposes window" true
-    (List.mem_assoc "window_ns" (r.Policy.info ()))
+    (List.mem_assoc "window_ns" (r.Policy.info ()));
+  (* The three policies that pin on a move count, driven through one
+     script: pin page 2 from cpu 0, free it, pin it again. After each step
+     every introspection entry point must agree. *)
+  let topo = Config.topology (Config.butterfly ~n_cpus:4 ()) in
+  let check_step (p : Policy.t) step ~pinned ~info ~explain ~hints =
+    let msg what = Printf.sprintf "%s %s: %s" p.Policy.name step what in
+    Alcotest.(check (list (pair string string))) (msg "info") info (p.Policy.info ());
+    Alcotest.(check string) (msg "explain") explain (p.Policy.explain ~lpage:2);
+    Alcotest.(check int) (msg "n_pinned") (Bool.to_int pinned) (p.Policy.n_pinned ());
+    Alcotest.(check bool) (msg "is_pinned") pinned (p.Policy.is_pinned ~lpage:2);
+    Alcotest.(check (list (pair int int))) (msg "hints") hints (p.Policy.migrate_hints ())
+  in
+  let pin (p : Policy.t) =
+    p.Policy.note (Policy.Page_moved { lpage = 2 });
+    p.Policy.note (Policy.Page_moved { lpage = 2 });
+    Alcotest.(check bool) (p.Policy.name ^ " pins") true
+      (p.Policy.decide ~lpage:2 ~cpu:0 ~access:Access.Store
+      = Numa_core.Protocol.Place_global)
+  in
+  List.iter
+    (fun (p, extra, pinned_why, local_why, hint) ->
+      let info ~pins ~hinted =
+        [ ("threshold", "1"); ("pinned pages", string_of_int pins) ] @ extra hinted
+      in
+      check_step p "fresh" ~pinned:false ~info:(info ~pins:0 ~hinted:0) ~explain:local_why
+        ~hints:[];
+      pin p;
+      check_step p "pinned" ~pinned:true ~info:(info ~pins:1 ~hinted:1) ~explain:pinned_why
+        ~hints:hint;
+      p.Policy.note (Policy.Page_freed { lpage = 2 });
+      check_step p "freed" ~pinned:false ~info:(info ~pins:0 ~hinted:1) ~explain:local_why
+        ~hints:[];
+      pin p;
+      check_step p "pinned again" ~pinned:true ~info:(info ~pins:1 ~hinted:2)
+        ~explain:pinned_why ~hints:hint)
+    [
+      ( Policy.move_limit ~threshold:1 ~n_pages:16 (),
+        (fun _ -> []),
+        "move-limit: page moved 2 times > threshold 1; pinned GLOBAL",
+        "move-limit: moves 0 <= threshold 1; cache LOCAL",
+        [] );
+      ( Policy.bandwidth_aware ~threshold:1 ~topo ~pressure:(fun ~node:_ -> 0.) ~n_pages:16 (),
+        (fun _ -> [ ("cheap-global decisions", "0") ]),
+        "bandwidth-aware: page moved 2 times > threshold 1; pinned GLOBAL",
+        "bandwidth-aware: moves 0 <= threshold 1; next fault compares shared-home \
+         latency+link bandwidth against local latency+frame pressure",
+        [] );
+      ( Policy.migrate_threads ~threshold:1 ~topo ~n_pages:16 (),
+        (fun hinted -> [ ("migration hints issued", string_of_int hinted) ]),
+        "migrate-threads: page moved 2 times > threshold 1; pinned GLOBAL (with a thread \
+         re-homing hint toward its shared-level home)",
+        "migrate-threads: moves 0 <= threshold 1; cache LOCAL",
+        [ (0, 2) ] );
+    ]
 
 (* --- workload odds and ends ----------------------------------------------------- *)
 
