@@ -2,7 +2,7 @@ open Numa_machine
 
 type state = Untouched | Read_only | Local_writable of int | Global_writable | Homed of int
 
-type request_result = { final_state : state; moved : bool; fell_back_global : bool }
+type request_result = { final_state : state; moved : bool }
 
 type page = {
   mutable state : state;
@@ -99,17 +99,17 @@ let alloc_local_reclaiming t ~lpage ~node =
 
 (* --- primitive protocol actions ------------------------------------- *)
 
+let drop_mapping t ~by_cpu (e : Mmu.entry) =
+  Mmu.remove_entry t.mmu e;
+  t.stats.mappings_dropped <- t.stats.mappings_dropped + 1;
+  charge t ~cpu:by_cpu ~cat:Numa_obs.Profile.Tlb_shootdown ~lpage:e.lpage
+    (Cost.tlb_shootdown_ns t.config)
+
 (* Drop every mapping of [lpage] on [node]; they all point at the node's
    replica (we never map remote frames). *)
 let drop_mappings_on_node t ~lpage ~node ~by_cpu =
   List.iter
-    (fun (e : Mmu.entry) ->
-      if e.cpu = node then begin
-        Mmu.remove_entry t.mmu e;
-        t.stats.mappings_dropped <- t.stats.mappings_dropped + 1;
-        charge t ~cpu:by_cpu ~cat:Numa_obs.Profile.Tlb_shootdown ~lpage
-          (Cost.tlb_shootdown_ns t.config)
-      end)
+    (fun (e : Mmu.entry) -> if e.cpu = node then drop_mapping t ~by_cpu e)
     (Mmu.entries_of_lpage t.mmu ~lpage)
 
 (* Copy a node's dirty frame back to the global master. *)
@@ -137,89 +137,87 @@ let flush_node t ~lpage ~node ~by_cpu =
       t.stats.replicas_flushed <- t.stats.replicas_flushed + 1;
       observe t (Numa_obs.Event.Replica_flush { lpage; node })
 
+(* Take the page away from its writable owner [node]: sync, then flush. *)
+let evict_owner t ~lpage ~node ~by_cpu =
+  sync_node t ~lpage ~node ~by_cpu;
+  flush_node t ~lpage ~node ~by_cpu
+
 let unmap_all t ~lpage ~by_cpu =
-  List.iter
-    (fun (e : Mmu.entry) ->
-      Mmu.remove_entry t.mmu e;
-      t.stats.mappings_dropped <- t.stats.mappings_dropped + 1;
-      charge t ~cpu:by_cpu ~cat:Numa_obs.Profile.Tlb_shootdown ~lpage
-        (Cost.tlb_shootdown_ns t.config))
-    (Mmu.entries_of_lpage t.mmu ~lpage)
+  List.iter (drop_mapping t ~by_cpu) (Mmu.entries_of_lpage t.mmu ~lpage)
+
+(* Fill [frame] as [node]'s copy of the page, charged to [cpu]. A page
+   still due its zero fill is zeroed in place: the lazy zero-fill lands
+   directly in the right memory, avoiding the write-zeros-to-global-then-
+   copy round trip (section 2.3.1). Otherwise the global master is copied
+   in. *)
+let place_copy t p ~lpage ~cpu ~node frame =
+  if p.needs_zero then begin
+    Frame_table.zero_local t.frames ~lpage frame;
+    charge t ~cpu ~cat:Numa_obs.Profile.Zero_fill ~lpage
+      (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Node node));
+    t.stats.zero_fills_local <- t.stats.zero_fills_local + 1;
+    p.needs_zero <- false;
+    observe t (Numa_obs.Event.Zero_fill { lpage; node = Some node })
+  end
+  else begin
+    Frame_table.copy_global_to_local t.frames ~lpage frame;
+    charge t ~cpu ~cat:Numa_obs.Profile.Page_copy ~lpage
+      (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
+         ~dst:(Topo.Node node));
+    t.stats.copies_to_local <- t.stats.copies_to_local + 1
+  end;
+  Hashtbl.replace p.replicas node frame;
+  observe t (Numa_obs.Event.Replica_create { lpage; node })
+
+(* Zero-fill the global master if the page is still due its zero fill. *)
+let zero_global t p ~lpage ~cpu =
+  if p.needs_zero then begin
+    Frame_table.zero_global t.frames ~lpage;
+    charge t ~cpu ~cat:Numa_obs.Profile.Zero_fill ~lpage
+      (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Shared lpage));
+    t.stats.zero_fills_global <- t.stats.zero_fills_global + 1;
+    p.needs_zero <- false;
+    observe t (Numa_obs.Event.Zero_fill { lpage; node = None })
+  end
+
+(* A LOCAL answer the local memory could not hold: the page goes GLOBAL. *)
+let fall_back t ~lpage ~cpu =
+  t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
+  observe t (Numa_obs.Event.Local_fallback { lpage; cpu })
 
 (* Ensure [cpu] holds a local copy; the caller has checked capacity. *)
-let copy_to_local t ~lpage ~cpu =
-  let p = page t lpage in
-  if not (Hashtbl.mem p.replicas cpu) then begin
+let copy_to_local t p ~lpage ~cpu =
+  if not (Hashtbl.mem p.replicas cpu) then
     match Frame_table.alloc_local t.frames ~node:cpu with
     | None -> invalid_arg "Numa_manager.copy_to_local: pool exhausted (unchecked)"
-    | Some frame ->
-        Frame_table.copy_global_to_local t.frames ~lpage frame;
-        charge t ~cpu ~cat:Numa_obs.Profile.Page_copy ~lpage
-          (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
-             ~dst:(Topo.Node cpu));
-        t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-        Hashtbl.replace p.replicas cpu frame;
-        observe t (Numa_obs.Event.Replica_create { lpage; node = cpu })
-  end
+    | Some frame -> place_copy t p ~lpage ~cpu ~node:cpu frame
 
 (* --- first touch ------------------------------------------------------ *)
 
-let first_touch t ~lpage ~cpu ~access ~decision =
-  let p = page t lpage in
-  let place_global () =
-    if p.needs_zero then begin
-      Frame_table.zero_global t.frames ~lpage;
-      charge t ~cpu ~cat:Numa_obs.Profile.Zero_fill ~lpage
-        (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Shared lpage));
-      t.stats.zero_fills_global <- t.stats.zero_fills_global + 1;
-      p.needs_zero <- false;
-      observe t (Numa_obs.Event.Zero_fill { lpage; node = None })
-    end;
-    p.state <- Global_writable;
-    Global_writable
+let first_touch t p ~lpage ~cpu ~access ~decision =
+  let frame =
+    match decision with
+    | Protocol.Place_global -> None
+    | Protocol.Place_local ->
+        let frame = alloc_local_reclaiming t ~lpage ~node:cpu in
+        if Option.is_none frame then fall_back t ~lpage ~cpu;
+        frame
   in
-  match decision with
-  | Protocol.Place_global ->
-      { final_state = place_global (); moved = false; fell_back_global = false }
-  | Protocol.Place_local -> (
-      match alloc_local_reclaiming t ~lpage ~node:cpu with
-      | None ->
-          t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
-          { final_state = place_global (); moved = false; fell_back_global = true }
-      | Some frame ->
-          (* Lazy zero-fill lands directly in the right memory, avoiding the
-             write-zeros-to-global-then-copy round trip (section 2.3.1). *)
-          if p.needs_zero then begin
-            Frame_table.zero_local t.frames ~lpage frame;
-            charge t ~cpu ~cat:Numa_obs.Profile.Zero_fill ~lpage
-              (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Node cpu));
-            t.stats.zero_fills_local <- t.stats.zero_fills_local + 1;
-            p.needs_zero <- false;
-            observe t (Numa_obs.Event.Zero_fill { lpage; node = Some cpu });
-            (* A read leaves the page Read_only, whose invariant is that
-               the global frame is the clean master; later replicas copy
-               from it. Zero the master cell too — on the real machine the
-               second replica would be copied from the first at comparable
-               cost, so only the content bookkeeping is needed here. *)
-            if access = Access.Load then Frame_table.zero_global t.frames ~lpage
-          end
-          else begin
-            Frame_table.copy_global_to_local t.frames ~lpage frame;
-            charge t ~cpu ~cat:Numa_obs.Profile.Page_copy ~lpage
-              (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
-                 ~dst:(Topo.Node cpu));
-            t.stats.copies_to_local <- t.stats.copies_to_local + 1
-          end;
-          Hashtbl.replace p.replicas cpu frame;
-          observe t (Numa_obs.Event.Replica_create { lpage; node = cpu });
-          let final_state =
-            match access with
-            | Access.Load -> Read_only
-            | Access.Store -> Local_writable cpu
-          in
-          p.state <- final_state;
-          { final_state; moved = false; fell_back_global = false })
+  (match frame with
+  | None ->
+      zero_global t p ~lpage ~cpu;
+      p.state <- Global_writable
+  | Some frame ->
+      (* A read leaves the page Read_only, whose invariant is that the
+         global frame is the clean master; later replicas copy from it.
+         Zero the master cell too — on the real machine the second replica
+         would be copied from the first at comparable cost, so only the
+         content bookkeeping is needed here. *)
+      if p.needs_zero && access = Access.Load then Frame_table.zero_global t.frames ~lpage;
+      place_copy t p ~lpage ~cpu ~node:cpu frame;
+      p.state <-
+        (match access with Access.Load -> Read_only | Access.Store -> Local_writable cpu));
+  { final_state = p.state; moved = false }
 
 (* --- steady-state requests ------------------------------------------- *)
 
@@ -251,26 +249,17 @@ let node_still_full t ~lpage ~node =
   end
   else true
 
-let execute t ~lpage ~cpu ~(outcome : Protocol.outcome) =
-  let p = page t lpage in
+let execute t p ~lpage ~cpu ~(outcome : Protocol.outcome) =
   let flushed_other = ref 0 in
-  let owner () =
-    match p.state with
-    | Local_writable o -> o
-    | Untouched | Read_only | Global_writable | Homed _ ->
-        invalid_arg "Numa_manager.execute: sync on non-owned page"
-  in
   let run = function
-    | Protocol.Sync_and_flush_own ->
-        let o = owner () in
-        sync_node t ~lpage ~node:o ~by_cpu:cpu;
-        flush_node t ~lpage ~node:o ~by_cpu:cpu;
-        if o <> cpu then incr flushed_other
-    | Protocol.Sync_and_flush_other ->
-        let o = owner () in
-        sync_node t ~lpage ~node:o ~by_cpu:cpu;
-        flush_node t ~lpage ~node:o ~by_cpu:cpu;
-        incr flushed_other
+    | Protocol.Sync_and_flush_own | Protocol.Sync_and_flush_other -> (
+        (* An [_other] owner is never [cpu] (see [view_of_state]). *)
+        match p.state with
+        | Local_writable o ->
+            evict_owner t ~lpage ~node:o ~by_cpu:cpu;
+            if o <> cpu then incr flushed_other
+        | Untouched | Read_only | Global_writable | Homed _ ->
+            invalid_arg "Numa_manager.execute: sync on non-owned page")
     | Protocol.Flush_all ->
         List.iter
           (fun node ->
@@ -286,7 +275,7 @@ let execute t ~lpage ~cpu ~(outcome : Protocol.outcome) =
             end)
           (replica_nodes t ~lpage)
     | Protocol.Unmap_all -> unmap_all t ~lpage ~by_cpu:cpu
-    | Protocol.Copy_to_local -> copy_to_local t ~lpage ~cpu
+    | Protocol.Copy_to_local -> copy_to_local t p ~lpage ~cpu
   in
   List.iter run outcome.actions;
   (match outcome.new_state with
@@ -312,73 +301,53 @@ let request t ~lpage ~cpu ~access ~decision =
   | Untouched | Read_only | Local_writable _ | Global_writable -> ());
   match p.state with
   | Homed _ -> assert false
-  | Untouched -> first_touch t ~lpage ~cpu ~access ~decision
+  | Untouched -> first_touch t p ~lpage ~cpu ~access ~decision
   | Read_only | Local_writable _ | Global_writable ->
       let state = view_of_state ~cpu p.state in
-      let decision, fell_back_global =
+      let decision =
         if
           decision = Protocol.Place_local
           && needs_new_frame t ~lpage ~cpu (Protocol.transition ~access ~state ~decision)
           && node_still_full t ~lpage ~node:cpu
         then begin
-          t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
-          (Protocol.Place_global, true)
+          fall_back t ~lpage ~cpu;
+          Protocol.Place_global
         end
-        else (decision, false)
+        else decision
       in
       let outcome = Protocol.transition ~access ~state ~decision in
-      let flushed_other = execute t ~lpage ~cpu ~outcome in
+      let flushed_other = execute t p ~lpage ~cpu ~outcome in
       let moved = decision = Protocol.Place_local && flushed_other > 0 in
       if moved then begin
         p.moves <- p.moves + 1;
         t.stats.moves <- t.stats.moves + 1;
         observe t (Numa_obs.Event.Page_move { lpage; to_node = cpu; moves = p.moves })
       end;
-      { final_state = p.state; moved; fell_back_global }
+      { final_state = p.state; moved }
 
 let request_homed t ~lpage ~cpu ~home =
   charge t ~cpu ~lpage (Cost.pmap_action_ns t.config);
   let p = page t lpage in
-  match p.state with
-  | Homed h when h = home -> { final_state = p.state; moved = false; fell_back_global = false }
-  | _ -> (
+  (match p.state with
+  | Homed h when h = home -> ()
+  | state -> (
       (* Clean up whatever cache state exists, leaving contents in the
          global master (the GLOBAL row of the tables). *)
-      (match p.state with
-      | Untouched ->
-          if p.needs_zero then begin
-            Frame_table.zero_global t.frames ~lpage;
-            charge t ~cpu ~cat:Numa_obs.Profile.Zero_fill ~lpage
-              (Cost.place_page_zero_ns t.config ~topo:t.topo ~cpu ~dst:(Topo.Shared lpage));
-            t.stats.zero_fills_global <- t.stats.zero_fills_global + 1;
-            p.needs_zero <- false;
-            observe t (Numa_obs.Event.Zero_fill { lpage; node = None })
-          end
+      (match state with
+      | Untouched -> zero_global t p ~lpage ~cpu
       | Homed h -> demote_homed t ~lpage ~cpu ~home:h
-      | Local_writable o ->
-          sync_node t ~lpage ~node:o ~by_cpu:cpu;
-          flush_node t ~lpage ~node:o ~by_cpu:cpu
+      | Local_writable o -> evict_owner t ~lpage ~node:o ~by_cpu:cpu
       | Read_only ->
           List.iter (fun node -> flush_node t ~lpage ~node ~by_cpu:cpu)
             (replica_nodes t ~lpage)
       | Global_writable -> unmap_all t ~lpage ~by_cpu:cpu);
       p.state <- Global_writable;
       match alloc_local_reclaiming t ~lpage ~node:home with
-      | None ->
-          t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-          observe t (Numa_obs.Event.Local_fallback { lpage; cpu });
-          { final_state = Global_writable; moved = false; fell_back_global = true }
+      | None -> fall_back t ~lpage ~cpu
       | Some frame ->
-          Frame_table.copy_global_to_local t.frames ~lpage frame;
-          charge t ~cpu ~cat:Numa_obs.Profile.Page_copy ~lpage
-            (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu ~src:(Topo.Shared lpage)
-               ~dst:(Topo.Node home));
-          t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-          Hashtbl.replace p.replicas home frame;
-          observe t (Numa_obs.Event.Replica_create { lpage; node = home });
-          p.state <- Homed home;
-          { final_state = p.state; moved = false; fell_back_global = false })
+          place_copy t p ~lpage ~cpu ~node:home frame;
+          p.state <- Homed home));
+  { final_state = p.state; moved = false }
 
 let migrate_owned_pages t ~src ~dst =
   if src = dst then 0
@@ -387,27 +356,19 @@ let migrate_owned_pages t ~src ~dst =
     Array.iteri
       (fun lpage p ->
         match p.state with
-        | Local_writable o when o = src ->
+        | Local_writable o when o = src -> (
             (* The kernel on the destination performs the move. *)
-            sync_node t ~lpage ~node:src ~by_cpu:dst;
-            flush_node t ~lpage ~node:src ~by_cpu:dst;
-            (match Frame_table.alloc_local t.frames ~node:dst with
+            evict_owner t ~lpage ~node:src ~by_cpu:dst;
+            match Frame_table.alloc_local t.frames ~node:dst with
             | Some frame ->
-                Frame_table.copy_global_to_local t.frames ~lpage frame;
-                charge t ~cpu:dst ~cat:Numa_obs.Profile.Page_copy ~lpage
-                  (Cost.place_page_copy_ns t.config ~topo:t.topo ~cpu:dst
-                     ~src:(Topo.Shared lpage) ~dst:(Topo.Node dst));
-                t.stats.copies_to_local <- t.stats.copies_to_local + 1;
-                Hashtbl.replace p.replicas dst frame;
-                observe t (Numa_obs.Event.Replica_create { lpage; node = dst });
+                place_copy t p ~lpage ~cpu:dst ~node:dst frame;
                 p.state <- Local_writable dst;
                 p.moves <- p.moves + 1;
                 observe t
                   (Numa_obs.Event.Page_move { lpage; to_node = dst; moves = p.moves });
                 incr moved
             | None ->
-                t.stats.local_fallbacks <- t.stats.local_fallbacks + 1;
-                observe t (Numa_obs.Event.Local_fallback { lpage; cpu = dst });
+                fall_back t ~lpage ~cpu:dst;
                 p.state <- Global_writable)
         | Untouched | Read_only | Local_writable _ | Global_writable | Homed _ -> ())
       t.pages;
@@ -427,8 +388,7 @@ let drain_node t ~node ~by_cpu =
     (fun lpage p ->
       match p.state with
       | Local_writable o when o = node ->
-          sync_node t ~lpage ~node ~by_cpu;
-          flush_node t ~lpage ~node ~by_cpu;
+          evict_owner t ~lpage ~node ~by_cpu;
           p.state <- Global_writable;
           incr drained
       | Homed h when h = node ->
@@ -449,13 +409,7 @@ let drain_node t ~node ~by_cpu =
    unaffected — the next reference faults and re-maps. *)
 let spurious_shootdown t ~lpage =
   let entries = Mmu.entries_of_lpage t.mmu ~lpage in
-  List.iter
-    (fun (e : Mmu.entry) ->
-      Mmu.remove_entry t.mmu e;
-      t.stats.mappings_dropped <- t.stats.mappings_dropped + 1;
-      charge t ~cpu:e.cpu ~cat:Numa_obs.Profile.Tlb_shootdown ~lpage
-        (Cost.tlb_shootdown_ns t.config))
-    entries;
+  List.iter (fun (e : Mmu.entry) -> drop_mapping t ~by_cpu:e.cpu e) entries;
   t.stats.spurious_shootdowns <- t.stats.spurious_shootdowns + 1;
   List.length entries
 

@@ -33,8 +33,6 @@ type request_result = {
       (** the request transferred the page's contents/copies away from some
           other node while placing it locally: the event the move-counting
           policy observes *)
-  fell_back_global : bool;
-      (** a LOCAL decision was demoted because the local memory was full *)
 }
 
 type t
@@ -81,7 +79,9 @@ val replica_frame : t -> lpage:int -> node:int -> Frame_table.local_frame option
 (** The node's cached copy, if any. *)
 
 val replica_nodes : t -> lpage:int -> int list
-(** Nodes holding a copy, unordered. *)
+(** Nodes holding a copy, in no order of node number. The protocol
+    flushes replicas in this list's order, so the order of the flushes
+    and of their events follows it. *)
 
 val moves_of : t -> lpage:int -> int
 (** Inter-memory moves this page has made since (re)allocation. *)
@@ -110,6 +110,11 @@ val drain_node : t -> node:int -> by_cpu:int -> int
     ({!Numa_machine.Frame_table.set_node_online}) afterwards; draining
     first keeps every free in order. Counted in [node_drains] /
     [drained_pages]. *)
+
+val drop_mapping : t -> by_cpu:int -> Mmu.entry -> unit
+(** Remove one mapping, count it in [mappings_dropped] and charge
+    [by_cpu] a TLB shootdown: the one mapping drop that every protocol
+    action and the pmap layer's remove paths share. *)
 
 val spurious_shootdown : t -> lpage:int -> int
 (** Fault injection: drop every live mapping of the page (charging each

@@ -79,11 +79,7 @@ let pmap_create t ~name =
   Hashtbl.replace t.live_pmaps id name;
   id
 
-let drop_entry t (e : Mmu.entry) =
-  Mmu.remove_entry t.mmu e;
-  t.stats.Numa_stats.mappings_dropped <- t.stats.Numa_stats.mappings_dropped + 1;
-  Cost_sink.charge t.sink ~cpu:e.cpu ~cat:Numa_obs.Profile.Tlb_shootdown
-    ~lpage:e.lpage (Cost.tlb_shootdown_ns t.config)
+let drop_entry t (e : Mmu.entry) = Numa_manager.drop_mapping t.manager ~by_cpu:e.cpu e
 
 let pmap_destroy t id =
   if not (Hashtbl.mem t.live_pmaps id) then invalid_arg "pmap_destroy: unknown pmap";
@@ -92,6 +88,12 @@ let pmap_destroy t id =
     (fun (pm, _) pragma -> if pm = id then None else Some pragma)
     t.pragmas;
   Hashtbl.remove t.live_pmaps id
+
+(* The frame of the copy the protocol just placed on [node]. *)
+let placed_frame t ~lpage ~node =
+  match Numa_manager.replica_frame t.manager ~lpage ~node with
+  | Some frame -> Mmu.Frame frame
+  | None -> assert false
 
 let enter t ~pmap ~cpu ~vpage ~lpage ~min_prot ~max_prot =
   if Prot.compare min_prot max_prot > 0 then
@@ -137,20 +139,12 @@ let enter t ~pmap ~cpu ~vpage ~lpage ~min_prot ~max_prot =
   if result.Numa_manager.moved then t.policy.Policy.note (Policy.Page_moved { lpage });
   let phys, prot =
     match result.Numa_manager.final_state with
-    | Numa_manager.Read_only -> (
-        match Numa_manager.replica_frame t.manager ~lpage ~node:cpu with
-        | Some frame -> (Mmu.Frame frame, Prot.Read_only)
-        | None -> assert false (* the protocol just copied to local *))
-    | Numa_manager.Local_writable owner -> (
+    | Numa_manager.Read_only -> (placed_frame t ~lpage ~node:cpu, Prot.Read_only)
+    | Numa_manager.Local_writable owner ->
         assert (owner = cpu);
-        match Numa_manager.replica_frame t.manager ~lpage ~node:cpu with
-        | Some frame -> (Mmu.Frame frame, max_prot)
-        | None -> assert false)
+        (placed_frame t ~lpage ~node:cpu, max_prot)
     | Numa_manager.Global_writable -> (Mmu.Global_frame lpage, max_prot)
-    | Numa_manager.Homed home -> (
-        match Numa_manager.replica_frame t.manager ~lpage ~node:home with
-        | Some frame -> (Mmu.Frame frame, max_prot)
-        | None -> assert false)
+    | Numa_manager.Homed home -> (placed_frame t ~lpage ~node:home, max_prot)
     | Numa_manager.Untouched -> assert false
   in
   Mmu.enter t.mmu ~pmap ~cpu ~vpage ~lpage ~prot ~phys;
