@@ -17,16 +17,27 @@ type t = {
 let no_expiry () = []
 let no_hints () = []
 
-let move_limit ?(threshold = 4) ~n_pages () =
-  if threshold < 0 then invalid_arg "Policy.move_limit: negative threshold";
+(* The backbone of every policy that pins on a move count: per-page move
+   counts, the pinned set and the [note] that keeps both. A page that has
+   moved more than [threshold] times pins GLOBAL; the first time it does,
+   [on_pin] runs. Below the threshold [below] answers (LOCAL unless the
+   policy says otherwise). A policy adds its own [explain], extra [info]
+   entries after the shared ones, and [migrate_hints]. *)
+let pin_on_moves ~name ~threshold ~n_pages
+    ?(below = fun ~lpage:_ ~cpu:_ -> Protocol.Place_local)
+    ?(on_pin = fun ~lpage:_ ~cpu:_ -> ()) ?(info = fun () -> [])
+    ?(migrate_hints = no_hints) ~explain () =
   let moves = Array.make n_pages 0 in
   let pinned = Hashtbl.create 64 in
-  let decide ~lpage ~cpu:_ ~access:_ =
+  let decide ~lpage ~cpu ~access:_ =
     if moves.(lpage) > threshold then begin
-      if not (Hashtbl.mem pinned lpage) then Hashtbl.replace pinned lpage ();
+      if not (Hashtbl.mem pinned lpage) then begin
+        Hashtbl.replace pinned lpage ();
+        on_pin ~lpage ~cpu
+      end;
       Protocol.Place_global
     end
-    else Protocol.Place_local
+    else below ~lpage ~cpu
   in
   let note = function
     | Page_moved { lpage } -> moves.(lpage) <- moves.(lpage) + 1
@@ -34,30 +45,32 @@ let move_limit ?(threshold = 4) ~n_pages () =
         moves.(lpage) <- 0;
         Hashtbl.remove pinned lpage
   in
-  let explain ~lpage =
-    if Hashtbl.mem pinned lpage then
-      Printf.sprintf "move-limit: page moved %d times > threshold %d; pinned GLOBAL"
-        moves.(lpage) threshold
-    else
-      Printf.sprintf "move-limit: moves %d <= threshold %d; cache LOCAL" moves.(lpage)
-        threshold
-  in
   {
-    name = "move-limit";
+    name;
     decide;
     note;
     n_pinned = (fun () -> Hashtbl.length pinned);
     is_pinned = (fun ~lpage -> Hashtbl.mem pinned lpage);
     expired_pins = no_expiry;
-    migrate_hints = no_hints;
-    explain;
+    migrate_hints;
+    explain =
+      (fun ~lpage -> explain ~pinned:(Hashtbl.mem pinned lpage) ~moves:moves.(lpage));
     info =
       (fun () ->
-        [
-          ("threshold", string_of_int threshold);
-          ("pinned pages", string_of_int (Hashtbl.length pinned));
-        ]);
+        ("threshold", string_of_int threshold)
+        :: ("pinned pages", string_of_int (Hashtbl.length pinned))
+        :: info ());
   }
+
+let move_limit ?(threshold = 4) ~n_pages () =
+  if threshold < 0 then invalid_arg "Policy.move_limit: negative threshold";
+  pin_on_moves ~name:"move-limit" ~threshold ~n_pages
+    ~explain:(fun ~pinned ~moves ->
+      if pinned then
+        Printf.sprintf "move-limit: page moved %d times > threshold %d; pinned GLOBAL" moves
+          threshold
+      else Printf.sprintf "move-limit: moves %d <= threshold %d; cache LOCAL" moves threshold)
+    ()
 
 let all_global () =
   {
@@ -280,8 +293,6 @@ let bandwidth_aware ?(threshold = 4) ~topo ~pressure ~n_pages () =
      below the threshold is opportunistic, not a pin (like all_global,
      n_pinned does not count it), so the page can still be cached locally
      by a later faulting CPU with better geometry. *)
-  let moves = Array.make n_pages 0 in
-  let pinned = Hashtbl.create 64 in
   let cheap_global = ref 0 in
   let local_cost ~cpu =
     let base = Topo.fetch_ns topo ~from:cpu ~at:cpu in
@@ -297,50 +308,25 @@ let bandwidth_aware ?(threshold = 4) ~topo ~pressure ~n_pages () =
     | None -> base
     | Some bw -> base +. (1. /. bw)
   in
-  let decide ~lpage ~cpu ~access:_ =
-    if moves.(lpage) > threshold then begin
-      if not (Hashtbl.mem pinned lpage) then Hashtbl.replace pinned lpage ();
-      Protocol.Place_global
-    end
-    else if shared_cost ~lpage ~cpu <= local_cost ~cpu then begin
-      incr cheap_global;
-      Protocol.Place_global
-    end
-    else Protocol.Place_local
-  in
-  let note = function
-    | Page_moved { lpage } -> moves.(lpage) <- moves.(lpage) + 1
-    | Page_freed { lpage } ->
-        moves.(lpage) <- 0;
-        Hashtbl.remove pinned lpage
-  in
-  let explain ~lpage =
-    if Hashtbl.mem pinned lpage then
-      Printf.sprintf "bandwidth-aware: page moved %d times > threshold %d; pinned GLOBAL"
-        moves.(lpage) threshold
-    else
-      Printf.sprintf
-        "bandwidth-aware: moves %d <= threshold %d; next fault compares shared-home \
-         latency+link bandwidth against local latency+frame pressure"
-        moves.(lpage) threshold
-  in
-  {
-    name = "bandwidth-aware";
-    decide;
-    note;
-    n_pinned = (fun () -> Hashtbl.length pinned);
-    is_pinned = (fun ~lpage -> Hashtbl.mem pinned lpage);
-    expired_pins = no_expiry;
-    migrate_hints = no_hints;
-    explain;
-    info =
-      (fun () ->
-        [
-          ("threshold", string_of_int threshold);
-          ("pinned pages", string_of_int (Hashtbl.length pinned));
-          ("cheap-global decisions", string_of_int !cheap_global);
-        ]);
-  }
+  pin_on_moves ~name:"bandwidth-aware" ~threshold ~n_pages
+    ~below:(fun ~lpage ~cpu ->
+      if shared_cost ~lpage ~cpu <= local_cost ~cpu then begin
+        incr cheap_global;
+        Protocol.Place_global
+      end
+      else Protocol.Place_local)
+    ~info:(fun () -> [ ("cheap-global decisions", string_of_int !cheap_global) ])
+    ~explain:(fun ~pinned ~moves ->
+      if pinned then
+        Printf.sprintf
+          "bandwidth-aware: page moved %d times > threshold %d; pinned GLOBAL" moves
+          threshold
+      else
+        Printf.sprintf
+          "bandwidth-aware: moves %d <= threshold %d; next fault compares shared-home \
+           latency+link bandwidth against local latency+frame pressure"
+          moves threshold)
+    ()
 
 let migrate_threads ?(threshold = 4) ~topo ~n_pages () =
   if threshold < 0 then invalid_arg "Policy.migrate_threads: negative threshold";
@@ -352,58 +338,27 @@ let migrate_threads ?(threshold = 4) ~topo ~n_pages () =
      queues a (faulting_cpu, home_node) re-homing hint. The system layer
      consumes hints from its daemon tick and may move one thread per tick;
      the hint list is drained on read so a hint fires at most once. *)
-  let moves = Array.make n_pages 0 in
-  let pinned = Hashtbl.create 64 in
   let hints = ref [] in
   let hinted = ref 0 in
-  let decide ~lpage ~cpu ~access:_ =
-    if moves.(lpage) > threshold then begin
-      if not (Hashtbl.mem pinned lpage) then begin
-        Hashtbl.replace pinned lpage ();
-        let home = Topo.global_home topo ~lpage in
-        if home <> cpu && home < Topo.cpu_nodes topo then begin
-          hints := (cpu, home) :: !hints;
-          incr hinted
-        end
-      end;
-      Protocol.Place_global
-    end
-    else Protocol.Place_local
-  in
-  let note = function
-    | Page_moved { lpage } -> moves.(lpage) <- moves.(lpage) + 1
-    | Page_freed { lpage } ->
-        moves.(lpage) <- 0;
-        Hashtbl.remove pinned lpage
-  in
-  let explain ~lpage =
-    if Hashtbl.mem pinned lpage then
-      Printf.sprintf
-        "migrate-threads: page moved %d times > threshold %d; pinned GLOBAL (with a \
-         thread re-homing hint toward its shared-level home)"
-        moves.(lpage) threshold
-    else
-      Printf.sprintf "migrate-threads: moves %d <= threshold %d; cache LOCAL"
-        moves.(lpage) threshold
-  in
-  {
-    name = "migrate-threads";
-    decide;
-    note;
-    n_pinned = (fun () -> Hashtbl.length pinned);
-    is_pinned = (fun ~lpage -> Hashtbl.mem pinned lpage);
-    expired_pins = no_expiry;
-    migrate_hints =
-      (fun () ->
-        let out = List.rev !hints in
-        hints := [];
-        out);
-    explain;
-    info =
-      (fun () ->
-        [
-          ("threshold", string_of_int threshold);
-          ("pinned pages", string_of_int (Hashtbl.length pinned));
-          ("migration hints issued", string_of_int !hinted);
-        ]);
-  }
+  pin_on_moves ~name:"migrate-threads" ~threshold ~n_pages
+    ~on_pin:(fun ~lpage ~cpu ->
+      let home = Topo.global_home topo ~lpage in
+      if home <> cpu && home < Topo.cpu_nodes topo then begin
+        hints := (cpu, home) :: !hints;
+        incr hinted
+      end)
+    ~info:(fun () -> [ ("migration hints issued", string_of_int !hinted) ])
+    ~migrate_hints:(fun () ->
+      let out = List.rev !hints in
+      hints := [];
+      out)
+    ~explain:(fun ~pinned ~moves ->
+      if pinned then
+        Printf.sprintf
+          "migrate-threads: page moved %d times > threshold %d; pinned GLOBAL (with a \
+           thread re-homing hint toward its shared-level home)"
+          moves threshold
+      else
+        Printf.sprintf "migrate-threads: moves %d <= threshold %d; cache LOCAL" moves
+          threshold)
+    ()
