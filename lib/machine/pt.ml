@@ -189,12 +189,15 @@ let build_replica t space ~node ~by_cpu =
       (Event.Pt_replica_create { pmap = space.sp_pmap; node; frames = !copied });
   r
 
-let space t ~pmap = if pmap < Array.length t.spaces then t.spaces.(pmap) else None
+(* A negative pmap has no tables, so every read finds it absent. *)
+let space t ~pmap =
+  if pmap >= 0 && pmap < Array.length t.spaces then t.spaces.(pmap) else None
 
 let ensure_space t ~pmap ~cpu =
   match space t ~pmap with
   | Some sp -> sp
   | None ->
+      if pmap < 0 then invalid_arg "Pt: negative pmap";
       let sp =
         {
           sp_pmap = pmap;

@@ -90,7 +90,8 @@ val enter :
   frame:Frame_table.local_frame option -> prot:Prot.t -> unit
 (** Install the PTE in the master table (allocating path pages
     first-touch from [cpu]'s pool, falling back to the shared level when
-    the pool refuses) and propagate it into every replica. *)
+    the pool refuses) and propagate it into every replica. Raises
+    [Invalid_argument] on a negative pmap. *)
 
 val remove : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
 (** Clear the PTE everywhere; each replica invalidation is a shootdown
@@ -104,7 +105,8 @@ val walk : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
     table (the node-local replica when one exists or on-demand
     replication builds one, the master otherwise), charging the matrix
     fetch latency per level. [lpage < 0] when the walk finds no PTE (the
-    fault path). *)
+    fault path). Raises [Invalid_argument] on a negative pmap, as
+    {!enter} does. *)
 
 (** {1 Degradation and the daemon} *)
 
@@ -126,7 +128,9 @@ val corrupt_replica : t -> lpage:int -> (int * int) option
     injection only — this is the bug numaPTE-style management must not
     create, planted so the invariant sweep can prove it would catch it. *)
 
-(** {1 Introspection} — for the invariant sweep and the report *)
+(** {1 Introspection} — for the invariant sweep and the report. These,
+    {!remove} and {!update_prot} read a negative pmap as one without
+    tables. *)
 
 val pmaps : t -> int list
 (** Pmaps with materialised tables, sorted. *)

@@ -581,6 +581,39 @@ let test_replica_build_root_first () =
     [ (0, 3. *. local); (256, (2. *. local) +. global); (512, (2. *. local) +. global) ]
     (List.rev !walks)
 
+(* A negative pmap has no tables: the reads and the removals find it
+   absent and change nothing, while the calls that would make its tables
+   (enter, and a walk, also through the MMU) reject it by name. *)
+let test_negative_pmap () =
+  let config = Config.ace ~n_cpus:2 () in
+  let frames = Frame_table.create config in
+  let sink = Cost_sink.create ~n_cpus:2 in
+  let pt = Pt.create ~config ~frames ~sink ~mode:(Pt.Replicated None) () in
+  Pt.enter pt ~pmap:0 ~cpu:0 ~vpage:3 ~lpage:3 ~frame:None ~prot:Prot.Read_write;
+  let before = Pt.stats pt in
+  Alcotest.(check bool) "no master pte" true
+    (Option.is_none (Pt.master_pte pt ~pmap:(-1) ~cpu:0 ~vpage:3));
+  Alcotest.(check int) "no master ptes" 0 (List.length (Pt.master_ptes pt ~pmap:(-1)));
+  Alcotest.(check (list int)) "no replicas" [] (Pt.replica_nodes pt ~pmap:(-1));
+  Alcotest.(check int) "no replica ptes" 0
+    (List.length (Pt.replica_ptes pt ~pmap:(-1) ~node:1));
+  Pt.remove pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:3;
+  Pt.update_prot pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:3 ~prot:Prot.Read_only;
+  Alcotest.(check bool) "nothing charged or counted" true (Pt.stats pt = before);
+  Alcotest.(check (list int)) "pmap 0 alone has tables" [ 0 ] (Pt.pmaps pt);
+  Alcotest.(check int) "pmap 0's replica keeps its pte" 1
+    (List.length (Pt.replica_ptes pt ~pmap:0 ~node:1));
+  let rejected = Invalid_argument "Pt: negative pmap" in
+  Alcotest.check_raises "enter" rejected (fun () ->
+      Pt.enter pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:3 ~frame:None ~prot:Prot.Read_write);
+  Alcotest.check_raises "walk" rejected (fun () ->
+      Pt.walk pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:(-1));
+  let mmu = Mmu.create config in
+  Mmu.attach_pt mmu pt;
+  Alcotest.check_raises "translate's walk" rejected (fun () ->
+      ignore (Mmu.translate mmu ~pmap:(-1) ~cpu:0 ~vpage:3));
+  Alcotest.(check (list int)) "still no tables for it" [ 0 ] (Pt.pmaps pt)
+
 let suite =
   [
     Alcotest.test_case "pt-mode parser round-trips and rejects" `Quick test_mode_parse;
@@ -613,5 +646,6 @@ let suite =
       test_replicated_deterministic;
     Alcotest.test_case "a dry replica build copies root first" `Quick
       test_replica_build_root_first;
+    Alcotest.test_case "a negative pmap reads as absent" `Quick test_negative_pmap;
     QCheck_alcotest.to_alcotest prop_pt_matches_oracle;
   ]
