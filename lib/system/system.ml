@@ -183,6 +183,12 @@ let bump (c : Report.ref_counts) ~(kind : Access.t) ~(where : Location.relative)
   | Location.Remote_local, Access.Load -> c.remote_reads <- c.remote_reads + count
   | Location.Remote_local, Access.Store -> c.remote_writes <- c.remote_writes + count
 
+(* A reference's reporting bucket, as the observers name it. *)
+let event_loc = function
+  | Location.Local_here -> Numa_obs.Event.Local
+  | Location.In_global -> Numa_obs.Event.Global
+  | Location.Remote_local -> Numa_obs.Event.Remote
+
 let region_counts t name =
   match Hashtbl.find_opt t.per_region name with
   | Some c -> c
@@ -192,16 +198,6 @@ let region_counts t name =
       c
 
 (* --- the memory interface handed to the engine ------------------------ *)
-
-(* [a] extended to at least [n] slots, new ones holding [fill]; it
-   doubles, so growing one slot at a time stays linear. *)
-let grown a n fill =
-  if n <= Array.length a then a
-  else begin
-    let b = Array.make (max n (2 * Array.length a)) fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-  end
 
 let[@inline] find_region t (task : Numa_vm.Task.t) ~vpage =
   if task.id >= Array.length t.regions_by_task then None
@@ -438,16 +434,10 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
       (* Traffic to another node's memory crosses the interconnect. *)
       Bus.delay_ns ~cpu ~src:cpu ~dst:node t.bus ~now:(Engine.now t.engine) ~words:count
   in
-  if Numa_obs.Hub.enabled t.obs then begin
-    let loc =
-      match where with
-      | Location.Local_here -> Numa_obs.Event.Local
-      | Location.In_global -> Numa_obs.Event.Global
-      | Location.Remote_local -> Numa_obs.Event.Remote
-    in
+  if Numa_obs.Hub.enabled t.obs then
     Numa_obs.Hub.emit t.obs
-      (Numa_obs.Event.Refs { cpu; n = count; write = kind = Access.Store; loc; node })
-  end;
+      (Numa_obs.Event.Refs
+         { cpu; n = count; write = kind = Access.Store; loc = event_loc where; node });
   let cost_idx =
     (((cpu * t.n_nodes) + node) * 2)
     + match kind with Access.Load -> 0 | Access.Store -> 1
@@ -455,14 +445,8 @@ let do_access t ~cpu ~tid ~vpage ~access:kind ~count ~value =
   let user_ns = (float_of_int count *. t.ref_ns.(cost_idx)) +. bus_delay in
   (match t.profile with
   | Some p ->
-      let loc =
-        match where with
-        | Location.Local_here -> Numa_obs.Event.Local
-        | Location.In_global -> Numa_obs.Event.Global
-        | Location.Remote_local -> Numa_obs.Event.Remote
-      in
       let lpage = entry.Mmu.lpage in
-      Numa_obs.Profile.charge_ref p ~cpu ~dst:node ~loc ~lpage ~tid
+      Numa_obs.Profile.charge_ref p ~cpu ~dst:node ~loc:(event_loc where) ~lpage ~tid
         (float_of_int count *. t.ref_ns.(cost_idx));
       if bus_delay > 0. then Numa_obs.Profile.charge_bus p ~cpu ~dst:node ~lpage bus_delay
   | None -> ());
@@ -724,8 +708,8 @@ let register_region t ?pragma ~(task : Numa_vm.Task.t) ~attr ~obj ~pages ~max_pr
     }
   in
   let id = task.Numa_vm.Task.id in
-  t.regions_by_task <- grown t.regions_by_task (id + 1) [||];
-  let vpages = grown t.regions_by_task.(id) (region.base_vpage + pages) None in
+  t.regions_by_task <- Rows.fit t.regions_by_task id [||];
+  let vpages = Rows.fit t.regions_by_task.(id) (region.base_vpage + pages - 1) None in
   Array.fill vpages region.base_vpage pages (Some region);
   t.regions_by_task.(id) <- vpages;
   (match pragma with
@@ -795,7 +779,7 @@ let spawn t ?cpu ?task ?(stack_pages = 1) ~name body =
     Engine.spawn t.engine ?cpu ~stack_vpage:stack.base_vpage ~name (fun () ->
         body ~stack_vpage:stack.base_vpage)
   in
-  t.tasks_by_tid <- grown t.tasks_by_tid (tid + 1) t.task;
+  t.tasks_by_tid <- Rows.fit t.tasks_by_tid tid t.task;
   t.tasks_by_tid.(tid) <- Option.value task ~default:t.task;
   assert (tid = tid_guess);
   tid
