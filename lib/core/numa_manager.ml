@@ -145,11 +145,11 @@ let evict_owner t ~lpage ~node ~by_cpu =
 let unmap_all t ~lpage ~by_cpu =
   List.iter (drop_mapping t ~by_cpu) (Mmu.entries_of_lpage t.mmu ~lpage)
 
-(* Fill [frame] as [node]'s copy of the page, charged to [cpu]. A page
-   still due its zero fill is zeroed in place: the lazy zero-fill lands
-   directly in the right memory, avoiding the write-zeros-to-global-then-
-   copy round trip (section 2.3.1). Otherwise the global master is copied
-   in. *)
+(* Fill [frame] as [node]'s copy of the page, charged to [cpu]: copy the
+   global master in, or, on a first touch still due its zero fill, zero
+   the frame in place. The lazy zero-fill then lands directly in the
+   right memory, avoiding the write-zeros-to-global-then-copy round trip
+   (section 2.3.1). *)
 let place_copy t p ~lpage ~cpu ~node frame =
   if p.needs_zero then begin
     Frame_table.zero_local t.frames ~lpage frame;
@@ -208,11 +208,12 @@ let first_touch t p ~lpage ~cpu ~access ~decision =
       zero_global t p ~lpage ~cpu;
       p.state <- Global_writable
   | Some frame ->
-      (* A read leaves the page Read_only, whose invariant is that the
-         global frame is the clean master; later replicas copy from it.
-         Zero the master cell too — on the real machine the second replica
-         would be copied from the first at comparable cost, so only the
-         content bookkeeping is needed here. *)
+      (* A read of a page still due its zero fill leaves it Read_only,
+         whose invariant is that the global frame is the clean master;
+         later replicas copy from it. Zero the master cell too — on the
+         real machine the second replica would be copied from the first
+         at comparable cost, so only the content bookkeeping is needed
+         here. *)
       if p.needs_zero && access = Access.Load then Frame_table.zero_global t.frames ~lpage;
       place_copy t p ~lpage ~cpu ~node:cpu frame;
       p.state <-
