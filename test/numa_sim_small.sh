@@ -40,6 +40,11 @@ case_ run imatmult --scale 0.1 --pages 12 --paranoid --victim lru \
 case_ run imatmult --scale 0.05 --cpus 4 --pt-mode replicated \
   --faults spurious-shootdown:0.2 --trace-out shootdown.trace.json \
   --profile-out shootdown.profile.json
+# A replica dropped and rebuilt: node 2's table goes with the node and
+# comes back ahead of node 6's, so the trace pins the rebuilt order of
+# the replica PTE shootdowns and of the page copies' flushes.
+case_ run imatmult --scale 0.05 --pt-mode replicated \
+  --faults node-offline:2@5,node-online:2@10 --trace-out rebuild.trace.json
 # The NUMA manager's placement paths: homed placement, its demotion when
 # node 0 drains and the fallbacks after it; kernel page migration; a pin
 # with a thread re-homing hint; and pins, cheap-global answers and
@@ -95,4 +100,4 @@ echo "=== artifacts"
 md5sum serve.trace.json serve.metrics.csv serve.report.json serve.profile.json \
   imatmult.folded imatmult.profile.json primes3.trace shootdown.trace.json \
   shootdown.profile.json homed.trace.json migrate.trace.json hints.trace.json \
-  bw.trace.json
+  bw.trace.json rebuild.trace.json
