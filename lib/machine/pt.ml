@@ -48,8 +48,11 @@ type space = {
   sp_pmap : int;
   master : table;
   replicas : (int, table) Hashtbl.t;
-      (** node -> full table copy; only iterated, since its order fixes the
-          order of propagation charges and [Pt_shootdown] events *)
+      (** node -> full table copy; written only by [build_replica] and
+          [drop_replica], and read only to rebuild [order] *)
+  mutable order : table array;
+      (** the replicas in [replicas]' iteration order, which fixes the order
+          of propagation charges and [Pt_shootdown] events *)
   by_node : table option array;  (** node -> its replica, as in [replicas] *)
 }
 
@@ -166,6 +169,9 @@ let new_table t ~node =
 
 let online t ~node = Frame_table.node_online t.frames ~node
 
+(* [Hashtbl.to_seq_values] visits the table in [Hashtbl.iter]'s order. *)
+let reorder space = space.order <- Array.of_seq (Hashtbl.to_seq_values space.replicas)
+
 (* Materialise a full copy of the master on [node]: every table page is
    copied (a real page copy, charged to [by_cpu] like any other), root
    first, and every PTE mirrored. *)
@@ -182,6 +188,7 @@ let build_replica t space ~node ~by_cpu =
            ~src:(home_place t src_home) ~dst:(home_place t dst_home)))
     space.master;
   Hashtbl.replace space.replicas node r;
+  reorder space;
   space.by_node.(node) <- Some r;
   t.c.c_replicas_built <- t.c.c_replicas_built + 1;
   if Hub.enabled t.obs then
@@ -203,6 +210,7 @@ let ensure_space t ~pmap ~cpu =
           sp_pmap = pmap;
           master = new_table t ~node:cpu;
           replicas = Hashtbl.create 4;
+          order = [||];
           by_node = Array.make (Topo.cpu_nodes t.topo) None;
         }
       in
@@ -230,39 +238,41 @@ let leaf_home t tbl ~vpage =
 (* A silent propagation: the new PTE value is stored into each replica's
    leaf page (remote store at matrix latency). *)
 let propagate_update t space ~cpu ~vpage ~lpage pte =
-  Hashtbl.iter
-    (fun _node r ->
-      ensure_path t r ~alloc_node:r.t_node ~vpage;
-      Rows.set r.ptes cpu vpage pte;
-      let ns =
-        Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
-          ~node:(leaf_home t r ~vpage)
-      in
-      t.c.c_pte_updates <- t.c.c_pte_updates + 1;
-      t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
-      Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns)
-    space.replicas
+  let order = space.order in
+  for i = 0 to Array.length order - 1 do
+    let r = order.(i) in
+    ensure_path t r ~alloc_node:r.t_node ~vpage;
+    Rows.set r.ptes cpu vpage pte;
+    let ns =
+      Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
+        ~node:(leaf_home t r ~vpage)
+    in
+    t.c.c_pte_updates <- t.c.c_pte_updates + 1;
+    t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
+    Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns
+  done
 
 (* An invalidation-style shootdown: the stale replica PTE is overwritten
    (or cleared) and the remote node pays the IPI-style interrupt, so the
    cost is the remote store plus the configured shootdown service time. *)
 let propagate_shootdown t space ~cpu ~vpage ~lpage pte =
-  Hashtbl.iter
-    (fun node r ->
-      if Option.is_some (Rows.get r.ptes cpu vpage) then begin
-        Rows.set r.ptes cpu vpage pte;
-        let ns =
-          Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
-            ~node:(leaf_home t r ~vpage)
-          +. Cost.tlb_shootdown_ns t.config
-        in
-        t.c.c_pte_shootdowns <- t.c.c_pte_shootdowns + 1;
-        t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
-        Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns;
-        if Hub.enabled t.obs then
-          Hub.emit t.obs (Event.Pt_shootdown { cpu; vpage; lpage; node })
-      end)
-    space.replicas
+  let order = space.order in
+  for i = 0 to Array.length order - 1 do
+    let r = order.(i) in
+    if Option.is_some (Rows.get r.ptes cpu vpage) then begin
+      Rows.set r.ptes cpu vpage pte;
+      let ns =
+        Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
+          ~node:(leaf_home t r ~vpage)
+        +. Cost.tlb_shootdown_ns t.config
+      in
+      t.c.c_pte_shootdowns <- t.c.c_pte_shootdowns + 1;
+      t.c.c_shootdown_ns <- t.c.c_shootdown_ns +. ns;
+      Cost_sink.charge t.sink ~cpu ~cat:Profile.Pt_shootdown ~lpage ns;
+      if Hub.enabled t.obs then
+        Hub.emit t.obs (Event.Pt_shootdown { cpu; vpage; lpage; node = r.t_node })
+    end
+  done
 
 let enter t ~pmap ~cpu ~vpage ~lpage ~frame ~prot =
   let sp = ensure_space t ~pmap ~cpu in
@@ -308,7 +318,7 @@ let walk t ~pmap ~cpu ~vpage ~lpage =
                   (* On demand: the first local walk pays for mitosis, up
                      to the cap; past it, keep walking the master. *)
                   match cap with
-                  | Some n when Hashtbl.length sp.replicas < n && online t ~node:cpu ->
+                  | Some n when Array.length sp.order < n && online t ~node:cpu ->
                       build_replica t sp ~node:cpu ~by_cpu:cpu
                   | Some _ -> sp.master
                   | None -> sp.master))
@@ -346,6 +356,7 @@ let drop_replica t space ~node =
   | Some r ->
       iter_pages (fun ~level:_ ~prefix:_ home -> free_page t home) r;
       Hashtbl.remove space.replicas node;
+      reorder space;
       space.by_node.(node) <- None;
       t.c.c_replicas_dropped <- t.c.c_replicas_dropped + 1;
       if Hub.enabled t.obs then
@@ -483,7 +494,7 @@ let table_frames t =
   iter_spaces
     (fun sp ->
       add_table sp.master;
-      Hashtbl.iter (fun _ r -> add_table r) sp.replicas)
+      Array.iter add_table sp.order)
     t;
   !acc
 

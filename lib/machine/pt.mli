@@ -33,10 +33,10 @@
     dry partway through a replica build, the pages nearest the root keep
     the local frames and the rest fall back to the shared level. A
     pmap's replicas sit in a hash table keyed by node, whose order
-    fixes the order of propagation charges and [Pt_shootdown] events;
-    that table is only iterated. A walk finds its CPU's replica through
-    an array indexed by node, which replica builds and drops keep in step
-    with the table.
+    fixes the order of propagation charges and [Pt_shootdown] events.
+    Replica builds and drops copy that order into an array, which
+    propagation walks; they alone touch the table. A walk finds its
+    CPU's replica through a second array, indexed by node.
 
     The module is cost + bookkeeping + invariant state only: the
     functional truth of translation stays in {!Mmu}'s forward table, so
