@@ -4,9 +4,18 @@ type state = Untouched | Read_only | Local_writable of int | Global_writable | H
 
 type request_result = { final_state : state; moved : bool }
 
+(* A page's cached copies. Lookups index [frames] by node. [order] holds
+   the same nodes and is read only for its iteration order: that is the
+   order of [replica_nodes], which fixes the order of [Replica_flush]
+   events and of their shootdown charges. *)
+type copies = {
+  frames : Frame_table.local_frame option array;  (** node -> its copy *)
+  order : (int, unit) Hashtbl.t;
+}
+
 type page = {
   mutable state : state;
-  replicas : (int, Frame_table.local_frame) Hashtbl.t;  (** node -> frame *)
+  mutable copies : copies option;  (** made on the page's first copy *)
   mutable needs_zero : bool;
   mutable moves : int;
 }
@@ -27,9 +36,7 @@ type t = {
 }
 
 let create ?obs ~config ~frames ~mmu ~sink ~stats () =
-  let fresh _ =
-    { state = Untouched; replicas = Hashtbl.create 4; needs_zero = false; moves = 0 }
-  in
+  let fresh _ = { state = Untouched; copies = None; needs_zero = false; moves = 0 } in
   let obs = match obs with Some h -> h | None -> Numa_obs.Hub.create () in
   {
     config;
@@ -56,10 +63,20 @@ let page t lpage =
 
 let state_of t ~lpage = (page t lpage).state
 
-let replica_frame t ~lpage ~node = Hashtbl.find_opt (page t lpage).replicas node
+(* The frame of [node]'s copy, if it holds one. *)
+let copy_on p ~node =
+  match p.copies with
+  | Some c when node >= 0 && node < Array.length c.frames -> c.frames.(node)
+  | Some _ | None -> None
+
+let n_copies p = match p.copies with Some c -> Hashtbl.length c.order | None -> 0
+
+let replica_frame t ~lpage ~node = copy_on (page t lpage) ~node
 
 let replica_nodes t ~lpage =
-  Hashtbl.fold (fun node _ acc -> node :: acc) (page t lpage).replicas []
+  match (page t lpage).copies with
+  | Some c -> Hashtbl.fold (fun node () acc -> node :: acc) c.order []
+  | None -> []
 
 let moves_of t ~lpage = (page t lpage).moves
 
@@ -67,7 +84,7 @@ let iter_held t f =
   for lpage = 0 to Array.length t.pages - 1 do
     let p = t.pages.(lpage) in
     match p.state with
-    | Untouched -> if Hashtbl.length p.replicas > 0 then f lpage
+    | Untouched -> if n_copies p > 0 then f lpage
     | Read_only | Local_writable _ | Global_writable | Homed _ -> f lpage
   done
 
@@ -114,8 +131,7 @@ let drop_mappings_on_node t ~lpage ~node ~by_cpu =
 
 (* Copy a node's dirty frame back to the global master. *)
 let sync_node t ~lpage ~node ~by_cpu =
-  let p = page t lpage in
-  match Hashtbl.find_opt p.replicas node with
+  match copy_on (page t lpage) ~node with
   | None -> invalid_arg "Numa_manager.sync_node: node holds no copy"
   | Some frame ->
       Frame_table.copy_local_to_global t.frames frame ~lpage;
@@ -128,12 +144,14 @@ let sync_node t ~lpage ~node ~by_cpu =
 (* Drop a node's cached copy (mappings first, then the frame). *)
 let flush_node t ~lpage ~node ~by_cpu =
   let p = page t lpage in
-  match Hashtbl.find_opt p.replicas node with
+  match copy_on p ~node with
   | None -> ()
   | Some frame ->
       drop_mappings_on_node t ~lpage ~node ~by_cpu;
       Frame_table.free_local t.frames frame;
-      Hashtbl.remove p.replicas node;
+      let c = Option.get p.copies in
+      c.frames.(node) <- None;
+      Hashtbl.remove c.order node;
       t.stats.replicas_flushed <- t.stats.replicas_flushed + 1;
       observe t (Numa_obs.Event.Replica_flush { lpage; node })
 
@@ -166,7 +184,18 @@ let place_copy t p ~lpage ~cpu ~node frame =
          ~dst:(Topo.Node node));
     t.stats.copies_to_local <- t.stats.copies_to_local + 1
   end;
-  Hashtbl.replace p.replicas node frame;
+  let c =
+    match p.copies with
+    | Some c -> c
+    | None ->
+        let c =
+          { frames = Array.make (Topo.cpu_nodes t.topo) None; order = Hashtbl.create 4 }
+        in
+        p.copies <- Some c;
+        c
+  in
+  c.frames.(node) <- Some frame;
+  Hashtbl.replace c.order node ();
   observe t (Numa_obs.Event.Replica_create { lpage; node })
 
 (* Zero-fill the global master if the page is still due its zero fill. *)
@@ -187,7 +216,7 @@ let fall_back t ~lpage ~cpu =
 
 (* Ensure [cpu] holds a local copy; the caller has checked capacity. *)
 let copy_to_local t p ~lpage ~cpu =
-  if not (Hashtbl.mem p.replicas cpu) then
+  if Option.is_none (copy_on p ~node:cpu) then
     match Frame_table.alloc_local t.frames ~node:cpu with
     | None -> invalid_arg "Numa_manager.copy_to_local: pool exhausted (unchecked)"
     | Some frame -> place_copy t p ~lpage ~cpu ~node:cpu frame
@@ -234,7 +263,7 @@ let view_of_state ~cpu = function
    to GLOBAL up front, before any cleanup runs. *)
 let needs_new_frame t ~lpage ~cpu outcome =
   List.mem Protocol.Copy_to_local outcome.Protocol.actions
-  && not (Hashtbl.mem (page t lpage).replicas cpu)
+  && Option.is_none (copy_on (page t lpage) ~node:cpu)
 
 let node_is_full t ~node =
   Frame_table.local_in_use t.frames ~node >= Frame_table.local_capacity t.frames ~node
@@ -395,10 +424,10 @@ let drain_node t ~node ~by_cpu =
       | Homed h when h = node ->
           demote_homed t ~lpage ~cpu:by_cpu ~home:h;
           incr drained
-      | Read_only when Hashtbl.mem p.replicas node ->
+      | Read_only when Option.is_some (copy_on p ~node) ->
           flush_node t ~lpage ~node ~by_cpu;
           incr drained;
-          if Hashtbl.length p.replicas = 0 then p.state <- Global_writable
+          if n_copies p = 0 then p.state <- Global_writable
       | Untouched | Read_only | Local_writable _ | Global_writable | Homed _ -> ())
     t.pages;
   t.stats.node_drains <- t.stats.node_drains + 1;
@@ -452,8 +481,20 @@ let reset_page t ~lpage =
       Mmu.remove_entry t.mmu e;
       t.stats.mappings_dropped <- t.stats.mappings_dropped + 1)
     (Mmu.entries_of_lpage t.mmu ~lpage);
-  Hashtbl.iter (fun _ frame -> Frame_table.free_local t.frames frame) p.replicas;
-  Hashtbl.reset p.replicas;
+  (* Reset in place, since the page will likely be copied again. Each copy
+     sits in its own node's pool, so freeing them in node order is freeing
+     them in any order. *)
+  (match p.copies with
+  | Some c ->
+      for node = 0 to Array.length c.frames - 1 do
+        match c.frames.(node) with
+        | Some frame ->
+            Frame_table.free_local t.frames frame;
+            c.frames.(node) <- None
+        | None -> ()
+      done;
+      Hashtbl.reset c.order
+  | None -> ());
   p.state <- Untouched;
   p.needs_zero <- false;
   p.moves <- 0

@@ -133,6 +133,92 @@ let prop_coherence_random_policy =
     (run_against_reference ~policy:(fun ~n_pages ->
          Policy.random ~prng:(Numa_util.Prng.create ~seed:99L) ~p_global:0.4 ~n_pages))
 
+(* --- each page's copies against its copy events ------------------------------ *)
+
+(* The directory looks a page's copies up by node and lists them in the
+   iteration order of a per-page hash table, the order of [Replica_flush]
+   events. A sink mirrors the copy events into such a table per page. On 7
+   CPUs nodes 2 and 6 share a bucket of it, and so do nodes 4 and 5, so a
+   copy dropped and made again reorders the list. After every op, for every
+   page, the directory's list must be the mirror's fold and its lookups must
+   find exactly the mirror's nodes. Pools of 2 frames force fallbacks. *)
+let copies_cpus = 7
+
+let copies_ops_arbitrary =
+  let open QCheck.Gen in
+  let cpu = int_bound (copies_cpus - 1) and lpage = int_bound (n_pages - 1) in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map op_print l))
+    (list_size (int_range 1 120)
+       (frequency
+          [
+            (5, map2 (fun c l -> Op_read (c, l)) cpu lpage);
+            (3, map2 (fun c l -> Op_write (c, l, 0)) cpu lpage);
+            (1, map (fun l -> Op_free l) lpage);
+          ]))
+
+let prop_copies_follow_events =
+  QCheck.Test.make ~name:"each page's copies follow its copy events" ~count:150
+    copies_ops_arbitrary (fun ops ->
+      let config =
+        Config.ace ~n_cpus:copies_cpus ~local_pages_per_cpu:2 ~global_pages:n_pages ()
+      in
+      let mirror = Array.init n_pages (fun _ -> Hashtbl.create 4) in
+      let obs = Numa_obs.Hub.create () in
+      Numa_obs.Hub.attach obs ~name:"copies" (fun ~ts:_ -> function
+        | Numa_obs.Event.Replica_create { lpage; node } ->
+            Hashtbl.replace mirror.(lpage) node ()
+        | Numa_obs.Event.Replica_flush { lpage; node } -> Hashtbl.remove mirror.(lpage) node
+        | Numa_obs.Event.Page_freed { lpage; _ } -> Hashtbl.reset mirror.(lpage)
+        | _ -> ());
+      let mgr =
+        Pmap_manager.create ~obs ~config
+          ~policy:(Policy.move_limit ~threshold:2 ~n_pages ())
+          ()
+      in
+      let manager = Pmap_manager.manager mgr in
+      let pmap_ops = Pmap_manager.ops mgr in
+      let pmap = pmap_ops.Numa_vm.Pmap_intf.pmap_create ~name:"copies" in
+      let fault ~cpu ~lpage access =
+        let rec go n =
+          if n > 3 then failwith "no convergence";
+          match pmap_ops.Numa_vm.Pmap_intf.resident ~pmap ~cpu ~vpage:lpage with
+          | Some (prot, _) when Prot.allows prot access -> ()
+          | Some _ | None ->
+              pmap_ops.Numa_vm.Pmap_intf.enter ~pmap ~cpu ~vpage:lpage ~lpage
+                ~min_prot:(Prot.of_access access) ~max_prot:Prot.Read_write;
+              go (n + 1)
+        in
+        go 0
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Op_read (cpu, lpage) -> fault ~cpu ~lpage Access.Load
+          | Op_write (cpu, lpage, _) -> fault ~cpu ~lpage Access.Store
+          | Op_free lpage ->
+              pmap_ops.Numa_vm.Pmap_intf.free_page_sync
+                (pmap_ops.Numa_vm.Pmap_intf.free_page ~lpage));
+          for lpage = 0 to n_pages - 1 do
+            let expected = Hashtbl.fold (fun node () acc -> node :: acc) mirror.(lpage) [] in
+            let got = Numa_manager.replica_nodes manager ~lpage in
+            if got <> expected then
+              QCheck.Test.fail_reportf "after %s, p%d lists [%s], its events [%s]"
+                (op_print op) lpage
+                (String.concat ";" (List.map string_of_int got))
+                (String.concat ";" (List.map string_of_int expected));
+            for node = 0 to copies_cpus - 1 do
+              if
+                Option.is_some (Numa_manager.replica_frame manager ~lpage ~node)
+                <> Hashtbl.mem mirror.(lpage) node
+              then
+                QCheck.Test.fail_reportf "after %s, p%d's lookup on node %d disagrees"
+                  (op_print op) lpage node
+            done
+          done)
+        ops;
+      true)
+
 (* --- engine-level coherence over the full system ---------------------------- *)
 
 let prop_system_coherence =
@@ -651,6 +737,7 @@ let suite =
     qcheck prop_coherence_all_global;
     qcheck prop_coherence_never_pin;
     qcheck prop_coherence_random_policy;
+    qcheck prop_copies_follow_events;
     qcheck prop_system_coherence;
     qcheck prop_app_policy_topology_coherent;
     qcheck prop_marked_audit_matches_oracle;
