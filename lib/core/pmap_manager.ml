@@ -13,8 +13,8 @@ type t = {
   pragmas : (int * int, Numa_vm.Region_attr.pragma) Hashtbl.t;  (** (pmap, vpage) *)
   live_pmaps : (int, string) Hashtbl.t;
   mutable next_pmap : int;
-  pending_tags : (int, unit) Hashtbl.t;
-  mutable next_tag : int;
+  mutable pending : int array;  (** lpage -> its unsynced page-out tag, or -1 *)
+  mutable next_seq : int;
 }
 
 let create ?obs ?(pt_mode = Pt.Off) ~config ~policy () =
@@ -45,8 +45,8 @@ let create ?obs ?(pt_mode = Pt.Off) ~config ~policy () =
     pragmas = Hashtbl.create 64;
     live_pmaps = Hashtbl.create 8;
     next_pmap = 0;
-    pending_tags = Hashtbl.create 16;
-    next_tag = 0;
+    pending = [||];
+    next_seq = 0;
   }
 
 let set_policy t p = t.policy <- p
@@ -184,17 +184,21 @@ let free_page t ~lpage =
   Numa_manager.reset_page t.manager ~lpage;
   Paging.note_free t.paging ~lpage;
   t.policy.Policy.note (Policy.Page_freed { lpage });
-  let tag = t.next_tag in
-  t.next_tag <- tag + 1;
-  Hashtbl.replace t.pending_tags tag ();
+  (* A tag names its page, so its sync finds it by index. *)
+  let tag = (t.next_seq * t.config.Config.global_pages) + lpage in
+  t.next_seq <- t.next_seq + 1;
+  if lpage >= Array.length t.pending then t.pending <- Rows.fit t.pending lpage (-1);
+  t.pending.(lpage) <- tag;
   tag
 
 let free_page_sync t tag =
   (* Cleanup ran eagerly at [free_page]; the tag records that the lazy
-     window closed. An unknown tag is a caller bug. *)
-  if not (Hashtbl.mem t.pending_tags tag) then
+     window closed. A negative, unknown, already-synced or superseded tag
+     is a caller bug. *)
+  let lpage = tag mod t.config.Config.global_pages in
+  if tag < 0 || lpage >= Array.length t.pending || t.pending.(lpage) <> tag then
     invalid_arg "pmap_free_page_sync: unknown or already-synced tag";
-  Hashtbl.remove t.pending_tags tag
+  t.pending.(lpage) <- -1
 
 let resident t ~pmap ~cpu ~vpage =
   match Mmu.lookup t.mmu ~pmap ~cpu ~vpage with

@@ -55,9 +55,13 @@ type ops = {
           local copy back to global memory first (the page-out path). *)
   free_page : lpage:int -> free_tag;
       (** The frame is being freed: start lazy cleanup of cache state and
-          placement history, return a tag. *)
+          placement history, return a tag. A page has at most one pending
+          tag: a second [free_page] of the page before its sync supersedes
+          the first tag, which [free_page_sync] then rejects. *)
   free_page_sync : free_tag -> unit;
-      (** The frame is being reallocated: wait for the tagged cleanup. *)
+      (** The frame is being reallocated: wait for the tagged cleanup. Each
+          tag syncs once; a negative, unknown, already-synced or superseded
+          tag raises [Invalid_argument]. *)
   resident : pmap:int -> cpu:int -> vpage:int -> (Prot.t * Location.relative) option;
       (** Current mapping, if any, as seen by a referencing CPU: its
           protection and where the backing memory is. The simulation engine

@@ -432,9 +432,22 @@ let test_reset_page_forgets_everything () =
   Alcotest.(check (list int)) "replicas freed" []
     (Numa_manager.replica_nodes (Pmap_manager.manager env.mgr) ~lpage:0);
   env.ops.Numa_vm.Pmap_intf.free_page_sync tag;
-  Alcotest.check_raises "tag is single-use"
-    (Invalid_argument "pmap_free_page_sync: unknown or already-synced tag") (fun () ->
-      env.ops.Numa_vm.Pmap_intf.free_page_sync tag);
+  let rejected = Invalid_argument "pmap_free_page_sync: unknown or already-synced tag" in
+  let sync tag () = env.ops.Numa_vm.Pmap_intf.free_page_sync tag in
+  Alcotest.check_raises "tag is single-use" rejected (sync tag);
+  (* Tags are checked by page: two pages' tags sync in either order. *)
+  let first = env.ops.Numa_vm.Pmap_intf.free_page ~lpage:1 in
+  let second = env.ops.Numa_vm.Pmap_intf.free_page ~lpage:2 in
+  sync second ();
+  sync first ();
+  Alcotest.check_raises "a negative tag" rejected (sync (-1));
+  Alcotest.check_raises "a tag never issued" rejected (sync 1_000_000);
+  (* A page has one pending tag: a second free before the sync supersedes
+     the first. *)
+  let stale = env.ops.Numa_vm.Pmap_intf.free_page ~lpage:3 in
+  let fresh = env.ops.Numa_vm.Pmap_intf.free_page ~lpage:3 in
+  Alcotest.check_raises "a superseded tag" rejected (sync stale);
+  sync fresh ();
   check_inv env
 
 (* --- content movement ---------------------------------------------------- *)
