@@ -301,9 +301,12 @@ let update_prot t ~pmap ~cpu ~vpage ~lpage ~prot =
 
 (* --- the walk ------------------------------------------------------------ *)
 
+(* A negative pmap has no tables, so its walk reads nothing: no charge, no
+   count and no event, and [Mmu.translate] finds it absent in every mode. *)
 let walk t ~pmap ~cpu ~vpage ~lpage =
   match t.mode with
   | Off -> ()
+  | Shared | Replicated _ when pmap < 0 -> ()
   | Shared | Replicated _ ->
       let sp = ensure_space t ~pmap ~cpu in
       let tbl =

@@ -105,8 +105,8 @@ val walk : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
     table (the node-local replica when one exists or on-demand
     replication builds one, the master otherwise), charging the matrix
     fetch latency per level. [lpage < 0] when the walk finds no PTE (the
-    fault path). Raises [Invalid_argument] on a negative pmap, as
-    {!enter} does. *)
+    fault path). A negative pmap has no tables, so its walk reads, charges
+    and counts nothing. *)
 
 (** {1 Degradation and the daemon} *)
 

@@ -493,8 +493,9 @@ let prop_mmu_matches_oracle =
               | None, None -> ()
               | Some _, None | None, Some _ -> disagree "one side has no entry")
           | M_translate { pmap; cpu; vpage } ->
-              (* With tables attached, a negative pmap raises in [Pt] on
-                 both sides. *)
+              (* Both sides call the same [Pt], which walks nothing for a
+                 negative pmap; an [Invalid_argument] from either side is
+                 compared as its message. *)
               let outcome translate view =
                 match translate ~pmap ~cpu ~vpage with
                 | found -> Ok (Option.map view found)

@@ -581,16 +581,28 @@ let test_replica_build_root_first () =
     [ (0, 3. *. local); (256, (2. *. local) +. global); (512, (2. *. local) +. global) ]
     (List.rev !walks)
 
-(* A negative pmap has no tables: the reads and the removals find it
-   absent and change nothing, while the calls that would make its tables
-   (enter, and a walk, also through the MMU) reject it by name. *)
+(* A negative pmap has no tables: the reads, the removals and a walk (also
+   through the MMU, which then translates nothing) find it absent and
+   change nothing, while [enter], which would make its tables, rejects it
+   by name. *)
 let test_negative_pmap () =
   let config = Config.ace ~n_cpus:2 () in
   let frames = Frame_table.create config in
   let sink = Cost_sink.create ~n_cpus:2 in
-  let pt = Pt.create ~config ~frames ~sink ~mode:(Pt.Replicated None) () in
+  let obs = Numa_obs.Hub.create () in
+  let events = ref 0 in
+  Numa_obs.Hub.attach obs ~name:"count" (fun ~ts:_ _ -> incr events);
+  let pt = Pt.create ~obs ~config ~frames ~sink ~mode:(Pt.Replicated None) () in
   Pt.enter pt ~pmap:0 ~cpu:0 ~vpage:3 ~lpage:3 ~frame:None ~prot:Prot.Read_write;
   let before = Pt.stats pt in
+  let charged = Cost_sink.grand_total sink and emitted = !events in
+  let untouched what =
+    Alcotest.(check bool) (what ^ ": nothing counted") true (Pt.stats pt = before);
+    Alcotest.(check (float 0.)) (what ^ ": nothing charged") charged
+      (Cost_sink.grand_total sink);
+    Alcotest.(check int) (what ^ ": no event") emitted !events;
+    Alcotest.(check (list int)) (what ^ ": pmap 0 alone has tables") [ 0 ] (Pt.pmaps pt)
+  in
   Alcotest.(check bool) "no master pte" true
     (Option.is_none (Pt.master_pte pt ~pmap:(-1) ~cpu:0 ~vpage:3));
   Alcotest.(check int) "no master ptes" 0 (List.length (Pt.master_ptes pt ~pmap:(-1)));
@@ -606,13 +618,13 @@ let test_negative_pmap () =
   let rejected = Invalid_argument "Pt: negative pmap" in
   Alcotest.check_raises "enter" rejected (fun () ->
       Pt.enter pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:3 ~frame:None ~prot:Prot.Read_write);
-  Alcotest.check_raises "walk" rejected (fun () ->
-      Pt.walk pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:(-1));
+  Pt.walk pt ~pmap:(-1) ~cpu:0 ~vpage:3 ~lpage:(-1);
+  untouched "walk";
   let mmu = Mmu.create config in
   Mmu.attach_pt mmu pt;
-  Alcotest.check_raises "translate's walk" rejected (fun () ->
-      ignore (Mmu.translate mmu ~pmap:(-1) ~cpu:0 ~vpage:3));
-  Alcotest.(check (list int)) "still no tables for it" [ 0 ] (Pt.pmaps pt)
+  Alcotest.(check bool) "translate finds nothing" true
+    (Option.is_none (Mmu.translate mmu ~pmap:(-1) ~cpu:0 ~vpage:3));
+  untouched "translate's walk"
 
 let suite =
   [
