@@ -168,7 +168,7 @@ let protect t ~pmap ~vpage ~n prot =
       if clamped = Prot.No_access then doomed := e :: !doomed
       else if clamped <> e.prot then begin
         Mmu.set_prot t.mmu e clamped;
-        Cost_sink.charge t.sink ~cpu:e.cpu ~cat:Numa_obs.Profile.Tlb_shootdown
+        Cost_sink.add t.sink ~cpu:e.cpu ~cat:Numa_obs.Profile.Tlb_shootdown
           ~lpage:e.lpage (Cost.tlb_shootdown_ns t.config)
       end);
   List.iter (drop_entry t) !doomed

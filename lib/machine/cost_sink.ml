@@ -28,7 +28,7 @@ let create ~n_cpus =
 let set_profile t profile = t.profile <- profile
 let profile t = t.profile
 
-let charge t ~cpu ?(cat = Profile.Pmap_action) ?(lpage = -1) ns =
+let add t ~cpu ~cat ~lpage ns =
   if ns < 0. then invalid_arg "Cost_sink.charge: negative charge";
   t.pending.(cpu) <- t.pending.(cpu) +. ns;
   t.cumulative.(cpu) <- t.cumulative.(cpu) +. ns;
@@ -36,6 +36,8 @@ let charge t ~cpu ?(cat = Profile.Pmap_action) ?(lpage = -1) ns =
   | None -> ()
   | Some p ->
       t.queued.(cpu) <- { cat; ctx = Profile.context p; lpage; ns } :: t.queued.(cpu)
+
+let charge t ~cpu ?(cat = Profile.Pmap_action) ?(lpage = -1) ns = add t ~cpu ~cat ~lpage ns
 
 let drain t ~cpu =
   let v = t.pending.(cpu) in

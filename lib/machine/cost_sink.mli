@@ -22,11 +22,17 @@ val set_profile : t -> Numa_obs.Profile.t option -> unit
 
 val profile : t -> Numa_obs.Profile.t option
 
+val add : t -> cpu:int -> cat:Numa_obs.Profile.kernel_cat -> lpage:int -> float -> unit
+(** [add t ~cpu ~cat ~lpage ns] adds [ns] of system time against a CPU,
+    categorised for the profiler under [cat] and the logical page
+    [lpage] ([-1] for none). A negative charge raises [Invalid_argument].
+    Every charge in the library comes through here: an optional argument
+    passed from another module allocates its [Some] on each call, and
+    the fault path charges several times per event. *)
+
 val charge :
   t -> cpu:int -> ?cat:Numa_obs.Profile.kernel_cat -> ?lpage:int -> float -> unit
-(** Add [ns] of system time against a CPU, categorised for the profiler
-    ([cat] defaults to [Pmap_action], [lpage] to none). Negative charges
-    are rejected. *)
+(** {!add} with [cat] defaulting to [Pmap_action] and [lpage] to none. *)
 
 val drain : t -> cpu:int -> float
 (** Return and reset the pending system time of a CPU, flushing its

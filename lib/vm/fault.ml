@@ -18,7 +18,7 @@ let error_to_string = function
   | Out_of_memory -> "logical page pool exhausted"
 
 let handle ctx (task : Task.t) ~cpu ~vpage ~access =
-  Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Fault_trap
+  Cost_sink.add ctx.sink ~cpu ~cat:Numa_obs.Profile.Fault_trap ~lpage:(-1)
     (Cost.fault_trap_ns ctx.config);
   match Vm_map.region_at task.map ~vpage with
   | None -> Error No_region
@@ -39,7 +39,7 @@ let handle ctx (task : Task.t) ~cpu ~vpage ~access =
           match Vm_object.lpage_for region.obj ~pool:ctx.pool ~ops:ctx.ops ~offset with
           | Ok lpage as ok ->
               if paged_out then
-                Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Disk_read ~lpage
+                Cost_sink.add ctx.sink ~cpu ~cat:Numa_obs.Profile.Disk_read ~lpage
                   (Cost.disk_read_ns ctx.config ~topo:ctx.topo ~lpage);
               ok
           | Error _ as e -> e
@@ -54,7 +54,7 @@ let handle ctx (task : Task.t) ~cpu ~vpage ~access =
                  daemon's own latency with one pmap action. *)
               match ctx.pageout with
               | Some daemon when Pageout.ensure_free ~by_cpu:cpu daemon ~needed:1 ->
-                  Cost_sink.charge ctx.sink ~cpu ~cat:Numa_obs.Profile.Pmap_action
+                  Cost_sink.add ctx.sink ~cpu ~cat:Numa_obs.Profile.Pmap_action ~lpage:(-1)
                     (Cost.pmap_action_ns ctx.config);
                   materialise ()
               | Some _ | None -> Error `Pool_exhausted)
