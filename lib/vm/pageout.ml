@@ -63,7 +63,7 @@ let page_out_at t ~by_cpu obj ~offset ~lpage =
    zero-sized objects recurses forever with [steps] stuck at 0 — and the
    budget allows one full sweep: every slot plus one wrap past each
    object boundary. *)
-let evict_one_clock ?avoid ~by_cpu t =
+let evict_one_clock ~avoid ~by_cpu t =
   let n_objs = Array.length t.objects in
   let total_slots =
     Array.fold_left (fun acc o -> acc + Vm_object.size_pages o) 0 t.objects
@@ -84,7 +84,7 @@ let evict_one_clock ?avoid ~by_cpu t =
           let offset = t.cursor_page in
           t.cursor_page <- t.cursor_page + 1;
           match Vm_object.slot obj ~offset with
-          | Vm_object.Resident lpage when avoid = Some lpage -> hunt (steps + 1)
+          | Vm_object.Resident lpage when lpage = avoid -> hunt (steps + 1)
           | Vm_object.Resident lpage when not (claimable t ~lpage) -> hunt (steps + 1)
           | Vm_object.Resident lpage ->
               page_out_at t ~by_cpu obj ~offset ~lpage;
@@ -101,13 +101,13 @@ let evict_one_clock ?avoid ~by_cpu t =
    bits, so faults are the only use signal). Ties break toward the lowest
    (object, offset) for determinism; without a paging machine every tick
    reads 0 and this degrades to in-order selection. *)
-let evict_one_lru ?avoid ~by_cpu t =
+let evict_one_lru ~avoid ~by_cpu t =
   let best = ref None in
   Array.iteri
     (fun oi obj ->
       List.iter
         (fun (offset, lpage) ->
-          if avoid <> Some lpage && claimable t ~lpage then begin
+          if lpage <> avoid && claimable t ~lpage then begin
             let use =
               match t.paging with Some p -> Paging.last_use p ~lpage | None -> 0
             in
@@ -123,10 +123,14 @@ let evict_one_lru ?avoid ~by_cpu t =
       page_out_at t ~by_cpu t.objects.(oi) ~offset ~lpage;
       true
 
+(* [avoid] is compared as an int, -1 for none (no logical page is
+   negative): the hand visits every resident page, and an option compared
+   there would allocate and call the polymorphic compare at each. *)
 let evict_one ?avoid ?(by_cpu = 0) t =
+  let avoid = Option.value avoid ~default:(-1) in
   match t.victim with
-  | Clock -> evict_one_clock ?avoid ~by_cpu t
-  | Lru_approx -> evict_one_lru ?avoid ~by_cpu t
+  | Clock -> evict_one_clock ~avoid ~by_cpu t
+  | Lru_approx -> evict_one_lru ~avoid ~by_cpu t
 
 let rec evict_until ?avoid ~by_cpu t ~target =
   if Lpage_pool.n_free t.pool >= target then true
