@@ -342,9 +342,28 @@ let test_component_audit_presence () =
       Alcotest.(check int) "exactly one audit" 1 rb.Report.invariant_checks;
       Alcotest.(check int) "and it is clean" 0 rb.Report.invariant_violations
 
+(* The fault path's allocation: imatmult on 2 CPUs paging through 12
+   logical pages with a page-table replica per node, the shape of the
+   benchmark's thrash workload at a smaller scale. Nearly every event
+   misses the TLB, walks, faults or pages, so a box or a list left on
+   that path shows here. *)
+let test_fault_path_allocation () =
+  let config = Config.ace ~n_cpus:2 ~global_pages:12 () in
+  let sys = System.create ~pt_mode:(Pt.Replicated None) ~config () in
+  let app = Option.get (Numa_apps.Registry.find "imatmult") in
+  app.Numa_apps.App_sig.setup sys
+    { Numa_apps.App_sig.nthreads = 2; scale = 0.1; seed = 42L };
+  let before = Gc.minor_words () in
+  let r = System.run sys in
+  let words = (Gc.minor_words () -. before) /. float_of_int r.Report.n_events in
+  if words > 115. then
+    Alcotest.failf "%.1f minor words per event over %d events (at most 115)" words
+      r.Report.n_events
+
 let suite =
   [
     Alcotest.test_case "private page stays local" `Quick test_private_page_stays_local;
+    Alcotest.test_case "fault path allocation" `Quick test_fault_path_allocation;
     Alcotest.test_case "read-mostly page replicates" `Quick test_read_mostly_page_replicates;
     Alcotest.test_case "ping-pong page pins" `Quick test_ping_pong_page_pins;
     Alcotest.test_case "all-global policy" `Quick test_all_global_policy;
