@@ -24,14 +24,20 @@ let page_zero_ns (c : Config.t) ~dst =
 (* Node-precise variants: the same formulas, but priced from the topology
    matrix instead of the three classes. On a classic (matrix-less) config
    the derived matrix copies the scalars verbatim, so these agree with
-   the class-based functions bit for bit. *)
+   the class-based functions bit for bit.
 
-let node_reference_ns ~(topo : Topo.t) ~access ~cpu ~node =
+   Every walk and every charge prices a reference here, so the two
+   reference prices are marked [@inline]: the float they return then
+   stays unboxed at the call site, where a call that is not inlined
+   would box it. The page prices and the fixed costs at the end allocate
+   no less with the attribute (ocamlopt inlines the fixed costs by size). *)
+
+let[@inline] node_reference_ns ~(topo : Topo.t) ~access ~cpu ~node =
   match access with
   | Access.Load -> Topo.fetch_ns topo ~from:cpu ~at:node
   | Access.Store -> Topo.store_ns topo ~from:cpu ~at:node
 
-let place_reference_ns ~topo ~access ~cpu ~place =
+let[@inline] place_reference_ns ~topo ~access ~cpu ~place =
   node_reference_ns ~topo ~access ~cpu ~node:(Topo.place_node topo place)
 
 let place_page_copy_ns (c : Config.t) ~topo ~cpu ~src ~dst =

@@ -19,8 +19,10 @@ let pool_pages t ~node =
   if node < 0 || node >= t.cpu_nodes then invalid_arg "Topo.pool_pages: bad node";
   t.pool_pages.(node)
 
-let fetch_ns t ~from ~at = t.fetch_ns.(from).(at)
-let store_ns t ~from ~at = t.store_ns.(from).(at)
+(* Inlined so that the latency read on every walk and charge stays an
+   unboxed float at the call site. *)
+let[@inline] fetch_ns t ~from ~at = t.fetch_ns.(from).(at)
+let[@inline] store_ns t ~from ~at = t.store_ns.(from).(at)
 
 let link_words_per_ns t ~from ~at =
   match t.link_words_per_ns with
