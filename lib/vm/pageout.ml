@@ -13,6 +13,7 @@ type t = {
   pool : Lpage_pool.t;
   ops : Pmap_intf.ops;
   mutable objects : Vm_object.t array;
+  mutable total_slots : int;  (** summed size of [objects]; a size never changes *)
   low_water : int;
   high_water : int;
   victim : victim;
@@ -29,6 +30,7 @@ let create ~pool ~ops ?(low_water = 2) ?(high_water = 8) ?(victim = Clock) ?pagi
     pool;
     ops;
     objects = [||];
+    total_slots = 0;
     low_water;
     high_water;
     victim;
@@ -38,7 +40,9 @@ let create ~pool ~ops ?(low_water = 2) ?(high_water = 8) ?(victim = Clock) ?pagi
     evictions = 0;
   }
 
-let register t obj = t.objects <- Array.append t.objects [| obj |]
+let register t obj =
+  t.objects <- Array.append t.objects [| obj |];
+  t.total_slots <- t.total_slots + Vm_object.size_pages obj
 
 (* In-flight Reading/Writeback entries are pending disk I/O and must never
    be claimed; without a paging machine every resident page is fair game. *)
@@ -60,41 +64,33 @@ let page_out_at t ~by_cpu obj ~offset ~lpage =
 
 (* Clock hand: advance to the next claimable resident page and evict it.
    Object advances count as steps too — otherwise a registry of all
-   zero-sized objects recurses forever with [steps] stuck at 0 — and the
+   zero-sized objects recurses forever with [budget] never spent — and the
    budget allows one full sweep: every slot plus one wrap past each
    object boundary. *)
-let evict_one_clock ~avoid ~by_cpu t =
-  let n_objs = Array.length t.objects in
-  let total_slots =
-    Array.fold_left (fun acc o -> acc + Vm_object.size_pages o) 0 t.objects
-  in
-  if total_slots = 0 then false
+let rec hunt t ~avoid ~by_cpu ~budget =
+  if budget < 0 then false
   else begin
-    let budget = total_slots + n_objs in
-    let rec hunt steps =
-      if steps > budget then false
-      else begin
-        let obj = t.objects.(t.cursor_obj) in
-        if t.cursor_page >= Vm_object.size_pages obj then begin
-          t.cursor_obj <- (t.cursor_obj + 1) mod n_objs;
-          t.cursor_page <- 0;
-          hunt (steps + 1)
-        end
-        else begin
-          let offset = t.cursor_page in
-          t.cursor_page <- t.cursor_page + 1;
-          match Vm_object.slot obj ~offset with
-          | Vm_object.Resident lpage when lpage = avoid -> hunt (steps + 1)
-          | Vm_object.Resident lpage when not (claimable t ~lpage) -> hunt (steps + 1)
-          | Vm_object.Resident lpage ->
-              page_out_at t ~by_cpu obj ~offset ~lpage;
-              true
-          | Vm_object.Empty | Vm_object.Paged_out _ -> hunt (steps + 1)
-        end
-      end
-    in
-    hunt 0
+    let obj = t.objects.(t.cursor_obj) in
+    if t.cursor_page >= Vm_object.size_pages obj then begin
+      t.cursor_obj <- (t.cursor_obj + 1) mod Array.length t.objects;
+      t.cursor_page <- 0;
+      hunt t ~avoid ~by_cpu ~budget:(budget - 1)
+    end
+    else begin
+      let offset = t.cursor_page in
+      t.cursor_page <- t.cursor_page + 1;
+      match Vm_object.slot obj ~offset with
+      | Vm_object.Resident lpage when lpage <> avoid && claimable t ~lpage ->
+          page_out_at t ~by_cpu obj ~offset ~lpage;
+          true
+      | Vm_object.Resident _ | Vm_object.Empty | Vm_object.Paged_out _ ->
+          hunt t ~avoid ~by_cpu ~budget:(budget - 1)
+    end
   end
+
+let evict_one_clock ~avoid ~by_cpu t =
+  t.total_slots > 0
+  && hunt t ~avoid ~by_cpu ~budget:(t.total_slots + Array.length t.objects)
 
 (* LRU approximation: evict the claimable resident page with the oldest
    fault-time use tick (Babaoglu-Joy style — the ACE has no reference
