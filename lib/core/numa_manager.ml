@@ -281,40 +281,53 @@ let node_still_full t ~lpage ~node =
   end
   else true
 
+(* Flush the copies of [nodes] but [except]'s (-1 for none), charged to
+   [by_cpu], in the list's order; returns how many it flushed. *)
+let rec flush_nodes t ~lpage ~by_cpu ~except = function
+  | [] -> 0
+  | node :: rest when node = except -> flush_nodes t ~lpage ~by_cpu ~except rest
+  | node :: rest ->
+      flush_node t ~lpage ~node ~by_cpu;
+      1 + flush_nodes t ~lpage ~by_cpu ~except rest
+
+(* Run one protocol action of [cpu]'s request; returns how many other
+   nodes' copies it flushed. *)
+let run_action t p ~lpage ~cpu = function
+  | Protocol.Sync_and_flush_own | Protocol.Sync_and_flush_other -> (
+      (* An [_other] owner is never [cpu] (see [view_of_state]). *)
+      match p.state with
+      | Local_writable o ->
+          evict_owner t ~lpage ~node:o ~by_cpu:cpu;
+          if o <> cpu then 1 else 0
+      | Untouched | Read_only | Global_writable | Homed _ ->
+          invalid_arg "Numa_manager.execute: sync on non-owned page")
+  | Protocol.Flush_all ->
+      (* Only the GLOBAL row flushes all, and a GLOBAL request never moves
+         the page, so these flushes count for nothing. *)
+      ignore (flush_nodes t ~lpage ~by_cpu:cpu ~except:(-1) (replica_nodes t ~lpage));
+      0
+  | Protocol.Flush_other ->
+      flush_nodes t ~lpage ~by_cpu:cpu ~except:cpu (replica_nodes t ~lpage)
+  | Protocol.Unmap_all ->
+      unmap_all t ~lpage ~by_cpu:cpu;
+      0
+  | Protocol.Copy_to_local ->
+      copy_to_local t p ~lpage ~cpu;
+      0
+
+let rec run_actions t p ~lpage ~cpu = function
+  | [] -> 0
+  | action :: rest ->
+      let flushed = run_action t p ~lpage ~cpu action in
+      flushed + run_actions t p ~lpage ~cpu rest
+
 let execute t p ~lpage ~cpu ~(outcome : Protocol.outcome) =
-  let flushed_other = ref 0 in
-  let run = function
-    | Protocol.Sync_and_flush_own | Protocol.Sync_and_flush_other -> (
-        (* An [_other] owner is never [cpu] (see [view_of_state]). *)
-        match p.state with
-        | Local_writable o ->
-            evict_owner t ~lpage ~node:o ~by_cpu:cpu;
-            if o <> cpu then incr flushed_other
-        | Untouched | Read_only | Global_writable | Homed _ ->
-            invalid_arg "Numa_manager.execute: sync on non-owned page")
-    | Protocol.Flush_all ->
-        List.iter
-          (fun node ->
-            if node <> cpu then incr flushed_other;
-            flush_node t ~lpage ~node ~by_cpu:cpu)
-          (replica_nodes t ~lpage)
-    | Protocol.Flush_other ->
-        List.iter
-          (fun node ->
-            if node <> cpu then begin
-              incr flushed_other;
-              flush_node t ~lpage ~node ~by_cpu:cpu
-            end)
-          (replica_nodes t ~lpage)
-    | Protocol.Unmap_all -> unmap_all t ~lpage ~by_cpu:cpu
-    | Protocol.Copy_to_local -> copy_to_local t p ~lpage ~cpu
-  in
-  List.iter run outcome.actions;
+  let flushed_other = run_actions t p ~lpage ~cpu outcome.actions in
   (match outcome.new_state with
   | Protocol.Becomes_read_only -> p.state <- Read_only
   | Protocol.Becomes_local_writable -> p.state <- Local_writable cpu
   | Protocol.Becomes_global_writable -> p.state <- Global_writable);
-  !flushed_other
+  flushed_other
 
 (* Un-home a page: sync its contents to global, flush the home frame and
    every mapping; it becomes an ordinary global page. Used when the homing
@@ -370,8 +383,7 @@ let request_homed t ~lpage ~cpu ~home =
       | Homed h -> demote_homed t ~lpage ~cpu ~home:h
       | Local_writable o -> evict_owner t ~lpage ~node:o ~by_cpu:cpu
       | Read_only ->
-          List.iter (fun node -> flush_node t ~lpage ~node ~by_cpu:cpu)
-            (replica_nodes t ~lpage)
+          ignore (flush_nodes t ~lpage ~by_cpu:cpu ~except:(-1) (replica_nodes t ~lpage))
       | Global_writable -> unmap_all t ~lpage ~by_cpu:cpu);
       p.state <- Global_writable;
       match alloc_local_reclaiming t ~lpage ~node:home with
