@@ -52,7 +52,8 @@ let reverse_bucket t lpage =
   match Hashtbl.find_opt t.reverse lpage with
   | Some b -> b
   | None ->
-      let b = Hashtbl.create 8 in
+      (* Unseeded even under OCAMLRUNPARAM=R: tests compare its order. *)
+      let b = Hashtbl.create ~random:false 8 in
       Hashtbl.replace t.reverse lpage b;
       b
 

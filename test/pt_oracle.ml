@@ -186,7 +186,13 @@ let ensure_space t ~pmap ~cpu =
   | Some sp -> sp
   | None ->
       let sp =
-        { sp_pmap = pmap; master = new_table t ~node:cpu; replicas = Hashtbl.create 4 }
+        (* Unseeded even under OCAMLRUNPARAM=R: tests compare the
+           replicas' order. *)
+        {
+          sp_pmap = pmap;
+          master = new_table t ~node:cpu;
+          replicas = Hashtbl.create ~random:false 4;
+        }
       in
       Hashtbl.replace t.spaces pmap sp;
       (match t.mode with

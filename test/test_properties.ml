@@ -163,7 +163,8 @@ let prop_copies_follow_events =
       let config =
         Config.ace ~n_cpus:copies_cpus ~local_pages_per_cpu:2 ~global_pages:n_pages ()
       in
-      let mirror = Array.init n_pages (fun _ -> Hashtbl.create 4) in
+      (* Unseeded even under OCAMLRUNPARAM=R: its order is compared. *)
+      let mirror = Array.init n_pages (fun _ -> Hashtbl.create ~random:false 4) in
       let obs = Numa_obs.Hub.create () in
       Numa_obs.Hub.attach obs ~name:"copies" (fun ~ts:_ -> function
         | Numa_obs.Event.Replica_create { lpage; node } ->
