@@ -346,7 +346,10 @@ let test_component_audit_presence () =
    logical pages with a page-table replica per node, the shape of the
    benchmark's thrash workload at a smaller scale. Nearly every event
    misses the TLB, walks, faults or pages, so a box or a list left on
-   that path shows here. *)
+   that path shows here. The bound holds for the workspace's profile,
+   which builds without -opaque (dune-workspace); it reads 69.6 there.
+   Under --profile dev the same code reads 93.1, so the case also fails
+   on a build that loses the workspace profile. *)
 let test_fault_path_allocation () =
   let config = Config.ace ~n_cpus:2 ~global_pages:12 () in
   let sys = System.create ~pt_mode:(Pt.Replicated None) ~config () in
@@ -356,8 +359,8 @@ let test_fault_path_allocation () =
   let before = Gc.minor_words () in
   let r = System.run sys in
   let words = (Gc.minor_words () -. before) /. float_of_int r.Report.n_events in
-  if words > 115. then
-    Alcotest.failf "%.1f minor words per event over %d events (at most 115)" words
+  if words > 74. then
+    Alcotest.failf "%.1f minor words per event over %d events (at most 74)" words
       r.Report.n_events
 
 let suite =
