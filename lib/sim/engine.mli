@@ -33,10 +33,11 @@
     effect handler is built once per engine and hands every suspension
     the same preallocated closure, so a [perform] allocates the op, its
     {!Api.Sim_op} wrapper, the runtime's continuation and the two-word
-    [Suspended] box that carries it. Floats passed to or returned from
-    another module are still boxed: the time given to
+    [Suspended] box that carries it. A float passed to or returned from
+    a function that is not inlined is still boxed: the time given to
     {!Event_queue.replace_min} and the one {!Event_queue.next_time}
-    returns. *)
+    returns. The build inlines across modules (it does not use dune's
+    dev-profile [-opaque]), but neither heap call is inlined. *)
 
 type scheduler_mode = Affinity | Single_queue
 
