@@ -20,8 +20,9 @@ val attach : t -> Hub.t -> unit
 val record : t -> ts:float -> Event.t -> unit
 (** Record one event directly (what {!attach} wires up). The clamped stamp
     goes into a float array and the event into an array of events, both
-    doubled when full, so an event costs 2 words beyond the event itself
-    until the trace is dropped. *)
+    doubled when full. Each slot of the two costs 2 words, and just after
+    a doubling half the slots are empty, so an event costs 2 to 4 words
+    beyond the event itself until the trace is dropped. *)
 
 val length : t -> int
 (** Events recorded so far (excluding metadata). *)
@@ -38,9 +39,14 @@ val save : t -> string -> unit
     [{"name":...,"cat":"numa","ph":"i","s":"t","ts":...,"pid":1,
     "tid":...,"args":{...}}], with {!Event.name}, the clamped stamp as
     {!Json.add_float} prints it, the lane and {!Event.add_args}. Each event
-    is written straight into a 64 KB buffer that is flushed as it fills;
-    no [Json.t] is built, and a stamp equal to the previous event's reuses
-    its text. *)
+    is written straight into a 64 KB buffer that is flushed as it fills,
+    and no [Json.t] is built. The fixed text is written as whole literals:
+    the name goes between literal quotes with no escape scan, since every
+    {!Event.name} is a snake_case constant, and each lane's
+    [,"pid":1,"tid":N,"args":] text is built once per save. A stamp whose
+    bits equal the previous event's reuses its text, kept in one reused
+    32-byte [Bytes]. What a save allocates per event is the box of each
+    new stamp passed to {!Json.add_float}. *)
 
 val iter : t -> (ts:float -> lane:int -> Event.t -> unit) -> unit
 (** Recorded events in recording order, with their clamped stamps. *)

@@ -159,100 +159,102 @@ let lpage = function
   | Request_hedged _ | Request_shed _ | Breaker_transition _ | Shard_failover _ ->
       None
 
-(* Field writers for [add_args]: [sep] is the ['{'] that opens the object
-   or the [','] before a later field. They are top-level functions, so a
-   call allocates nothing. *)
-let key b sep k =
-  Buffer.add_char b sep;
-  Buffer.add_char b '"';
+(* Field writers for [add_args]: [k] is the field's literal key text with
+   the ['{'] that opens the object or the [','] before a later field, such
+   as [{"cpu":] or [,"vpage":]. They are top-level functions, so a call
+   allocates nothing. *)
+let int b k v = Buffer.add_string b k; Json.add_int b v
+let float b k v = Buffer.add_string b k; Json.add_float b v
+let str b k v = Buffer.add_string b k; Json.add_string b v
+let bool b k v =
   Buffer.add_string b k;
-  Buffer.add_string b "\":"
-
-let int b sep k v = key b sep k; Json.add_int b v
-let float b sep k v = key b sep k; Json.add_float b v
-let str b sep k v = key b sep k; Json.add_string b v
-let bool b sep k v = key b sep k; Buffer.add_string b (if v then "true" else "false")
+  Buffer.add_string b (if v then "true" else "false")
 
 let add_args b ev =
   (match ev with
   | Fault_resolved { cpu; vpage; lpage; write; state } ->
-      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
-      bool b ',' "write" write; str b ',' "state" state
+      int b {|{"cpu":|} cpu; int b {|,"vpage":|} vpage; int b {|,"lpage":|} lpage;
+      bool b {|,"write":|} write; str b {|,"state":|} state
   | Policy_decision { lpage; cpu; global; reason } ->
-      int b '{' "lpage" lpage; int b ',' "cpu" cpu;
-      str b ',' "decision" (if global then "GLOBAL" else "LOCAL"); str b ',' "reason" reason
+      int b {|{"lpage":|} lpage; int b {|,"cpu":|} cpu;
+      str b {|,"decision":|} (if global then "GLOBAL" else "LOCAL");
+      str b {|,"reason":|} reason
   | Page_move { lpage; to_node; moves } ->
-      int b '{' "lpage" lpage; int b ',' "to_node" to_node; int b ',' "moves" moves
+      int b {|{"lpage":|} lpage; int b {|,"to_node":|} to_node; int b {|,"moves":|} moves
   | Page_pin { lpage; cpu; reason } ->
-      int b '{' "lpage" lpage; int b ',' "cpu" cpu; str b ',' "reason" reason
-  | Page_unpin { lpage } -> int b '{' "lpage" lpage
+      int b {|{"lpage":|} lpage; int b {|,"cpu":|} cpu; str b {|,"reason":|} reason
+  | Page_unpin { lpage } -> int b {|{"lpage":|} lpage
   | Replica_create { lpage; node } | Replica_flush { lpage; node }
   | Sync_to_global { lpage; node } ->
-      int b '{' "lpage" lpage; int b ',' "node" node
+      int b {|{"lpage":|} lpage; int b {|,"node":|} node
   | Zero_fill { lpage; node } -> (
-      int b '{' "lpage" lpage;
-      match node with Some n -> int b ',' "node" n | None -> str b ',' "node" "global")
-  | Local_fallback { lpage; cpu } -> int b '{' "lpage" lpage; int b ',' "cpu" cpu
-  | Page_freed { lpage; moves } -> int b '{' "lpage" lpage; int b ',' "moves" moves
+      int b {|{"lpage":|} lpage;
+      match node with Some n -> int b {|,"node":|} n | None -> str b {|,"node":|} "global")
+  | Local_fallback { lpage; cpu } -> int b {|{"lpage":|} lpage; int b {|,"cpu":|} cpu
+  | Page_freed { lpage; moves } -> int b {|{"lpage":|} lpage; int b {|,"moves":|} moves
   | Refs { cpu; n; write; loc; node } ->
-      int b '{' "cpu" cpu; int b ',' "n" n; bool b ',' "write" write;
-      str b ',' "loc" (loc_to_string loc); int b ',' "node" node
+      int b {|{"cpu":|} cpu; int b {|,"n":|} n; bool b {|,"write":|} write;
+      str b {|,"loc":|} (loc_to_string loc); int b {|,"node":|} node
   | Bus_queued { cpu; words; delay_ns } ->
-      int b '{' "cpu" cpu; int b ',' "words" words; float b ',' "delay_ns" delay_ns
+      int b {|{"cpu":|} cpu; int b {|,"words":|} words;
+      float b {|,"delay_ns":|} delay_ns
   | Lock_acquired { lock_id; cpu; tid }
   | Lock_contended { lock_id; cpu; tid }
   | Lock_released { lock_id; cpu; tid } ->
-      int b '{' "lock" lock_id; int b ',' "cpu" cpu; int b ',' "tid" tid
+      int b {|{"lock":|} lock_id; int b {|,"cpu":|} cpu; int b {|,"tid":|} tid
   | Dispatch { tid; cpu; name } ->
-      int b '{' "tid" tid; int b ',' "cpu" cpu; str b ',' "thread" name
+      int b {|{"tid":|} tid; int b {|,"cpu":|} cpu; str b {|,"thread":|} name
   | Syscall { tid; cpu; service_ns } ->
-      int b '{' "tid" tid; int b ',' "cpu" cpu; float b ',' "service_ns" service_ns
+      int b {|{"tid":|} tid; int b {|,"cpu":|} cpu;
+      float b {|,"service_ns":|} service_ns
   | Tlb_shootdown { cpu; vpage; lpage } ->
-      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage
+      int b {|{"cpu":|} cpu; int b {|,"vpage":|} vpage; int b {|,"lpage":|} lpage
   | Thread_migrated { tid; from_cpu; to_cpu } ->
-      int b '{' "tid" tid; int b ',' "from_cpu" from_cpu; int b ',' "to_cpu" to_cpu
-  | Reconsider_scan { expired } -> int b '{' "expired" expired
-  | Fault_injected { kind; detail } -> str b '{' "kind" kind; str b ',' "detail" detail
-  | Node_offline { node } | Node_online { node } -> int b '{' "node" node
+      int b {|{"tid":|} tid; int b {|,"from_cpu":|} from_cpu; int b {|,"to_cpu":|} to_cpu
+  | Reconsider_scan { expired } -> int b {|{"expired":|} expired
+  | Fault_injected { kind; detail } -> str b {|{"kind":|} kind; str b {|,"detail":|} detail
+  | Node_offline { node } | Node_online { node } -> int b {|{"node":|} node
   | Node_drained { node; pages; threads } ->
-      int b '{' "node" node; int b ',' "pages" pages; int b ',' "threads" threads
+      int b {|{"node":|} node; int b {|,"pages":|} pages; int b {|,"threads":|} threads
   | Link_degraded { src; dst; factor } ->
-      int b '{' "src" src; int b ',' "dst" dst; float b ',' "factor" factor
-  | Invariant_checked { violations } -> int b '{' "violations" violations
-  | Out_of_memory { cpu; vpage } -> int b '{' "cpu" cpu; int b ',' "vpage" vpage
-  | Page_in { lpage } -> int b '{' "lpage" lpage
-  | Page_evicted { lpage; dirty } -> int b '{' "lpage" lpage; bool b ',' "dirty" dirty
-  | Writeback_started { lpage } -> int b '{' "lpage" lpage
+      int b {|{"src":|} src; int b {|,"dst":|} dst; float b {|,"factor":|} factor
+  | Invariant_checked { violations } -> int b {|{"violations":|} violations
+  | Out_of_memory { cpu; vpage } -> int b {|{"cpu":|} cpu; int b {|,"vpage":|} vpage
+  | Page_in { lpage } -> int b {|{"lpage":|} lpage
+  | Page_evicted { lpage; dirty } -> int b {|{"lpage":|} lpage; bool b {|,"dirty":|} dirty
+  | Writeback_started { lpage } -> int b {|{"lpage":|} lpage
   | Writeback_done { lpage; redirtied } ->
-      int b '{' "lpage" lpage; bool b ',' "redirtied" redirtied
+      int b {|{"lpage":|} lpage; bool b {|,"redirtied":|} redirtied
   | Pt_walk { cpu; vpage; lpage; levels; ns } ->
-      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
-      int b ',' "levels" levels; float b ',' "ns" ns
+      int b {|{"cpu":|} cpu; int b {|,"vpage":|} vpage; int b {|,"lpage":|} lpage;
+      int b {|,"levels":|} levels; float b {|,"ns":|} ns
   | Pt_shootdown { cpu; vpage; lpage; node } ->
-      int b '{' "cpu" cpu; int b ',' "vpage" vpage; int b ',' "lpage" lpage;
-      int b ',' "node" node
+      int b {|{"cpu":|} cpu; int b {|,"vpage":|} vpage; int b {|,"lpage":|} lpage;
+      int b {|,"node":|} node
   | Pt_replica_create { pmap; node; frames } ->
-      int b '{' "pmap" pmap; int b ',' "node" node; int b ',' "frames" frames
-  | Pt_replica_drop { pmap; node } -> int b '{' "pmap" pmap; int b ',' "node" node
+      int b {|{"pmap":|} pmap; int b {|,"node":|} node; int b {|,"frames":|} frames
+  | Pt_replica_drop { pmap; node } -> int b {|{"pmap":|} pmap; int b {|,"node":|} node
   | Request_arrived { client; key; worker } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "worker" worker
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"worker":|} worker
   | Request_served { client; key; cpu; queue_ns; service_ns } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
-      float b ',' "queue_ns" queue_ns; float b ',' "service_ns" service_ns
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"cpu":|} cpu;
+      float b {|,"queue_ns":|} queue_ns; float b {|,"service_ns":|} service_ns
   | Request_timeout { client; key; cpu; attempt } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
-      int b ',' "attempt" attempt
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"cpu":|} cpu;
+      int b {|,"attempt":|} attempt
   | Request_retry { client; key; cpu; attempt; backoff_ns } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu;
-      int b ',' "attempt" attempt; float b ',' "backoff_ns" backoff_ns
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"cpu":|} cpu;
+      int b {|,"attempt":|} attempt; float b {|,"backoff_ns":|} backoff_ns
   | Request_hedged { client; key; cpu } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "cpu" cpu
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"cpu":|} cpu
   | Request_shed { client; key; worker } ->
-      int b '{' "client" client; int b ',' "key" key; int b ',' "worker" worker
+      int b {|{"client":|} client; int b {|,"key":|} key; int b {|,"worker":|} worker
   | Breaker_transition { worker; from_state; to_state } ->
-      int b '{' "worker" worker; str b ',' "from" from_state; str b ',' "to" to_state
+      int b {|{"worker":|} worker; str b {|,"from":|} from_state;
+      str b {|,"to":|} to_state
   | Shard_failover { worker; from_cpu; to_cpu } ->
-      int b '{' "worker" worker; int b ',' "from_cpu" from_cpu; int b ',' "to_cpu" to_cpu);
+      int b {|{"worker":|} worker; int b {|,"from_cpu":|} from_cpu;
+      int b {|,"to_cpu":|} to_cpu);
   Buffer.add_char b '}'
 
 let describe ev =

@@ -12,9 +12,12 @@ let attach t ~name handle = t.sinks <- t.sinks @ [ { sink_name = name; handle } 
 
 let detach t ~name = t.sinks <- List.filter (fun s -> s.sink_name <> name) t.sinks
 
-let emit t ev =
-  match t.sinks with
+(* A top-level loop rather than [List.iter] over a closure, so delivering
+   an event allocates nothing of its own. *)
+let rec deliver ts ev = function
   | [] -> ()
-  | sinks ->
-      let ts = t.clock () in
-      List.iter (fun s -> s.handle ~ts ev) sinks
+  | s :: rest ->
+      s.handle ~ts ev;
+      deliver ts ev rest
+
+let emit t ev = match t.sinks with [] -> () | sinks -> deliver (t.clock ()) ev sinks

@@ -28,4 +28,6 @@ val attach : t -> name:string -> (ts:float -> Event.t -> unit) -> unit
 val detach : t -> name:string -> unit
 
 val emit : t -> Event.t -> unit
-(** Deliver an event (stamped once) to every sink. No-op without sinks. *)
+(** Deliver an event (stamped once) to every sink, in attachment order.
+    No-op without sinks. It allocates nothing of its own: what an emit
+    allocates is the clock's and the sinks'. *)

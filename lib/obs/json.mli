@@ -24,15 +24,25 @@ type t =
 val float_repr : float -> string
 (** How {!to_buffer} prints a [Float]: [null] when not finite, the
     [Printf "%.1f"] text for integral values below [1e15] in magnitude
-    ([-0.0] included), and the [Printf "%.12g"] text otherwise. *)
+    ([-0.0] included), and the [Printf "%.12g"] text otherwise.
+
+    The [%.12g] text of a value with [1 <= |f| < 1e12] is computed here,
+    without printf: the 12 digits are [|f| * 10^(11-x)] rounded to an
+    integer, where [10^x <= |f| < 10^(x+1)], and [Float.fma] gives the
+    product's exact rounding error, so they round as printf's do, ties to
+    even. Trailing zeros of the fraction are dropped, as [%g] drops them.
+    A value whose digits round up into a 13th, and every value outside
+    that range, goes through printf's C primitive. *)
 
 val add_int : Buffer.t -> int -> unit
 (** Append [string_of_int]'s text, [min_int] included, with no C call and
     no intermediate string. *)
 
 val add_float : Buffer.t -> float -> unit
-(** Append {!float_repr}'s text. An integral value is written digit by
-    digit, with no C call. *)
+(** Append {!float_repr}'s text. An integral value below [1e15] in
+    magnitude, and any value with [1 <= |f| < 1e12] whose digits do not
+    round into a 13th, is written digit by digit with no C call and no
+    allocation. *)
 
 val add_string : Buffer.t -> string -> unit
 (** Append the string as a JSON string literal: quoted, with quotes,

@@ -117,6 +117,29 @@ let test_hub_attach_detach () =
   Hub.emit h (Event.Page_unpin { lpage = 4 });
   Alcotest.(check int) "no delivery after detach" 1 (List.length !seen)
 
+(* With a clock that returns a stored float and sinks that allocate
+   nothing, delivering an event allocates nothing either, to one sink or to
+   two. A closure over the stamp and the event would cost 5 words. *)
+let test_hub_emit_allocation () =
+  let h = Hub.create () in
+  let now = ref 42. and delivered = ref 0 in
+  Hub.set_clock h (fun () -> !now);
+  let ev = Event.Page_unpin { lpage = 3 } in
+  let words_per_emit () =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      Hub.emit h ev
+    done;
+    (Gc.minor_words () -. before) /. 1000.
+  in
+  Hub.attach h ~name:"one" (fun ~ts:_ _ -> incr delivered);
+  let one = words_per_emit () in
+  Hub.attach h ~name:"two" (fun ~ts:_ _ -> incr delivered);
+  let two = words_per_emit () in
+  Alcotest.(check int) "each emit reached each sink" 3000 !delivered;
+  Alcotest.(check (float 0.)) "one sink: words per emit" 0. one;
+  Alcotest.(check (float 0.)) "two sinks: words per emit" 0. two
+
 (* --- Chrome trace export -------------------------------------------------- *)
 
 let parmult_traced () =
@@ -555,25 +578,35 @@ let test_chrome_trace_nan_stamp_keeps_lane () =
     (List.rev !stamps)
 
 (* Building each event's tree, as [Trace_oracle] does, costs about 100
-   minor words per event. The direct writers allocate only the text of
-   each new stamp. *)
+   minor words per event. The direct writers allocate only the box of each
+   new stamp passed to [Json.add_float]: 2 words per distinct stamp. One
+   trace has short decimal stamps; the other has virtual-time sums with
+   more than 12 significant digits, the kind [Json.add_float] prints
+   without printf. *)
 let test_chrome_trace_save_allocation () =
-  let tr = Chrome_trace.create ~n_cpus:4 in
-  List.iteri
-    (fun i ts ->
-      let cpu = i mod 4 in
-      Chrome_trace.record tr ~ts
-        (if i mod 2 = 0 then Event.Refs { cpu; n = i; write = false; loc = Local; node = 0 }
-         else Event.Dispatch { tid = i; cpu; name = "worker" }))
+  let bounded what stamps =
+    let tr = Chrome_trace.create ~n_cpus:4 in
+    List.iteri
+      (fun i ts ->
+        let cpu = i mod 4 in
+        Chrome_trace.record tr ~ts
+          (if i mod 2 = 0 then Event.Refs { cpu; n = i; write = false; loc = Local; node = 0 }
+           else Event.Dispatch { tid = i; cpu; name = "worker" }))
+      stamps;
+    Alcotest.(check int) (what ^ ": 10,000 events") 10_000 (Chrome_trace.length tr);
+    let path = Filename.temp_file "trace" ".json" in
+    let before = Gc.minor_words () in
+    Chrome_trace.save tr path;
+    let words = Gc.minor_words () -. before in
+    Sys.remove path;
+    if words > 10_000. then
+      Alcotest.failf "%s: save allocated %.2f minor words per event (at most 1)" what
+        (words /. 10_000.)
+  in
+  bounded "short decimal stamps"
     (List.filteri (fun i _ -> i < 10_000) (repeating_stamps ~runs:4000));
-  Alcotest.(check int) "10,000 events" 10_000 (Chrome_trace.length tr);
-  let path = Filename.temp_file "trace" ".json" in
-  let before = Gc.minor_words () in
-  Chrome_trace.save tr path;
-  let words = Gc.minor_words () -. before in
-  Sys.remove path;
-  if words > 3. *. 10_000. then
-    Alcotest.failf "save allocated %.1f minor words per event (at most 3)" (words /. 10_000.)
+  bounded "virtual-time stamps"
+    (List.init 10_000 (fun i -> 100008845.85402414 +. (float_of_int (i / 3) *. 1234.5678901)))
 
 (* The Printf-based emitters the fast paths replace. *)
 let printf_float_repr f =
@@ -594,20 +627,55 @@ let printf_escape s =
          | c -> String.make 1 c)
        (List.of_seq (String.to_seq s)))
 
+(* Non-integral values with 1 <= |f| < 1e12, which [Json.add_float] prints
+   without printf: a 12-digit mantissa at each decade, the midpoint between
+   two such mantissas, and the midpoint below 10^(x+1), each with its two
+   neighbours; exact ties in the 13th digit, n + j/8 with n of 10 or 11
+   digits; each with either sign. *)
+let fast_path_float =
+  let open QCheck.Gen in
+  let scaled d x = d /. float_of_string ("1e" ^ string_of_int (11 - x)) in
+  let decade = int_range 0 11 and d12 = int_range 100_000_000_000 999_999_999_999 in
+  let near g = map2 (fun f k -> [| Float.pred f; f; Float.succ f |].(k)) g (int_range 0 2) in
+  map2
+    (fun f neg -> if neg then -.f else f)
+    (oneof
+       [
+         near (map2 (fun d x -> scaled (float_of_int d) x) d12 decade);
+         near (map2 (fun d x -> scaled (float_of_int d +. 0.5) x) d12 decade);
+         near (map (scaled 999_999_999_999.5) decade);
+         map2
+           (fun n j -> float_of_int n +. (float_of_int j /. 8.))
+           (int_range 1_000_000_000 99_999_999_999)
+           (int_range 1 7);
+       ])
+    bool
+
 let prop_float_repr_matches_printf =
+  (* The fast path's edges: exact 13th-digit ties (to even), decimal ties
+     that the double lies just above, values that round into a 13th digit,
+     and a virtual-time stamp. *)
+  let fast =
+    [ 12345678901.25; 1234567890.125; 1.000000000005; 12.34567890125; 999999999999.5;
+      99999.99999999999; 100008845.85402414 ]
+  in
   let special =
     [ 0.; -0.; 1e15; -1e15; 999999999999999.; 1e15 +. 2.; 0.1; -2.5; 1e-300; Float.nan;
       Float.infinity; Float.neg_infinity; max_float; min_float; 4503599627370496.5 ]
+    @ fast @ List.map Float.neg fast
   in
-  QCheck.Test.make ~name:"float_repr = Printf %.1f / %.12g" ~count:2000
+  QCheck.Test.make ~name:"float_repr = Printf %.1f / %.12g" ~count:4000
     QCheck.(
-      oneof
-        [
-          oneofl special;
-          float;
-          map float_of_int int;
-          map (fun (m, e) -> Float.ldexp (float_of_int m) e) (pair small_signed_int (int_range (-60) 60));
-        ])
+      set_print (Printf.sprintf "%h")
+        (oneof
+           [
+             oneofl special;
+             float;
+             map float_of_int int;
+             map (fun (m, e) -> Float.ldexp (float_of_int m) e) (pair small_signed_int (int_range (-60) 60));
+             make fast_path_float;
+             make fast_path_float;
+           ]))
     (fun f ->
       let b = Buffer.create 32 in
       Json.add_float b f;
@@ -638,6 +706,7 @@ let suite =
       test_json_validator_accepts_own_output;
     Alcotest.test_case "json validator rejects" `Quick test_json_validator_rejects_broken;
     Alcotest.test_case "hub attach/detach" `Quick test_hub_attach_detach;
+    Alcotest.test_case "hub emit allocation" `Quick test_hub_emit_allocation;
     Alcotest.test_case "chrome trace valid json" `Quick test_chrome_trace_is_valid_json;
     Alcotest.test_case "chrome trace monotone lanes" `Quick
       test_chrome_trace_lane_timestamps_monotone;
