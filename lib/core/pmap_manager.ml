@@ -178,7 +178,7 @@ let remove t ~pmap ~vpage ~n =
   Mmu.iter_range t.mmu ~pmap ~vpage ~n (fun e -> doomed := e :: !doomed);
   List.iter (drop_entry t) !doomed
 
-let remove_all t ~lpage = List.iter (drop_entry t) (Mmu.entries_of_lpage t.mmu ~lpage)
+let remove_all t ~lpage = ignore (Numa_manager.drop_all_mappings t.manager ~lpage)
 
 let free_page t ~lpage =
   Numa_manager.reset_page t.manager ~lpage;
