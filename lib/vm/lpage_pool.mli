@@ -17,9 +17,10 @@ val size : t -> int
 val n_free : t -> int
 val n_allocated : t -> int
 
-val alloc : t -> int option
+val alloc : t -> int
 (** Take a logical page, completing any pending lazy cleanup for the frame
-    first. [None] when the pool is exhausted. *)
+    first. [-1] when the pool is exhausted. The pool is a stack: it hands
+    out the page freed last, and page 0 first when nothing was freed. *)
 
 val free : t -> int -> unit
 (** Release a logical page; cleanup is started lazily via the pmap layer.

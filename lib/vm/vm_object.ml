@@ -22,20 +22,16 @@ let lpage_for t ~pool ~(ops : Pmap_intf.ops) ~offset =
   check t offset;
   match t.slots.(offset) with
   | Resident lpage -> Ok lpage
-  | Empty -> (
-      match Lpage_pool.alloc pool with
-      | None -> Error `Pool_exhausted
-      | Some lpage ->
-          ops.zero_page ~lpage;
-          t.slots.(offset) <- Resident lpage;
-          Ok lpage)
-  | Paged_out content -> (
-      match Lpage_pool.alloc pool with
-      | None -> Error `Pool_exhausted
-      | Some lpage ->
-          ops.install_page ~lpage ~content;
-          t.slots.(offset) <- Resident lpage;
-          Ok lpage)
+  | (Empty | Paged_out _) as slot ->
+      let lpage = Lpage_pool.alloc pool in
+      if lpage < 0 then Error `Pool_exhausted
+      else begin
+        (match slot with
+        | Paged_out content -> ops.install_page ~lpage ~content
+        | Empty | Resident _ -> ops.zero_page ~lpage);
+        t.slots.(offset) <- Resident lpage;
+        Ok lpage
+      end
 
 let page_out t ~pool ~(ops : Pmap_intf.ops) ~offset =
   check t offset;

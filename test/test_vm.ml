@@ -43,11 +43,16 @@ let add_region env ~name ~pages =
 
 (* --- lpage pool -------------------------------------------------------- *)
 
+let alloc pool =
+  let lpage = Lpage_pool.alloc pool in
+  if lpage < 0 then Alcotest.fail "pool exhausted";
+  lpage
+
 let test_pool_alloc_free () =
   let env = make_env () in
   Alcotest.(check int) "initial free" 32 (Lpage_pool.n_free env.pool);
-  let p1 = Option.get (Lpage_pool.alloc env.pool) in
-  let p2 = Option.get (Lpage_pool.alloc env.pool) in
+  let p1 = alloc env.pool in
+  let p2 = alloc env.pool in
   Alcotest.(check bool) "distinct pages" true (p1 <> p2);
   Alcotest.(check int) "2 allocated" 2 (Lpage_pool.n_allocated env.pool);
   Alcotest.(check bool) "is_allocated" true (Lpage_pool.is_allocated env.pool p1);
@@ -59,16 +64,16 @@ let test_pool_alloc_free () =
 let test_pool_exhaustion () =
   let env = make_env () in
   for _ = 1 to 32 do
-    ignore (Option.get (Lpage_pool.alloc env.pool))
+    ignore (alloc env.pool)
   done;
-  Alcotest.(check bool) "exhausted" true (Lpage_pool.alloc env.pool = None)
+  Alcotest.(check int) "exhausted" (-1) (Lpage_pool.alloc env.pool)
 
 let test_pool_reuse_completes_cleanup () =
   let env = make_env () in
-  let p = Option.get (Lpage_pool.alloc env.pool) in
+  let p = alloc env.pool in
   Lpage_pool.free env.pool p;
   (* Reallocation must run pmap_free_page_sync without error. *)
-  let p' = Option.get (Lpage_pool.alloc env.pool) in
+  let p' = alloc env.pool in
   ignore p';
   Alcotest.(check int) "one allocated" 1 (Lpage_pool.n_allocated env.pool)
 
