@@ -95,6 +95,10 @@ val frame_is_free : t -> local_frame -> bool
 (** Whether the frame currently sits in its pool's free list (a mapping or
     replica pointing at such a frame is a protocol invariant violation). *)
 
+val id_is_free : t -> node:int -> id:int -> bool
+(** {!frame_is_free} of the frame [id] of [node]'s pool, named as a page
+    table entry names it. *)
+
 val read_local : local_frame -> int
 
 val write_local : t -> local_frame -> int -> unit

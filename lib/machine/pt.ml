@@ -25,11 +25,76 @@ let mode_of_string s =
         (Printf.sprintf "unknown pt-mode %S (expected none, shared, replicated or \
                          replicated:N)" s)
 
-type pte = {
-  pte_lpage : int;
-  pte_frame : Frame_table.local_frame option;
-  pte_prot : Prot.t;
-}
+type pte = { pte_lpage : int; pte_frame : (int * int) option; pte_prot : Prot.t }
+
+(* A PTE is one int, so its rows are [int array]s: a store is a plain
+   write with no barrier, and a replica build copies ints. [empty] marks
+   no entry; any other value packs, low bits first, the protection (2
+   bits), the frame's node plus one (10 bits, 0 for the global frame),
+   the frame's id (25 bits, 0 for the global frame) and the logical page
+   (25 bits): 62 bits, so every PTE is a non-negative int. *)
+let empty = -1
+let prot_mask = 3
+let node_shift = 2
+let id_shift = 12
+let lpage_shift = 37
+let field_max bits = (1 lsl bits) - 1
+let node_max = field_max 10 - 1
+let id_max = field_max 25
+let lpage_max = field_max 25
+
+let check what v max =
+  if v < 0 || v > max then invalid_arg ("Pt: " ^ what ^ " does not fit a PTE")
+
+let prot_code = function Prot.No_access -> 0 | Prot.Read_only -> 1 | Prot.Read_write -> 2
+
+(* A negative [node] is the global frame, whose [id] is not stored. *)
+let encode ~lpage ~node ~id ~prot =
+  check "lpage" lpage lpage_max;
+  if node < 0 then (lpage lsl lpage_shift) lor prot_code prot
+  else begin
+    check "frame node" node node_max;
+    check "frame id" id id_max;
+    (lpage lsl lpage_shift) lor (id lsl id_shift) lor ((node + 1) lsl node_shift)
+    lor prot_code prot
+  end
+
+let pte_lpage pte = pte lsr lpage_shift
+
+let with_lpage pte lpage =
+  check "lpage" lpage lpage_max;
+  (pte land field_max lpage_shift) lor (lpage lsl lpage_shift)
+
+let decode pte =
+  {
+    pte_lpage = pte_lpage pte;
+    pte_frame =
+      (match (pte lsr node_shift) land field_max 10 with
+      | 0 -> None
+      | node_plus_one -> Some (node_plus_one - 1, (pte lsr id_shift) land id_max));
+    pte_prot =
+      (match pte land prot_mask with
+      | 0 -> Prot.No_access
+      | 1 -> Prot.Read_only
+      | _ -> Prot.Read_write);
+  }
+
+(* [Rows.get] and [Rows.set] for PTE rows, typed [int] so that a store
+   compiles to a plain write. *)
+let get_pte (rows : int array array) cpu vpage =
+  if cpu < 0 || cpu >= Array.length rows then empty
+  else
+    let row = rows.(cpu) in
+    if vpage < 0 || vpage >= Array.length row then empty else row.(vpage)
+
+let set_pte (rows : int array array) cpu vpage (pte : int) =
+  let row = rows.(cpu) in
+  if vpage < Array.length row then row.(vpage) <- pte
+  else begin
+    let row = Rows.fit row vpage empty in
+    rows.(cpu) <- row;
+    row.(vpage) <- pte
+  end
 
 (* One radix-table page. [home] is where its backing memory physically
    sits: a frame taken from a node's pool, or the shared level when the
@@ -41,7 +106,7 @@ type home = Local of Frame_table.local_frame | Global of int
 type table = {
   t_node : int;  (** master: first-touch node; replica: its node *)
   pages : home option array array;  (** level -> prefix -> page home *)
-  ptes : pte option array array;  (** cpu -> vpage -> leaf entry *)
+  ptes : int array array;  (** cpu -> vpage -> leaf entry, packed *)
 }
 
 type space = {
@@ -238,7 +303,7 @@ let propagate_update t space ~cpu ~vpage ~lpage pte =
   for i = Hash_order.length rs - 1 downto 0 do
     let r = Hash_order.get rs i in
     ensure_path t r ~alloc_node:r.t_node ~vpage;
-    Rows.set r.ptes cpu vpage pte;
+    set_pte r.ptes cpu vpage pte;
     let ns =
       Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
         ~node:(leaf_home t r ~vpage)
@@ -255,8 +320,8 @@ let propagate_shootdown t space ~cpu ~vpage ~lpage pte =
   let rs = space.replicas in
   for i = Hash_order.length rs - 1 downto 0 do
     let r = Hash_order.get rs i in
-    if Option.is_some (Rows.get r.ptes cpu vpage) then begin
-      Rows.set r.ptes cpu vpage pte;
+    if get_pte r.ptes cpu vpage <> empty then begin
+      set_pte r.ptes cpu vpage pte;
       let ns =
         Cost.node_reference_ns ~topo:t.topo ~access:Access.Store ~cpu
           ~node:(leaf_home t r ~vpage)
@@ -270,30 +335,36 @@ let propagate_shootdown t space ~cpu ~vpage ~lpage pte =
     end
   done
 
-let enter t ~pmap ~cpu ~vpage ~lpage ~frame ~prot =
+let enter_ids t ~pmap ~cpu ~vpage ~lpage ~frame_node ~frame_id ~prot =
+  let pte = encode ~lpage ~node:frame_node ~id:frame_id ~prot in
   let sp = ensure_space t ~pmap ~cpu in
   ensure_path t sp.master ~alloc_node:cpu ~vpage;
-  let pte = Some { pte_lpage = lpage; pte_frame = frame; pte_prot = prot } in
-  Rows.set sp.master.ptes cpu vpage pte;
+  set_pte sp.master.ptes cpu vpage pte;
   propagate_update t sp ~cpu ~vpage ~lpage pte
+
+let enter t ~pmap ~cpu ~vpage ~lpage ~frame ~prot =
+  match frame with
+  | Some (f : Frame_table.local_frame) ->
+      enter_ids t ~pmap ~cpu ~vpage ~lpage ~frame_node:f.node ~frame_id:f.id ~prot
+  | None -> enter_ids t ~pmap ~cpu ~vpage ~lpage ~frame_node:(-1) ~frame_id:0 ~prot
 
 let remove t ~pmap ~cpu ~vpage ~lpage =
   match space t ~pmap with
   | None -> ()
   | Some sp ->
-      Rows.set sp.master.ptes cpu vpage None;
-      propagate_shootdown t sp ~cpu ~vpage ~lpage None
+      set_pte sp.master.ptes cpu vpage empty;
+      propagate_shootdown t sp ~cpu ~vpage ~lpage empty
 
 let update_prot t ~pmap ~cpu ~vpage ~lpage ~prot =
   match space t ~pmap with
   | None -> ()
-  | Some sp -> (
-      match Rows.get sp.master.ptes cpu vpage with
-      | None -> ()
-      | Some old ->
-          let pte = Some { old with pte_prot = prot } in
-          Rows.set sp.master.ptes cpu vpage pte;
-          propagate_shootdown t sp ~cpu ~vpage ~lpage pte)
+  | Some sp ->
+      let old = get_pte sp.master.ptes cpu vpage in
+      if old <> empty then begin
+        let pte = old land lnot prot_mask lor prot_code prot in
+        set_pte sp.master.ptes cpu vpage pte;
+        propagate_shootdown t sp ~cpu ~vpage ~lpage pte
+      end
 
 (* --- the walk ------------------------------------------------------------ *)
 
@@ -426,17 +497,16 @@ let corrupt_replica t ~lpage =
       List.iter
         (fun node ->
           Array.iter
-            (fun row ->
+            (fun (row : int array) ->
               Array.iteri
                 (fun vpage pte ->
-                  match pte with
-                  | Some p when p.pte_lpage = lpage && !hit = None ->
-                      (* Retarget the replica PTE at the wrong logical page —
-                         exactly the stale translation a missed shootdown
-                         would leave behind. *)
-                      row.(vpage) <- Some { p with pte_lpage = lpage + 1 };
-                      hit := Some (sp.sp_pmap, node)
-                  | Some _ | None -> ())
+                  if pte <> empty && pte_lpage pte = lpage && !hit = None then begin
+                    (* Retarget the replica PTE at the wrong logical page —
+                       exactly the stale translation a missed shootdown
+                       would leave behind. Only the lpage field changes. *)
+                    row.(vpage) <- with_lpage pte (lpage + 1);
+                    hit := Some (sp.sp_pmap, node)
+                  end)
                 row)
             (Option.get sp.by_node.(node)).ptes)
         (sorted_nodes sp))
@@ -453,7 +523,9 @@ let pmaps t =
 let master_pte t ~pmap ~cpu ~vpage =
   match space t ~pmap with
   | None -> None
-  | Some sp -> Rows.get sp.master.ptes cpu vpage
+  | Some sp ->
+      let pte = get_pte sp.master.ptes cpu vpage in
+      if pte = empty then None else Some (decode pte)
 
 let replica_nodes t ~pmap =
   match space t ~pmap with
@@ -465,7 +537,7 @@ let table_ptes tbl =
   Array.iteri
     (fun cpu row ->
       Array.iteri
-        (fun vpage pte -> Option.iter (fun p -> acc := ((cpu, vpage), p) :: !acc) pte)
+        (fun vpage pte -> if pte <> empty then acc := ((cpu, vpage), decode pte) :: !acc)
         row)
     tbl.ptes;
   !acc

@@ -28,6 +28,18 @@
     longer than twice the largest prefix or vpage entered (vpages are
     dense from 0). The pmaps' tables sit in one array indexed by pmap id.
 
+    A PTE is one int and its rows are [int array]s: [-1] is no entry,
+    and any other value packs, low bits first, the protection (2 bits),
+    the frame's node plus one (10 bits: 0 is the global frame, so nodes
+    0 to 1022 fit), the frame's id in its pool (25 bits, below 2{^25};
+    0 for the global frame) and the logical page (25 bits, below
+    2{^25}). So installing a PTE allocates nothing, a store needs no
+    write barrier, a replica build copies int rows, a protection change
+    rewrites two bits and the [stale-pte] fault rewrites the lpage
+    field. A field that does not fit raises [Invalid_argument]. Only the
+    audit and the tests read a PTE's fields, through the decoded {!pte}
+    view.
+
     A table's pages are visited root first, by level and then by prefix,
     when a replica is built, dropped or evacuated. So when a pool runs
     dry partway through a replica build, the pages nearest the root keep
@@ -59,10 +71,12 @@ val mode_to_string : mode -> string
 
 type pte = {
   pte_lpage : int;
-  pte_frame : Frame_table.local_frame option;  (** [None] = global frame *)
+  pte_frame : (int * int) option;
+      (** the local frame as [(node, id)]; [None] = the global frame *)
   pte_prot : Prot.t;
 }
-(** Leaf-level snapshot of one mapping, as stored in a table. *)
+(** One stored PTE, decoded: the view {!master_pte}, {!master_ptes} and
+    {!replica_ptes} return for the invariant sweep and the tests. *)
 
 type t
 
@@ -82,16 +96,25 @@ val mode : t -> mode
 val levels : t -> int
 (** Radix depth (3: root, directory, leaf; 8 index bits per level). *)
 
-(** {1 Hooks from the MMU} — called by {!Mmu} when a [Pt.t] is attached.
-    [frame] is the physical target ([None] = the global frame). *)
+(** {1 Hooks from the MMU} — called by {!Mmu} when a [Pt.t] is attached. *)
+
+val enter_ids :
+  t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> frame_node:int -> frame_id:int ->
+  prot:Prot.t -> unit
+(** Install the PTE in the master table (allocating path pages
+    first-touch from [cpu]'s pool, falling back to the shared level when
+    the pool refuses) and propagate it into every replica. The physical
+    target is the frame [frame_id] of [frame_node]'s pool, or the global
+    frame when [frame_node] is negative ([frame_id] is then ignored).
+    Takes its target as ints, so it allocates nothing. Raises
+    [Invalid_argument] on a negative pmap or a field that does not fit a
+    PTE (see the layout above). *)
 
 val enter :
   t -> pmap:int -> cpu:int -> vpage:int -> lpage:int ->
   frame:Frame_table.local_frame option -> prot:Prot.t -> unit
-(** Install the PTE in the master table (allocating path pages
-    first-touch from [cpu]'s pool, falling back to the shared level when
-    the pool refuses) and propagate it into every replica. Raises
-    [Invalid_argument] on a negative pmap. *)
+(** {!enter_ids} for a caller that holds the frame record: [None] is the
+    global frame. *)
 
 val remove : t -> pmap:int -> cpu:int -> vpage:int -> lpage:int -> unit
 (** Clear the PTE everywhere; each replica invalidation is a shootdown

@@ -171,29 +171,24 @@ let check ?pinned ?pool ~manager ~mmu ~frames ~(config : Config.t) () =
   | Some pt ->
       let pte_descr (p : Pt.pte) =
         match p.Pt.pte_frame with
-        | Some f -> Printf.sprintf "lpage %d via frame %d@%d" p.Pt.pte_lpage f.Frame_table.id f.Frame_table.node
+        | Some (node, id) -> Printf.sprintf "lpage %d via frame %d@%d" p.Pt.pte_lpage id node
         | None -> Printf.sprintf "lpage %d via the global frame" p.Pt.pte_lpage
       in
       let same_pte (a : Pt.pte) (b : Pt.pte) =
         a.Pt.pte_lpage = b.Pt.pte_lpage
         && a.Pt.pte_prot = b.Pt.pte_prot
-        && (match (a.Pt.pte_frame, b.Pt.pte_frame) with
-           | None, None -> true
-           | Some fa, Some fb ->
-               fa.Frame_table.node = fb.Frame_table.node
-               && fa.Frame_table.id = fb.Frame_table.id
-           | None, Some _ | Some _, None -> false)
+        && a.Pt.pte_frame = b.Pt.pte_frame
       in
       let check_target ~what ~pmap ~cpu ~vpage (p : Pt.pte) =
         match p.Pt.pte_frame with
         | None -> ()
-        | Some f ->
-            if Frame_table.frame_is_free frames f then
+        | Some (node, id) ->
+            if Frame_table.id_is_free frames ~node ~id then
               bad "pmap %d %s PTE (cpu %d, vpage %d) maps freed frame %d on node %d"
-                pmap what cpu vpage f.Frame_table.id f.Frame_table.node;
-            if not (Frame_table.node_online frames ~node:f.Frame_table.node) then
+                pmap what cpu vpage id node;
+            if not (Frame_table.node_online frames ~node) then
               bad "pmap %d %s PTE (cpu %d, vpage %d) maps frame %d on offline node %d"
-                pmap what cpu vpage f.Frame_table.id f.Frame_table.node
+                pmap what cpu vpage id node
       in
       List.iter
         (fun pmap ->
@@ -212,7 +207,7 @@ let check ?pinned ?pool ~manager ~mmu ~frames ~(config : Config.t) () =
                       Pt.pte_lpage = e.lpage;
                       pte_frame =
                         (match e.phys with
-                        | Mmu.Frame f -> Some f
+                        | Mmu.Frame f -> Some (f.Frame_table.node, f.Frame_table.id)
                         | Mmu.Global_frame _ -> None);
                       pte_prot = e.prot;
                     }
