@@ -29,8 +29,10 @@ let page_zero_ns (c : Config.t) ~dst =
    Every walk and every charge prices a reference here, so the two
    reference prices are marked [@inline]: the float they return then
    stays unboxed at the call site, where a call that is not inlined
-   would box it. The page prices and the fixed costs at the end allocate
-   no less with the attribute (ocamlopt inlines the fixed costs by size). *)
+   would box it. So are the disk prices, which the paging transitions
+   add to their float totals. The page prices and the fixed costs at the
+   end allocate no less with the attribute (ocamlopt inlines the fixed
+   costs by size). *)
 
 let[@inline] node_reference_ns ~(topo : Topo.t) ~access ~cpu ~node =
   match access with
@@ -56,14 +58,14 @@ let place_page_zero_ns (c : Config.t) ~topo ~cpu ~dst =
    page's home memory's own matrix row. A page-in stores words into the
    home memory; a writeback fetches them out. *)
 
-let disk_transfer_ns (c : Config.t) ~(topo : Topo.t) ~access ~lpage =
+let[@inline] disk_transfer_ns (c : Config.t) ~(topo : Topo.t) ~access ~lpage =
   let home = Topo.global_home topo ~lpage in
   float_of_int c.page_size_words *. node_reference_ns ~topo ~access ~cpu:home ~node:home
 
-let disk_read_ns (c : Config.t) ~topo ~lpage =
+let[@inline] disk_read_ns (c : Config.t) ~topo ~lpage =
   c.disk_read_ns +. disk_transfer_ns c ~topo ~access:Access.Store ~lpage
 
-let disk_write_ns (c : Config.t) ~topo ~lpage =
+let[@inline] disk_write_ns (c : Config.t) ~topo ~lpage =
   c.disk_write_ns +. disk_transfer_ns c ~topo ~access:Access.Load ~lpage
 
 let fault_trap_ns (c : Config.t) = c.fault_trap_ns
