@@ -278,6 +278,29 @@ let test_paging_state_machine () =
   Paging.note_free p ~lpage:2;
   check_st "cancel on free" Paging.Empty ~lpage:2;
   Alcotest.(check (list int)) "in-flight list drained" [] (Paging.in_flight_lpages p);
+  (* Writebacks land newest first, whether due or forced, and one that is
+     not yet due stays in flight. *)
+  let landed = ref [] in
+  let obs = Numa_obs.Hub.create () in
+  Numa_obs.Hub.attach obs ~name:"landed" (fun ~ts:_ -> function
+    | Numa_obs.Event.Writeback_done { lpage; _ } -> landed := lpage :: !landed
+    | _ -> ());
+  let q = Paging.create ~obs ~config () in
+  let start lpage ~now =
+    Paging.mark_dirty q ~lpage;
+    Paging.start_writeback q ~lpage ~now ~by_cpu:0
+  in
+  start 0 ~now:0.;
+  start 1 ~now:1e15;
+  start 2 ~now:0.;
+  start 3 ~now:0.;
+  Paging.note_free q ~lpage:2;
+  Alcotest.(check (list int)) "in flight, newest first" [ 3; 1; 0 ] (Paging.in_flight_lpages q);
+  Alcotest.(check int) "two due" 2 (Paging.complete_due q ~now:1e12);
+  Alcotest.(check (list int)) "the undue one stays" [ 1 ] (Paging.in_flight_lpages q);
+  start 2 ~now:0.;
+  Alcotest.(check int) "two forced" 2 (Paging.force_complete q);
+  Alcotest.(check (list int)) "landing order" [ 3; 0; 2; 1 ] (List.rev !landed);
   let s = Paging.stats p in
   Alcotest.(check int) "one page-in" 1 s.Paging.page_ins;
   Alcotest.(check int) "three writebacks started" 3 s.Paging.writebacks_started;
