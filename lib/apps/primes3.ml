@@ -37,28 +37,20 @@ let make ?pragma () : App_sig.t =
       |> List.filter (fun q -> q >= 3)
       |> Array.of_list
     in
-    let all_primes = Primes_util.primes_upto limit in
-    let output =
-      W.alloc_arr sys ?pragma ~name:"primes3.output"
-        ~sharing:Region_attr.Declared_write_shared
-        ~words:(max 1 (Array.length all_primes))
-        ()
-    in
     (* Primes per sieve page and their output offsets, precomputed so the
        scan phase writes each result exactly once wherever it runs. *)
-    let primes_in_page = Array.make n_sieve_pages 0 in
-    Array.iter
-      (fun q ->
-        if q >= 3 then begin
-          let bit = (q - 3) / 2 in
-          let pg = bit / bits_per_page in
-          if pg < n_sieve_pages then primes_in_page.(pg) <- primes_in_page.(pg) + 1
-        end)
-      all_primes;
+    let primes_in_page = Primes_util.primes_per_segment ~limit ~bits:bits_per_page in
     let out_offset = Array.make (n_sieve_pages + 1) 0 in
     for pg = 0 to n_sieve_pages - 1 do
       out_offset.(pg + 1) <- out_offset.(pg) + primes_in_page.(pg)
     done;
+    (* The output holds every prime up to the limit: 2, then the odd ones. *)
+    let output =
+      W.alloc_arr sys ?pragma ~name:"primes3.output"
+        ~sharing:Region_attr.Declared_write_shared
+        ~words:(1 + out_offset.(n_sieve_pages))
+        ()
+    in
     (* Marking work is parcelled as (prime, page range) units of roughly
        equal mark counts, so small primes (which mark a quarter of the
        vector) do not serialise the phase. Different threads still mark

@@ -12,9 +12,9 @@ let isqrt n =
     !s
   end
 
-(* Odd numbers only, one byte each: byte [i] stands for [2i + 1], so the
-   sieve of 10M takes 5 MB. Prime [p] marks p*p, p*p + 2p, ..., which is
-   every [p]-th byte from p*p's. *)
+(* Odd numbers only, one byte each: byte [i] stands for [2i + 1], so a
+   sieve of n takes n/2 bytes. Prime [p] marks p*p, p*p + 2p, ..., which
+   is every [p]-th byte from p*p's. *)
 let primes_upto n =
   if n < 2 then [||]
   else begin
@@ -64,3 +64,34 @@ let count_odd_multiples_in_bit_range ~p ~lo_bit ~hi_bit ~limit =
     let first_val = m * p in
     if first_val > hi_v then 0 else ((hi_v - first_val) / (2 * p)) + 1
   end
+
+(* One reused [bits]-byte segment at a time, a byte per bit. Each sieving
+   prime p carries the bit of its next odd multiple from one segment to
+   the next: bit i stands for 2i + 3, so p * p is bit (p * p - 3) / 2 and
+   the next odd multiple is p bits on. *)
+let primes_per_segment ~limit ~bits =
+  if bits <= 0 then invalid_arg "primes_per_segment: bits must be positive";
+  let n_bits = max 0 ((limit - 1) / 2) in
+  let sieving =
+    Array.of_list (List.filter (fun p -> p >= 3) (Array.to_list (primes_upto (isqrt limit))))
+  in
+  let next = Array.map (fun p -> ((p * p) - 3) / 2) sieving in
+  let segment = Bytes.create bits in
+  let counts = Array.make ((n_bits + bits - 1) / bits) 0 in
+  for s = 0 to Array.length counts - 1 do
+    let lo = s * bits in
+    let n = min bits (n_bits - lo) in
+    Bytes.fill segment 0 n '\000';
+    for k = 0 to Array.length sieving - 1 do
+      let j = ref next.(k) in
+      while !j < lo + n do
+        Bytes.set segment (!j - lo) '\001';
+        j := !j + sieving.(k)
+      done;
+      next.(k) <- !j
+    done;
+    for i = 0 to n - 1 do
+      if Bytes.get segment i = '\000' then counts.(s) <- counts.(s) + 1
+    done
+  done;
+  counts

@@ -1,4 +1,8 @@
-type zipf = { cdf : float array }
+type zipf = { cdf : float array; guide : int array }
+
+(* [guide.(k)] is the smallest index whose cdf exceeds [k / guide_size],
+   so a draw scans forward from its own 1/[guide_size]th of [0, 1). *)
+let guide_size = 4096
 
 let zipf ~n ~theta =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
@@ -15,17 +19,29 @@ let zipf ~n ~theta =
   done;
   (* Guard against float rounding leaving the last bucket short of 1. *)
   cdf.(n - 1) <- 1.;
-  { cdf }
+  let guide = Array.make guide_size 0 in
+  let i = ref 0 in
+  for k = 0 to guide_size - 1 do
+    let u = float_of_int k /. float_of_int guide_size in
+    while not (cdf.(!i) > u) do
+      incr i
+    done;
+    guide.(k) <- !i
+  done;
+  { cdf; guide }
 
 let zipf_draw z prng =
   let u = Prng.float prng 1.0 in
-  (* Smallest index with cdf.(i) > u. *)
-  let lo = ref 0 and hi = ref (Array.length z.cdf - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if z.cdf.(mid) > u then hi := mid else lo := mid + 1
+  (* Smallest index with cdf.(i) > u. The cdf does not decrease, and u is
+     at least the guide entry's k / guide_size, so that index is at or
+     after the entry's; u < 1 = cdf.(n - 1) ends the scan. The test is
+     written [not (_ > u)] so that a nan theta's cdf, nan up to its last
+     entry, still gives n - 1. *)
+  let i = ref z.guide.(int_of_float (u *. float_of_int guide_size)) in
+  while not (z.cdf.(!i) > u) do
+    incr i
   done;
-  !lo
+  !i
 
 let zipf_mass z i =
   if i < 0 || i >= Array.length z.cdf then invalid_arg "Dist.zipf_mass: out of range";

@@ -16,11 +16,14 @@ val zipf : n:int -> theta:float -> zipf
     key [i] is drawn with probability proportional to [1/(i+1)^theta].
     [theta = 0] is the uniform distribution; [theta ~ 1] is classic web
     traffic; beyond 1 the head keys dominate outright. The cumulative
-    table is precomputed, so {!zipf_draw} is a binary search.
+    table is precomputed, with a 4,096-entry guide table into it.
     Raises [Invalid_argument] if [n <= 0] or [theta < 0]. *)
 
 val zipf_draw : zipf -> Prng.t -> int
-(** One key, by inverse-CDF lookup on a uniform draw. *)
+(** One key, by inverse-CDF lookup on a uniform draw [u]: the smallest
+    key whose cumulative probability exceeds [u]. The guide table gives
+    the smallest such key for [u]'s 1/4096th of [\[0, 1)], and the draw
+    scans forward from it, which is what a binary search would find. *)
 
 val zipf_mass : zipf -> int -> float
 (** The probability of key [i] (for tests; [Invalid_argument] out of

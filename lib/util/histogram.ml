@@ -1,199 +1,140 @@
-(* Exact counts in an open-addressing table: two flat int arrays with a
-   power-of-two capacity and linear probing, where a count of 0 marks an
-   empty slot. A key's slot keeps its low [low_bits] bits and puts a
-   multiplicative mix of the rest above them, so nearby keys (the bulk of
-   a latency distribution) sit in neighbouring slots and share cache
-   lines. The table doubles at half load, so memory follows the number of
-   distinct keys, not their size.
+(* Exact counts in pages of 64 consecutive keys. A key's page id is
+   [key asr page_bits] and its slot in the page [key land (page_keys - 1)];
+   the counts live in one flat int array, [page_keys] per page, with pages
+   numbered in the order they first appear. A small open-addressing table
+   (Fibonacci hashing, linear probing) maps a page id to its page number.
+   Latencies cluster, so a run's keys fill few pages, and adding to a key
+   touches one table slot and one line of counts. Memory follows the
+   number of touched pages, not the size of the keys.
 
-   Ordered queries sort the occupied slots by key once and keep that
-   order until a new key arrives: adding to a known key moves no slot. *)
+   Ordered queries sort the page numbers by id once per new page and walk
+   each page in key order: a new key in a known page keeps the order. *)
 
-let low_bits = 6
-let min_capacity = 1 lsl (low_bits + 1)
+let page_bits = 6
+let page_keys = 1 lsl page_bits
 
 (* floor (2^62 / golden ratio), made odd: Fibonacci hashing on 63-bit ints. *)
 let mix = 0x278dde6e5fd29e01
 
 type t = {
-  mutable keys : int array;
-  mutable counts : int array;  (** 0 = empty slot *)
-  mutable shift : int;  (** [63 - (log2 capacity - low_bits)]: keeps the product's top bits *)
-  mutable distinct : int;
+  mutable ids : int array;  (** page id of each page number *)
+  mutable counts : int array;  (** [page_keys] counts per page number *)
+  mutable pages : int;  (** page numbers in use *)
+  mutable table : int array;  (** a page number per slot, -1 = empty; twice [ids]' length *)
+  mutable shift : int;  (** [63 - log2 (length table)]: keeps the product's top bits *)
   mutable total : int;
-  mutable sorted : int array option;  (** occupied slots in increasing key order *)
+  mutable order : int array;  (** page numbers in increasing id order, once it has [pages] entries *)
 }
 
-(* The arrays stay empty until the first key, so an unused histogram costs
-   one small record. *)
-let create () = { keys = [||]; counts = [||]; shift = 0; distinct = 0; total = 0; sorted = None }
+(* One empty slot and no pages: an unused histogram costs a few words, and
+   the first page grows the arrays like any other. *)
+let create () =
+  { ids = [||]; counts = [||]; pages = 0; table = [| -1 |]; shift = 63; total = 0; order = [||] }
 
-let home t key =
-  ((((key asr low_bits) * mix) lsr t.shift) lsl low_bits) lor (key land ((1 lsl low_bits) - 1))
+(* The table slot holding page [id], or the empty slot where it belongs. *)
+let rec probe t id mask i =
+  let p = t.table.(i) in
+  if p < 0 || t.ids.(p) = id then i else probe t id mask ((i + 1) land mask)
 
-let rec probe t key mask i =
-  if t.counts.(i) = 0 || t.keys.(i) = key then i else probe t key mask ((i + 1) land mask)
+let slot t id = probe t id (Array.length t.table - 1) ((id * mix) lsr t.shift)
 
-(* The slot holding [key], or the empty slot where it belongs. *)
-let find t key =
-  let mask = Array.length t.counts - 1 in
-  probe t key mask (home t key land mask)
+(* Double the pages' room; the table stays twice as long, so at most half
+   full. *)
+let grow t =
+  let room = max 1 (2 * Array.length t.ids) in
+  let ids = Array.make room 0 and counts = Array.make (room * page_keys) 0 in
+  Array.blit t.ids 0 ids 0 t.pages;
+  Array.blit t.counts 0 counts 0 (t.pages * page_keys);
+  t.ids <- ids;
+  t.counts <- counts;
+  t.table <- Array.make (2 * room) (-1);
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+  t.shift <- 63 - log2 (2 * room);
+  for p = 0 to t.pages - 1 do
+    t.table.(slot t ids.(p)) <- p
+  done
 
-let resize t capacity =
-  let keys = t.keys and counts = t.counts in
-  t.keys <- Array.make capacity 0;
-  t.counts <- Array.make capacity 0;
-  (* capacity = 2^b with b > low_bits: the mix contributes b - low_bits bits. *)
-  let rec log2 c = if c = 1 then 0 else 1 + log2 (c lsr 1) in
-  t.shift <- 63 - (log2 capacity - low_bits);
-  Array.iteri
-    (fun i n ->
-      if n <> 0 then begin
-        let j = find t keys.(i) in
-        t.keys.(j) <- keys.(i);
-        t.counts.(j) <- n
-      end)
-    counts
+(* The page number of page [id], made if absent. *)
+let rec page t id =
+  let s = slot t id in
+  let p = t.table.(s) in
+  if p >= 0 then p
+  else if t.pages = Array.length t.ids then begin
+    grow t;
+    page t id
+  end
+  else begin
+    let p = t.pages in
+    t.table.(s) <- p;
+    t.ids.(p) <- id;
+    t.pages <- p + 1;
+    p
+  end
 
 let add_many t key n =
   if n < 0 then invalid_arg "Histogram.add_many: negative count";
   if n > 0 then begin
-    if Array.length t.counts = 0 then resize t min_capacity;
-    let i = find t key in
-    let current = t.counts.(i) in
-    t.counts.(i) <- current + n;
-    t.total <- t.total + n;
-    if current = 0 then begin
-      t.keys.(i) <- key;
-      t.distinct <- t.distinct + 1;
-      t.sorted <- None;
-      if 2 * t.distinct > Array.length t.counts then resize t (2 * Array.length t.counts)
-    end
+    let i = (page t (key asr page_bits) lsl page_bits) lor (key land (page_keys - 1)) in
+    t.counts.(i) <- t.counts.(i) + n;
+    t.total <- t.total + n
   end
 
 let add t key = add_many t key 1
 
-let count t key = if t.distinct = 0 then 0 else t.counts.(find t key)
+let count t key =
+  let p = t.table.(slot t (key asr page_bits)) in
+  if p < 0 then 0 else t.counts.((p lsl page_bits) lor (key land (page_keys - 1)))
 
 let total t = t.total
 
-(* Slot indices are sorted by their (distinct) keys in place, with no
-   scratch array and no comparison closure. The occupied slots, taken in
-   table order, already run mostly upward (a key's low bits stay in its
-   slot), so quicksort with insertion sort on short ranges beats a heap
-   sort. A range still unsorted log2 n levels down is heap sorted
-   instead, which keeps the worst case O(n log n); the model tests reach
-   that depth, so both paths run under them. Ranges are [lo, hi), and
-   [keys] is typed [int array] so that comparisons compile to integer
-   compares rather than calls to the polymorphic compare. *)
-
-let swap a i j =
-  let x = a.(i) in
-  a.(i) <- a.(j);
-  a.(j) <- x
-
-let insertion_sort (keys : int array) a lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = a.(i) in
-    let kx = keys.(x) in
-    let j = ref (i - 1) in
-    while !j >= lo && keys.(a.(!j)) > kx do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
-
-(* Fill the hole at heap position [i] of the [n]-entry heap starting at
-   [lo], moving larger children up until slot [x] (key [kx]) fits. *)
-let rec sift (keys : int array) a lo n i x kx =
-  let l = (2 * i) + 1 in
-  if l >= n then a.(lo + i) <- x
-  else begin
-    let c = if l + 1 < n && keys.(a.(lo + l)) < keys.(a.(lo + l + 1)) then l + 1 else l in
-    let y = a.(lo + c) in
-    if kx < keys.(y) then begin
-      a.(lo + i) <- y;
-      sift keys a lo n c x kx
-    end
-    else a.(lo + i) <- x
-  end
-
-let heap_sort (keys : int array) a lo hi =
-  let n = hi - lo in
-  for i = (n / 2) - 1 downto 0 do
-    let x = a.(lo + i) in
-    sift keys a lo n i x keys.(x)
-  done;
-  for last = n - 1 downto 1 do
-    let x = a.(lo + last) in
-    a.(lo + last) <- a.(lo);
-    sift keys a lo last 0 x keys.(x)
-  done
-
-let rec introsort (keys : int array) a lo hi depth =
-  if hi - lo <= 16 then insertion_sort keys a lo hi
-  else if depth = 0 then heap_sort keys a lo hi
-  else begin
-    (* Median of three into [mid]; the ends then stop both scans. *)
-    let mid = lo + ((hi - lo) / 2) in
-    if keys.(a.(mid)) < keys.(a.(lo)) then swap a mid lo;
-    if keys.(a.(hi - 1)) < keys.(a.(lo)) then swap a (hi - 1) lo;
-    if keys.(a.(hi - 1)) < keys.(a.(mid)) then swap a (hi - 1) mid;
-    let pivot = keys.(a.(mid)) in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while keys.(a.(!i)) < pivot do incr i done;
-      while keys.(a.(!j)) > pivot do decr j done;
-      if !i <= !j then begin
-        swap a !i !j;
-        incr i;
-        decr j
-      end
-    done;
-    introsort keys a lo (!j + 1) (depth - 1);
-    introsort keys a !i hi (depth - 1)
-  end
-
-let sort_by_key keys slots =
-  let n = Array.length slots in
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-  introsort keys slots 0 n (log2 n)
-
-let sorted_slots t =
-  match t.sorted with
-  | Some slots -> slots
-  | None ->
-      let slots = Array.make t.distinct 0 and next = ref 0 in
-      Array.iteri
-        (fun i n ->
-          if n <> 0 then begin
-            slots.(!next) <- i;
-            incr next
-          end)
-        t.counts;
-      sort_by_key t.keys slots;
-      t.sorted <- Some slots;
-      slots
+let order t =
+  if Array.length t.order <> t.pages then begin
+    let ids = t.ids in
+    let order = Array.init t.pages Fun.id in
+    Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) order;
+    t.order <- order
+  end;
+  t.order
 
 let to_sorted_list t =
-  Array.fold_right (fun i acc -> (t.keys.(i), t.counts.(i)) :: acc) (sorted_slots t) []
+  Array.fold_right
+    (fun p acc ->
+      let acc = ref acc in
+      for j = page_keys - 1 downto 0 do
+        let n = t.counts.((p lsl page_bits) lor j) in
+        if n <> 0 then acc := ((t.ids.(p) lsl page_bits) lor j, n) :: !acc
+      done;
+      !acc)
+    (order t) []
 
-let keys t = Array.fold_right (fun i acc -> t.keys.(i) :: acc) (sorted_slots t) []
+let keys t = List.map fst (to_sorted_list t)
 
 let mean t =
   if t.total = 0 then 0.
-  else
+  else begin
     (* Float addition is not associative: summing in ascending key order
-       keeps the mean independent of where keys sit in the table. *)
-    let weighted =
-      Array.fold_left
-        (fun acc i -> acc +. (float_of_int t.keys.(i) *. float_of_int t.counts.(i)))
-        0. (sorted_slots t)
-    in
-    weighted /. float_of_int t.total
+       keeps the mean independent of the order the pages appeared in. *)
+    let order = order t and weighted = ref 0. in
+    for o = 0 to t.pages - 1 do
+      let p = order.(o) in
+      for j = 0 to page_keys - 1 do
+        let n = t.counts.((p lsl page_bits) lor j) in
+        if n <> 0 then
+          weighted :=
+            !weighted +. (float_of_int ((t.ids.(p) lsl page_bits) lor j) *. float_of_int n)
+      done
+    done;
+    !weighted /. float_of_int t.total
+  end
 
-let max_key t = if t.distinct = 0 then 0 else t.keys.((sorted_slots t).(t.distinct - 1))
+(* Every page holds a non-zero count, so the largest page's top one is
+   the largest key. *)
+let max_key t =
+  if t.pages = 0 then 0
+  else
+    let p = (order t).(t.pages - 1) in
+    let rec top j = if t.counts.((p lsl page_bits) lor j) <> 0 then j else top (j - 1) in
+    (t.ids.(p) lsl page_bits) lor top (page_keys - 1)
 
 let percentile t p =
   if not (p >= 0. && p <= 100.) then invalid_arg "Histogram.percentile: p must be in [0,100]";
@@ -202,15 +143,18 @@ let percentile t p =
     (* Nearest-rank: the smallest key whose cumulative count reaches
        ceil(p/100 * total); p = 0 gives the smallest recorded key. *)
     let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int t.total))) in
-    let slots = sorted_slots t in
-    let rec scan j cum =
-      if j = t.distinct then 0
+    let order = order t in
+    (* [o] walks [order], [j] the slots of its page. *)
+    let rec scan o j cum =
+      if o = t.pages then 0
       else
-        let i = slots.(j) in
-        let cum = cum + t.counts.(i) in
-        if cum >= rank then t.keys.(i) else scan (j + 1) cum
+        let p = order.(o) in
+        let cum = cum + t.counts.((p lsl page_bits) lor j) in
+        if cum >= rank then (t.ids.(p) lsl page_bits) lor j
+        else if j = page_keys - 1 then scan (o + 1) 0 cum
+        else scan o (j + 1) cum
     in
-    scan 0 0
+    scan 0 0 0
   end
 
 let pp ppf t =

@@ -2,10 +2,11 @@
 
     Used for per-page move-count distributions (how many ownership transfers
     each page suffered before pinning), fault-kind breakdowns, and serving
-    latencies in microseconds. Memory grows with the number of distinct
-    keys, not their size. {!add} on a key already present allocates
-    nothing; the ordered queries sort the distinct keys once and reuse that
-    order until a new key arrives. *)
+    latencies in microseconds. Counts are kept in pages of 64 consecutive
+    keys, so memory is 64 counts per touched page, not per key, and does
+    not grow with the keys' size. {!add} on a key whose page is already
+    present allocates nothing; the ordered queries sort the pages once per
+    new page, and a new key in a known page keeps that order. *)
 
 type t
 

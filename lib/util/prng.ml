@@ -1,16 +1,23 @@
-type t = { mutable state : int64 }
+(* The state lives in 8 bytes rather than a mutable [int64] field, whose
+   every store would box a fresh [int64]. Read and written in place, with
+   [next_int64] inlined into the draws below and [float] into its callers
+   (so that its result is not boxed either), a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = seed }
+let create ~seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 output function: mix the incremented state through two
    xor-shift-multiply rounds (Steele, Lea & Flood, OOPSLA 2014). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -30,7 +37,7 @@ let int_in t ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform bits -> [0, 1) *)
   let bits = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (bits /. 9007199254740992.0)

@@ -35,6 +35,46 @@ let test_zipf_mass_normalised () =
     (Dist.zipf_mass z 0 > Dist.zipf_mass z 1
     && Dist.zipf_mass z 1 > Dist.zipf_mass z 50)
 
+(* [Dist.zipf_draw] scans forward from a guide table; the reference is
+   the inverse-CDF binary search on the same cumulative table, built the
+   same way, and on the same uniform draw, read from a copy of the
+   generator. A nan theta, which [--zipf] lets through, makes every cdf
+   entry but the last nan, and the search then gives n - 1. *)
+let test_zipf_draw_matches_binary_search () =
+  let reference_cdf ~n ~theta =
+    let cdf = Array.make n 0. and acc = ref 0. in
+    for i = 0 to n - 1 do
+      acc := !acc +. (1. /. Float.pow (float_of_int (i + 1)) theta);
+      cdf.(i) <- !acc
+    done;
+    let cdf = Array.map (fun c -> c /. !acc) cdf in
+    cdf.(n - 1) <- 1.;
+    cdf
+  in
+  let smallest_above cdf u =
+    let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) > u then hi := mid else lo := mid + 1
+    done;
+    !lo
+  in
+  List.iter
+    (fun theta ->
+      List.iter
+        (fun n ->
+          let z = Dist.zipf ~n ~theta and cdf = reference_cdf ~n ~theta in
+          let p = Prng.create ~seed:(Int64.of_int n) in
+          for _ = 1 to 100_000 do
+            let u = Prng.float (Prng.copy p) 1.0 in
+            let k = Dist.zipf_draw z p in
+            if k <> smallest_above cdf u then
+              Alcotest.failf "theta %g, n %d, u %h: draw %d, binary search %d" theta n u k
+                (smallest_above cdf u)
+          done)
+        [ 1; 2; 64; 2048 ])
+    [ 0.; 0.9; 1.5; Float.nan ]
+
 (* A chi-squared-style check: empirical counts against the exact masses.
    With 20000 draws over 16 keys the statistic is ~chi2(15); 60 is far
    beyond any plausible quantile (p < 1e-6) yet robust to seed choice. *)
@@ -231,6 +271,8 @@ let test_deadline_only_serves_like_plain () =
 let suite =
   [
     Alcotest.test_case "zipf draws deterministic" `Quick test_zipf_deterministic;
+    Alcotest.test_case "zipf draw matches a binary search" `Quick
+      test_zipf_draw_matches_binary_search;
     Alcotest.test_case "zipf mass normalised" `Quick test_zipf_mass_normalised;
     Alcotest.test_case "zipf frequencies match mass" `Quick
       test_zipf_frequencies_match_mass;

@@ -6,6 +6,11 @@ module Text_table = Numa_util.Text_table
 
 (* --- prng --------------------------------------------------------------- *)
 
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
 let test_prng_deterministic () =
   let a = Prng.create ~seed:123L and b = Prng.create ~seed:123L in
   for _ = 1 to 100 do
@@ -51,6 +56,41 @@ let test_prng_copy () =
   let b = Prng.copy a in
   Alcotest.(check int64) "copy continues identically" (Prng.next_int64 a)
     (Prng.next_int64 b)
+
+(* The streams themselves, pinned: the tests above compare generators
+   with each other, so a change to the output function or to how the
+   state is kept would pass them. Seed 0's first value is SplitMix64's
+   published reference output. *)
+let test_prng_pinned_streams () =
+  let first4 t = List.init 4 (fun _ -> Prng.next_int64 t) in
+  Alcotest.(check (list int64)) "seed 0"
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x6C45D188009454FL; 0xF88BB8A8724C81ECL ]
+    (first4 (Prng.create ~seed:0L));
+  let parent = Prng.create ~seed:42L in
+  let child = Prng.split parent in
+  Alcotest.(check (list int64)) "split child of seed 42"
+    [ 0x57E1FABA65107204L; 0xF4ABD143FEB24055L; 0x7C816738C12903B2L; 0x113E5DEC6F8FD8A8L ]
+    (first4 child);
+  Alcotest.(check (list int64)) "seed 42"
+    [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L; 0x581CE1FF0E4AE394L ]
+    (first4 (Prng.create ~seed:42L));
+  Alcotest.(check (list int64)) "seed 42 after the split"
+    [ 0x28EFE333B266F103L; 0x47526757130F9F52L; 0x581CE1FF0E4AE394L; 0x9BC585A244823F2L ]
+    (first4 parent)
+
+(* The state is updated in place: a draw boxes no [int64]. Like the
+   fault-path cases, this holds for the workspace's profile, which
+   inlines across modules. *)
+let test_prng_draws_allocate_nothing () =
+  let t = Prng.create ~seed:3L and z = Numa_util.Dist.zipf ~n:64 ~theta:0.9 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Prng.int t 10);
+          ignore (Numa_util.Dist.zipf_draw z t)
+        done)
+  in
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 let test_prng_shuffle_permutation () =
   let t = Prng.create ~seed:11L in
@@ -129,8 +169,35 @@ let test_histogram_percentile_single_key () =
     [ 0.; 1.; 50.; 99.; 100. ];
   Alcotest.(check (float 1e-9)) "mean of constant" 4. (Histogram.mean h)
 
-(* The map-based histogram the open-addressing table replaced, as a model:
-   the same random ops drive both, compared after every step. *)
+(* Adding to a key whose page of 64 keys exists allocates nothing, nor
+   does asking for the count of a key whose page does not: [count] makes
+   no page. Pages here: -1 (keys -64 .. -1), 0 (0 .. 63) and 15 (960 ..
+   1023). *)
+let test_histogram_no_alloc () =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) [ -64; 5; 1000 ];
+  let words =
+    minor_words (fun () ->
+        for k = -64 to 63 do
+          Histogram.add h k;
+          Histogram.add_many h k 2
+        done;
+        Histogram.add h 960;
+        Histogram.add_many h 1023 0;
+        for k = 64 to 959 do
+          ignore (Histogram.count h k)
+        done;
+        ignore (Histogram.count h min_int);
+        ignore (Histogram.count h max_int))
+  in
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  Alcotest.(check int) "total" 388 (Histogram.total h);
+  Alcotest.(check int) "count 5" 4 (Histogram.count h 5);
+  Alcotest.(check int) "count 64" 0 (Histogram.count h 64);
+  Alcotest.(check int) "max key" 1000 (Histogram.max_key h)
+
+(* A map-based histogram as a model: the same random ops drive both,
+   compared after every step. *)
 module Int_map = Map.Make (Int)
 
 let model_percentile m total p =
@@ -269,6 +336,8 @@ let suite =
     Alcotest.test_case "prng bounds" `Quick test_prng_bounds;
     Alcotest.test_case "prng split" `Quick test_prng_split_independent;
     Alcotest.test_case "prng copy" `Quick test_prng_copy;
+    Alcotest.test_case "prng pinned streams" `Quick test_prng_pinned_streams;
+    Alcotest.test_case "prng draws allocate nothing" `Quick test_prng_draws_allocate_nothing;
     Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_permutation;
     Alcotest.test_case "prng invalid args" `Quick test_prng_invalid;
     Alcotest.test_case "histogram" `Quick test_histogram;
@@ -276,6 +345,8 @@ let suite =
     Alcotest.test_case "histogram percentile bounds" `Quick test_histogram_percentile_invalid;
     Alcotest.test_case "histogram percentile single key" `Quick
       test_histogram_percentile_single_key;
+    Alcotest.test_case "histogram adds to a known page without allocating" `Quick
+      test_histogram_no_alloc;
     Alcotest.test_case "text table render" `Quick test_text_table_render;
     Alcotest.test_case "text table arity" `Quick test_text_table_arity;
     Alcotest.test_case "text table cells" `Quick test_text_table_cells;

@@ -163,6 +163,29 @@ let test_primes_upto () =
   Alcotest.(check int) "pi(10^7)" 664_579 (Array.length big);
   Alcotest.(check int) "last prime under 10^7" 9_999_991 big.(Array.length big - 1)
 
+(* The segmented count against the whole sieve's primes bucketed by
+   segment: at primes3's smallest limit, at 65,537 (a prime one past
+   256^2) and 10^6 + 1 (one past 1000^2), and at 10^7, for segments of 7
+   bits, 1,024 bits and 16,384 bits (ACE's 512-word page). *)
+let test_primes_per_segment () =
+  let module P = Numa_apps.Primes_util in
+  List.iter
+    (fun limit ->
+      let primes = P.primes_upto limit in
+      List.iter
+        (fun bits ->
+          let expect = Array.make ((((limit - 1) / 2) + bits - 1) / bits) 0 in
+          Array.iter
+            (fun q ->
+              if q >= 3 then
+                let s = (q - 3) / 2 / bits in
+                expect.(s) <- expect.(s) + 1)
+            primes;
+          if P.primes_per_segment ~limit ~bits <> expect then
+            Alcotest.failf "primes_per_segment ~limit:%d ~bits:%d differs" limit bits)
+        [ 7; 1_024; 16_384 ])
+    [ 20_000; 65_537; 1_000_001; 10_000_000 ]
+
 let test_odd_multiples_count () =
   let module P = Numa_apps.Primes_util in
   (* Bits 0..n stand for odd numbers 3,5,7,...; p = 3 marks 9,15,21,... *)
@@ -189,5 +212,6 @@ let suite =
     Alcotest.test_case "static share partitions" `Quick test_static_share_partitions;
     Alcotest.test_case "primes utilities" `Quick test_primes_util;
     Alcotest.test_case "sieve matches trial division" `Quick test_primes_upto;
+    Alcotest.test_case "segmented prime counts" `Quick test_primes_per_segment;
     Alcotest.test_case "odd-multiple counting" `Quick test_odd_multiples_count;
   ]
