@@ -290,9 +290,10 @@ let serve_app app ~arrival ~zipf ~clients ~rw_mix ~deadline ~retry ~hedge ~break
          "--arrival/--zipf/--clients/--rw-mix/--deadline/--retry/--hedge/--breaker \
           shape served traffic and only apply to the serve app, not %S"
          app.Numa_apps.App_sig.name)
-  else if bad (fun t -> t < 0.) zipf then Error "--zipf must be >= 0"
+  else if bad (fun t -> not (t >= 0.)) zipf then Error "--zipf must be >= 0"
   else if bad (fun c -> c <= 0) clients then Error "--clients must be positive"
-  else if bad (fun f -> f < 0. || f > 1.) rw_mix then Error "--rw-mix must be in [0,1]"
+  else if bad (fun f -> not (f >= 0. && f <= 1.)) rw_mix then
+    Error "--rw-mix must be in [0,1]"
   else if bad (fun d -> d <= 0) deadline then
     Error "--deadline must be a positive number of microseconds"
   else

@@ -457,6 +457,8 @@ let resilient sys ~(cfg : Resilience.config) ~nthreads ~n ~prng ~arrivals ~keys
 
 let make ?(arrival = default_arrival) ?(theta = default_theta)
     ?(clients = default_clients) ?(rw_mix = default_rw_mix) ?resilience () : App_sig.t =
+  if not (rw_mix >= 0. && rw_mix <= 1.) then
+    invalid_arg "Serve.make: rw_mix must be in [0, 1]";
   let setup sys (p : App_sig.params) =
     let eng = System.engine sys in
     let obs = System.obs sys in

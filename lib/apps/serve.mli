@@ -19,7 +19,9 @@ val make :
 (** A serve app instance. [arrival] is the open-loop process (default
     100k req/s with 4x bursts), [theta] the zipf skew (default 0.9),
     [clients] the logical client population (default 1e6), [rw_mix] the
-    fraction of requests that write their object (default 0.1).
+    fraction of requests that write their object (default 0.1). Raises
+    [Invalid_argument] if [rw_mix] is not in [\[0, 1\]], as a nan is
+    not; a [theta] that {!Numa_util.Dist.zipf} refuses raises at set-up.
 
     [resilience] arms the resilient serving tier: per-request deadlines
     (cancellable virtual-time timers), optional retries with jittered

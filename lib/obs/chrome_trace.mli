@@ -18,11 +18,21 @@ val attach : t -> Hub.t -> unit
 (** Subscribe to a hub as sink ["chrome-trace"]. *)
 
 val record : t -> ts:float -> Event.t -> unit
-(** Record one event directly (what {!attach} wires up). The clamped stamp
-    goes into a float array and the event into an array of events, both
-    doubled when full. Each slot of the two costs 2 words, and just after
-    a doubling half the slots are empty, so an event costs 2 to 4 words
-    beyond the event itself until the trace is dropped. *)
+(** Record one event directly (what {!attach} wires up). Slots come in
+    chunks of 256: a float array of clamped stamps and an array of events,
+    each small enough for the minor heap. The spines that hold the chunks
+    double as they fill; no chunk is ever copied. A slot costs 2 words.
+
+    The two per-turn kinds share their blocks. A [Dispatch] whose fields
+    equal its lane's last dispatch is stored as that earlier block. A
+    [Refs] is looked up in its lane's 64-entry direct-mapped table, keyed
+    on its [n], [write], [loc] and [node]: if every field equals the
+    stored block's, the stored block is kept, and otherwise the new block
+    takes the entry. Every other event is stored as recorded. A trace
+    whose dispatches and refs repeat few values thus retains about 2
+    words per event, plus one block per distinct value in use. The
+    recorded events keep their fields, so {!iter} gives back events
+    structurally equal to the ones recorded. *)
 
 val length : t -> int
 (** Events recorded so far (excluding metadata). *)
@@ -45,8 +55,12 @@ val save : t -> string -> unit
     {!Event.name} is a snake_case constant, and each lane's
     [,"pid":1,"tid":N,"args":] text is built once per save. A stamp whose
     bits equal the previous event's reuses its text, kept in one reused
-    32-byte [Bytes]. What a save allocates per event is the box of each
-    new stamp passed to {!Json.add_float}. *)
+    32-byte [Bytes]. A dispatch or refs reuses the text after the stamp
+    ([,"pid":1,"tid":N,"args":{...}}]) that the last event of its shared
+    slot wrote, when the two events' fields are equal; each slot keeps up
+    to 128 bytes of text in one arena allocated per save, and a longer
+    text is written afresh each time. What a save allocates per event is
+    the box of each new stamp passed to {!Json.add_float}. *)
 
 val iter : t -> (ts:float -> lane:int -> Event.t -> unit) -> unit
 (** Recorded events in recording order, with their clamped stamps. *)

@@ -69,6 +69,22 @@ type lock_stats = {
   mutable held_since : float;  (** < 0 when free *)
 }
 
+(* The scalar sums. A record of floats only is stored flat, so a charge
+   updates its sum in place; a float field of [t], a mixed record, would
+   box a new float at every charge. *)
+type sums = {
+  mutable compute_ns : float;
+  mutable lock_spin_ns : float;
+  mutable barrier_spin_ns : float;
+  mutable syscall_ns : float;
+  mutable dispatch_ns : float;
+  mutable elapsed_ns : float;
+  mutable serve_service_ns : float;
+  mutable serve_queue_ns : float;
+  mutable res_backoff_ns : float;
+  mutable res_hedge_ns : float;
+}
+
 type t = {
   n_cpus : int;
   n_nodes : int;
@@ -77,25 +93,16 @@ type t = {
   refs : float array;  (** ((cpu * n_nodes) + dst) * 3 + loc *)
   bus : float array;  (** cpu * n_nodes + dst *)
   kernel : float array;  (** ctx * n_kernel_cats + cat *)
-  mutable compute_ns : float;
-  mutable lock_spin_ns : float;
-  mutable barrier_spin_ns : float;
-  mutable syscall_ns : float;
-  mutable dispatch_ns : float;
+  sums : sums;
   idle : float array;  (** per cpu *)
   busy : float array;  (** per cpu; every charge except idle lands here too *)
   page_ns : float array;
   mutable thread_ns : float array;
   locks : (int, lock_stats) Hashtbl.t;
-  mutable elapsed_ns : float;
   mutable finalized : bool;
   mutable serve_requests : int;
-  mutable serve_service_ns : float;
-  mutable serve_queue_ns : float;
   mutable res_timeouts : int;
   mutable res_sheds : int;
-  mutable res_backoff_ns : float;
-  mutable res_hedge_ns : float;
 }
 
 let create ~n_cpus ~n_nodes ~n_pages =
@@ -109,25 +116,28 @@ let create ~n_cpus ~n_nodes ~n_pages =
     refs = Array.make (n_cpus * n_nodes * 3) 0.;
     bus = Array.make (n_cpus * n_nodes) 0.;
     kernel = Array.make (n_contexts * n_kernel_cats) 0.;
-    compute_ns = 0.;
-    lock_spin_ns = 0.;
-    barrier_spin_ns = 0.;
-    syscall_ns = 0.;
-    dispatch_ns = 0.;
+    sums =
+      {
+        compute_ns = 0.;
+        lock_spin_ns = 0.;
+        barrier_spin_ns = 0.;
+        syscall_ns = 0.;
+        dispatch_ns = 0.;
+        elapsed_ns = 0.;
+        serve_service_ns = 0.;
+        serve_queue_ns = 0.;
+        res_backoff_ns = 0.;
+        res_hedge_ns = 0.;
+      };
     idle = Array.make n_cpus 0.;
     busy = Array.make n_cpus 0.;
     page_ns = Array.make (max 1 n_pages) 0.;
     thread_ns = Array.make 16 0.;
     locks = Hashtbl.create 16;
-    elapsed_ns = 0.;
     finalized = false;
     serve_requests = 0;
-    serve_service_ns = 0.;
-    serve_queue_ns = 0.;
     res_timeouts = 0;
     res_sheds = 0;
-    res_backoff_ns = 0.;
-    res_hedge_ns = 0.;
   }
 
 let set_clock t f = t.clock <- f
@@ -167,7 +177,7 @@ let charge_kernel t ~cpu ~ctx ~cat ~lpage ns =
   touch_page t lpage ns
 
 let charge_compute t ~cpu ~tid ns =
-  t.compute_ns <- t.compute_ns +. ns;
+  t.sums.compute_ns <- t.sums.compute_ns +. ns;
   t.busy.(cpu) <- t.busy.(cpu) +. ns;
   touch_thread t tid ns
 
@@ -180,23 +190,23 @@ let lock_stats t lock_id =
       ls
 
 let charge_lock_spin t ~cpu ~tid ~lock_id ns =
-  t.lock_spin_ns <- t.lock_spin_ns +. ns;
+  t.sums.lock_spin_ns <- t.sums.lock_spin_ns +. ns;
   t.busy.(cpu) <- t.busy.(cpu) +. ns;
   let ls = lock_stats t lock_id in
   ls.spin_ns <- ls.spin_ns +. ns;
   touch_thread t tid ns
 
 let charge_barrier_spin t ~cpu ~tid ns =
-  t.barrier_spin_ns <- t.barrier_spin_ns +. ns;
+  t.sums.barrier_spin_ns <- t.sums.barrier_spin_ns +. ns;
   t.busy.(cpu) <- t.busy.(cpu) +. ns;
   touch_thread t tid ns
 
 let charge_syscall t ~cpu ns =
-  t.syscall_ns <- t.syscall_ns +. ns;
+  t.sums.syscall_ns <- t.sums.syscall_ns +. ns;
   t.busy.(cpu) <- t.busy.(cpu) +. ns
 
 let charge_dispatch t ~cpu ns =
-  t.dispatch_ns <- t.dispatch_ns +. ns;
+  t.sums.dispatch_ns <- t.sums.dispatch_ns +. ns;
   t.busy.(cpu) <- t.busy.(cpu) +. ns
 
 let charge_idle t ~cpu ns = t.idle.(cpu) <- t.idle.(cpu) +. ns
@@ -206,16 +216,16 @@ let charge_idle t ~cpu ns = t.idle.(cpu) <- t.idle.(cpu) +. ns
    touch [busy] — it only splits the serving latency into its two halves. *)
 let note_request t ~service_ns ~queue_ns =
   t.serve_requests <- t.serve_requests + 1;
-  t.serve_service_ns <- t.serve_service_ns +. service_ns;
-  t.serve_queue_ns <- t.serve_queue_ns +. queue_ns
+  t.sums.serve_service_ns <- t.sums.serve_service_ns +. service_ns;
+  t.sums.serve_queue_ns <- t.sums.serve_queue_ns +. queue_ns
 
 (* Same side-attribution discipline: the resilience machinery's time (the
    backoff sleeps, the hedged attempt's work) is already on the clocks;
    these only label how much of it was retry/hedge/shed overhead. *)
 let note_timeout t = t.res_timeouts <- t.res_timeouts + 1
 let note_shed t = t.res_sheds <- t.res_sheds + 1
-let note_backoff t ns = t.res_backoff_ns <- t.res_backoff_ns +. ns
-let note_hedge t ns = t.res_hedge_ns <- t.res_hedge_ns +. ns
+let note_backoff t ns = t.sums.res_backoff_ns <- t.sums.res_backoff_ns +. ns
+let note_hedge t ns = t.sums.res_hedge_ns <- t.sums.res_hedge_ns +. ns
 
 let lock_acquired t ~lock_id =
   let ls = lock_stats t lock_id in
@@ -235,7 +245,7 @@ let attributed_ns t ~cpu = t.busy.(cpu) +. t.idle.(cpu)
 
 let finalize t ~elapsed_ns =
   if not t.finalized then begin
-    t.elapsed_ns <- elapsed_ns;
+    t.sums.elapsed_ns <- elapsed_ns;
     for cpu = 0 to t.n_cpus - 1 do
       let tail = elapsed_ns -. attributed_ns t ~cpu in
       if tail > 0. then t.idle.(cpu) <- t.idle.(cpu) +. tail
@@ -350,10 +360,10 @@ let snapshot ?(top = 10) (t : t) =
   let sync_node =
     {
       label = "sync";
-      ns = t.lock_spin_ns +. t.barrier_spin_ns;
+      ns = t.sums.lock_spin_ns +. t.sums.barrier_spin_ns;
       children =
         desc_children
-          [ ("lock_spin", t.lock_spin_ns); ("barrier_spin", t.barrier_spin_ns) ];
+          [ ("lock_spin", t.sums.lock_spin_ns); ("barrier_spin", t.sums.barrier_spin_ns) ];
     }
   in
   let leaf label ns = { label; ns; children = [] } in
@@ -363,10 +373,10 @@ let snapshot ?(top = 10) (t : t) =
       ([ refs_node; bus_node ]
       @ kernel_nodes
       @ [
-          leaf "compute" t.compute_ns;
+          leaf "compute" t.sums.compute_ns;
           sync_node;
-          leaf "syscall" t.syscall_ns;
-          leaf "dispatch" t.dispatch_ns;
+          leaf "syscall" t.sums.syscall_ns;
+          leaf "dispatch" t.sums.dispatch_ns;
           leaf "idle" (sum t.idle);
         ])
   in
@@ -404,7 +414,7 @@ let snapshot ?(top = 10) (t : t) =
         if c <> 0 then c else compare (sa, da) (sb, db))
   in
   {
-    elapsed_ns = t.elapsed_ns;
+    elapsed_ns = t.sums.elapsed_ns;
     n_cpus = t.n_cpus;
     attributed_ns_total = sum t.busy +. sum t.idle;
     busy_ns_total = sum t.busy;
@@ -420,21 +430,21 @@ let snapshot ?(top = 10) (t : t) =
          Some
            {
              requests = t.serve_requests;
-             service_ns = t.serve_service_ns;
-             queue_ns = t.serve_queue_ns;
+             service_ns = t.sums.serve_service_ns;
+             queue_ns = t.sums.serve_queue_ns;
            });
     resilience =
       (if
-         t.res_timeouts = 0 && t.res_sheds = 0 && t.res_backoff_ns = 0.
-         && t.res_hedge_ns = 0.
+         t.res_timeouts = 0 && t.res_sheds = 0 && t.sums.res_backoff_ns = 0.
+         && t.sums.res_hedge_ns = 0.
        then None
        else
          Some
            {
              timeouts = t.res_timeouts;
              sheds = t.res_sheds;
-             backoff_ns = t.res_backoff_ns;
-             hedge_ns = t.res_hedge_ns;
+             backoff_ns = t.sums.res_backoff_ns;
+             hedge_ns = t.sums.res_hedge_ns;
            });
   }
 

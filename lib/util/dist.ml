@@ -6,7 +6,7 @@ let guide_size = 4096
 
 let zipf ~n ~theta =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  if theta < 0. then invalid_arg "Dist.zipf: theta must be non-negative";
+  if not (theta >= 0.) then invalid_arg "Dist.zipf: theta must be non-negative";
   let cdf = Array.make n 0. in
   let acc = ref 0. in
   for i = 0 to n - 1 do
@@ -23,7 +23,7 @@ let zipf ~n ~theta =
   let i = ref 0 in
   for k = 0 to guide_size - 1 do
     let u = float_of_int k /. float_of_int guide_size in
-    while not (cdf.(!i) > u) do
+    while cdf.(!i) <= u do
       incr i
     done;
     guide.(k) <- !i
@@ -34,11 +34,9 @@ let zipf_draw z prng =
   let u = Prng.float prng 1.0 in
   (* Smallest index with cdf.(i) > u. The cdf does not decrease, and u is
      at least the guide entry's k / guide_size, so that index is at or
-     after the entry's; u < 1 = cdf.(n - 1) ends the scan. The test is
-     written [not (_ > u)] so that a nan theta's cdf, nan up to its last
-     entry, still gives n - 1. *)
+     after the entry's; u < 1 = cdf.(n - 1) ends the scan. *)
   let i = ref z.guide.(int_of_float (u *. float_of_int guide_size)) in
-  while not (z.cdf.(!i) > u) do
+  while z.cdf.(!i) <= u do
     incr i
   done;
   !i
@@ -48,7 +46,7 @@ let zipf_mass z i =
   if i = 0 then z.cdf.(0) else z.cdf.(i) -. z.cdf.(i - 1)
 
 let exponential prng ~rate_per_s =
-  if rate_per_s <= 0. then invalid_arg "Dist.exponential: rate must be positive";
+  if not (rate_per_s > 0.) then invalid_arg "Dist.exponential: rate must be positive";
   let u = Prng.float prng 1.0 in
   (* 1 - u is in (0, 1], so the log is finite. *)
   -.Float.log (1. -. u) /. rate_per_s *. 1e9
@@ -61,16 +59,16 @@ type arrival = {
 }
 
 let arrival ?(burst_every_ns = 60e6) ?(burst_len_ns = 10e6) ~rate_per_s ~burst () =
-  if rate_per_s <= 0. then invalid_arg "Dist.arrival: rate must be positive";
-  if burst < 1. then invalid_arg "Dist.arrival: burst multiplier must be >= 1";
-  if burst_len_ns <= 0. || burst_every_ns <= burst_len_ns then
+  if not (rate_per_s > 0.) then invalid_arg "Dist.arrival: rate must be positive";
+  if not (burst >= 1.) then invalid_arg "Dist.arrival: burst multiplier must be >= 1";
+  if not (burst_len_ns > 0. && burst_every_ns > burst_len_ns) then
     invalid_arg "Dist.arrival: episode must be shorter than its period";
   { rate_per_s; burst; burst_every_ns; burst_len_ns }
 
 let arrival_of_string s =
   let mk rate burst =
-    if rate <= 0. then Error "arrival rate must be positive"
-    else if burst < 1. then Error "burst multiplier must be >= 1"
+    if not (rate > 0.) then Error "arrival rate must be positive"
+    else if not (burst >= 1.) then Error "burst multiplier must be >= 1"
     else Ok (arrival ~rate_per_s:rate ~burst ())
   in
   match String.split_on_char ':' s with

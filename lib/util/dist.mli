@@ -17,7 +17,8 @@ val zipf : n:int -> theta:float -> zipf
     [theta = 0] is the uniform distribution; [theta ~ 1] is classic web
     traffic; beyond 1 the head keys dominate outright. The cumulative
     table is precomputed, with a 4,096-entry guide table into it.
-    Raises [Invalid_argument] if [n <= 0] or [theta < 0]. *)
+    Raises [Invalid_argument] if [n <= 0] or [theta] is not [>= 0], as a
+    nan is not. *)
 
 val zipf_draw : zipf -> Prng.t -> int
 (** One key, by inverse-CDF lookup on a uniform draw [u]: the smallest
@@ -34,7 +35,7 @@ val zipf_mass : zipf -> int -> float
 val exponential : Prng.t -> rate_per_s:float -> float
 (** One inter-arrival gap in nanoseconds, exponentially distributed with
     the given mean rate (arrivals per second of simulated time).
-    Raises [Invalid_argument] if the rate is not positive. *)
+    Raises [Invalid_argument] if the rate is not positive (or is nan). *)
 
 (** {1 The arrival process} *)
 
@@ -49,12 +50,15 @@ val arrival : ?burst_every_ns:float -> ?burst_len_ns:float -> rate_per_s:float -
 (** An open-loop arrival process: Poisson at [rate_per_s], except that the
     first [burst_len_ns] (default 10 ms) of every [burst_every_ns]
     (default 60 ms) window runs at [rate_per_s *. burst]. [burst = 1] is
-    plain Poisson. Raises [Invalid_argument] on a non-positive rate,
-    [burst < 1], or a window shorter than its episode. *)
+    plain Poisson. Raises [Invalid_argument] unless the rate is positive,
+    [burst >= 1] and the episode is positive and shorter than its window,
+    so a nan in any of them raises. *)
 
 val arrival_of_string : string -> (arrival, string) result
 (** Parse the CLI syntax [RATE[:BURST]] — e.g. ["120000"] or
-    ["120000:4"] — at the default episode geometry. *)
+    ["120000:4"] — at the default episode geometry. An [Error] names a
+    rate that is not positive or a burst that is not [>= 1], nan
+    included. *)
 
 val arrival_to_string : arrival -> string
 (** The canonical [RATE:BURST] form. *)

@@ -608,6 +608,155 @@ let test_chrome_trace_save_allocation () =
   bounded "virtual-time stamps"
     (List.init 10_000 (fun i -> 100008845.85402414 +. (float_of_int (i / 3) *. 1234.5678901)))
 
+(* What [iter] must give back for events recorded in order on [n_cpus]
+   lanes: each stamp clamped to its lane's high-water mark (a nan takes the
+   mark), the lane, and an event structurally equal to the one recorded. *)
+let expected_iter ~n_cpus inputs =
+  let last = Array.make (n_cpus + 1) 0. in
+  List.map
+    (fun (ts, ev) ->
+      let c = Event.lane ev in
+      let lane = if c >= 0 && c < n_cpus then c else n_cpus in
+      let ts = if Float.is_nan ts then last.(lane) else Float.max ts last.(lane) in
+      last.(lane) <- ts;
+      (ts, lane, ev))
+    inputs
+
+let iterated tr =
+  let got = ref [] in
+  Chrome_trace.iter tr (fun ~ts ~lane ev -> got := (ts, lane, ev) :: !got);
+  List.rev !got
+
+(* Records [inputs] in order, then checks that [iter] gives them back (by
+   [compare], so a nan arg equals itself) and that [save] writes the
+   oracle's bytes. *)
+let agrees_with_model ~n_cpus inputs =
+  let tr = Chrome_trace.create ~n_cpus in
+  List.iter (fun (ts, ev) -> Chrome_trace.record tr ~ts ev) inputs;
+  let same_item (t1, l1, e1) (t2, l2, e2) =
+    Int64.equal (Int64.bits_of_float t1) (Int64.bits_of_float t2) && l1 = l2 && compare e1 e2 = 0
+  in
+  Chrome_trace.length tr = List.length inputs
+  && List.equal same_item (expected_iter ~n_cpus inputs) (iterated tr)
+  && String.equal (Trace_oracle.render tr) (saved tr)
+
+(* Slot i lives in chunk i / 256: traces that end on either side of a
+   chunk's edge, and one of 274 chunks. Every third event is a dispatch
+   whose name is built afresh, every third a refs, some of them on the
+   protocol lane, and the rest cycle through every other kind. *)
+let test_chrome_trace_chunk_boundaries () =
+  let others = Array.of_list every_event in
+  let event i =
+    match i mod 3 with
+    | 0 -> others.(i / 3 mod Array.length others)
+    | 1 -> Event.Dispatch { tid = i mod 5; cpu = i mod 3; name = "t" ^ string_of_int (i mod 5) }
+    | _ -> Event.Refs { cpu = i mod 4; n = i mod 7; write = i mod 2 = 0; loc = Local; node = i mod 3 }
+  in
+  List.iter
+    (fun k ->
+      let inputs = List.init k (fun i -> (float_of_int (i / 2), event i)) in
+      Alcotest.(check bool) (Printf.sprintf "%d events" k) true
+        (agrees_with_model ~n_cpus:2 inputs))
+    [ 0; 1; 255; 256; 257; 70_000 ]
+
+(* More refs keys on one lane than it has table slots, so some keys share
+   a slot: 80 that differ only in [node], 80 that differ only in [n], and
+   the six [write] x [loc] pairs, each set recorded twice over in fresh
+   blocks; and two threads taking turns on one lane, with equal names in
+   distinct strings. *)
+let test_chrome_trace_shared_slot_collisions () =
+  let keys () =
+    List.init 80 (fun node -> Event.Refs { cpu = 0; n = 8; write = false; loc = Local; node })
+    @ List.init 80 (fun n -> Event.Refs { cpu = 1; n; write = true; loc = Global; node = 2 })
+    @ List.concat_map
+        (fun write ->
+          List.map
+            (fun loc -> Event.Refs { cpu = 0; n = 1; write; loc; node = 0 })
+            Event.[ Local; Global; Remote ])
+        [ false; true ]
+    @ List.init 6 (fun i ->
+          Event.Dispatch { tid = i mod 2; cpu = 0; name = String.concat "" [ "w"; "orker" ] })
+  in
+  let inputs = List.mapi (fun i ev -> (float_of_int i, ev)) (keys () @ keys ()) in
+  Alcotest.(check bool) "iter and save agree with the model" true
+    (agrees_with_model ~n_cpus:2 inputs)
+
+(* The serve shape: 7 CPUs, each with one thread dispatched over and over,
+   and 48 refs values, 8 on each of 6 CPUs, drawn at random, each event a
+   fresh block as the emitters make them. A slot costs 2 words, its stamp
+   and its event; a repeated dispatch or refs is stored as the block its
+   slot already keeps, so the trace holds about 2 words per event. Keeping
+   every block would hold about 7.6. *)
+let test_chrome_trace_retained_words () =
+  let tr = Chrome_trace.create ~n_cpus:7 in
+  let names = Array.init 7 (Printf.sprintf "worker-%d") in
+  let refs =
+    Array.of_list
+      (List.concat_map
+         (fun cpu ->
+           List.concat_map
+             (fun n ->
+               List.concat_map
+                 (fun write -> [ (cpu, n, write, Event.Local, cpu); (cpu, n, write, Event.Global, 7) ])
+                 [ false; true ])
+             [ 1; 8 ])
+         [ 0; 1; 2; 3; 4; 5 ])
+  in
+  Alcotest.(check int) "48 refs values" 48 (Array.length refs);
+  let rng = Random.State.make [| 42 |] in
+  let events = 100_000 in
+  for i = 0 to events - 1 do
+    let ev =
+      if i land 1 = 0 then
+        let cpu = Random.State.int rng 7 in
+        Event.Dispatch { tid = cpu; cpu; name = names.(cpu) }
+      else
+        let cpu, n, write, loc, node = refs.(Random.State.int rng 48) in
+        Event.Refs { cpu; n; write; loc; node }
+    in
+    Chrome_trace.record tr ~ts:(float_of_int (i / 3)) ev
+  done;
+  let words = float_of_int (Obj.reachable_words (Obj.repr tr)) /. float_of_int events in
+  if words > 2.2 then
+    Alcotest.failf "the trace holds %.2f words per event (at most 2.2)" words
+
+(* Random mixes of every other kind, dispatches from threads that migrate
+   between lanes (names equal in distinct strings, and one too long for
+   the save to keep its text), and refs drawn from more keys than a lane
+   has slots, with nan and repeated stamps. *)
+let prop_chrome_trace_matches_model =
+  let open QCheck.Gen in
+  let name =
+    oneof
+      [
+        return "worker";
+        map (fun k -> "w" ^ string_of_int k) (int_range 0 2);
+        return (String.make 150 'x');
+      ]
+  in
+  let dispatch =
+    map3 (fun tid cpu name -> Event.Dispatch { tid; cpu; name }) (int_range 0 3) (int_range 0 3) name
+  in
+  let refs =
+    map3
+      (fun (cpu, n) (write, loc) node -> Event.Refs { cpu; n; write; loc; node })
+      (pair (int_range 0 3) (oneof [ oneofl [ 1; 8 ]; int_range 0 99 ]))
+      (pair bool (oneofl Event.[ Local; Global; Remote ]))
+      (int_range 0 79)
+  in
+  let stamp =
+    frequency [ (8, map (fun k -> float_of_int k *. 0.25) (int_range 0 400)); (1, return Float.nan) ]
+  in
+  let print inputs =
+    String.concat "\n"
+      (List.map (fun (ts, ev) -> Printf.sprintf "%h %s" ts (Event.describe ev)) inputs)
+  in
+  QCheck.Test.make ~name:"chrome trace iter and save = model" ~count:200
+    (QCheck.make ~print
+       (list_size (int_range 0 600)
+          (pair stamp (frequency [ (1, oneofl every_event); (2, dispatch); (3, refs) ]))))
+    (fun inputs -> agrees_with_model ~n_cpus:3 inputs)
+
 (* The Printf-based emitters the fast paths replace. *)
 let printf_float_repr f =
   if not (Float.is_finite f) then "null"
@@ -729,6 +878,11 @@ let suite =
     Alcotest.test_case "chrome trace save allocation" `Quick test_chrome_trace_save_allocation;
     Alcotest.test_case "chrome trace nan stamp keeps its lane" `Quick
       test_chrome_trace_nan_stamp_keeps_lane;
+    Alcotest.test_case "chrome trace chunk boundaries" `Quick test_chrome_trace_chunk_boundaries;
+    Alcotest.test_case "chrome trace shared slot collisions" `Quick
+      test_chrome_trace_shared_slot_collisions;
+    Alcotest.test_case "chrome trace retained words" `Quick test_chrome_trace_retained_words;
+    QCheck_alcotest.to_alcotest prop_chrome_trace_matches_model;
     QCheck_alcotest.to_alcotest prop_float_repr_matches_printf;
     QCheck_alcotest.to_alcotest prop_add_int_matches_string_of_int;
     QCheck_alcotest.to_alcotest prop_escape_matches_printf;

@@ -38,8 +38,7 @@ let test_zipf_mass_normalised () =
 (* [Dist.zipf_draw] scans forward from a guide table; the reference is
    the inverse-CDF binary search on the same cumulative table, built the
    same way, and on the same uniform draw, read from a copy of the
-   generator. A nan theta, which [--zipf] lets through, makes every cdf
-   entry but the last nan, and the search then gives n - 1. *)
+   generator. A nan theta is refused, so it has no draws to compare. *)
 let test_zipf_draw_matches_binary_search () =
   let reference_cdf ~n ~theta =
     let cdf = Array.make n 0. and acc = ref 0. in
@@ -73,7 +72,10 @@ let test_zipf_draw_matches_binary_search () =
                 (smallest_above cdf u)
           done)
         [ 1; 2; 64; 2048 ])
-    [ 0.; 0.9; 1.5; Float.nan ]
+    [ 0.; 0.9; 1.5 ];
+  Alcotest.check_raises "nan theta"
+    (Invalid_argument "Dist.zipf: theta must be non-negative")
+    (fun () -> ignore (Dist.zipf ~n:64 ~theta:Float.nan))
 
 (* A chi-squared-style check: empirical counts against the exact masses.
    With 20000 draws over 16 keys the statistic is ~chi2(15); 60 is far
@@ -128,6 +130,35 @@ let test_arrival_spec_roundtrip () =
   match Dist.arrival_of_string "fast:please" with
   | Ok _ -> Alcotest.fail "junk spec parsed"
   | Error _ -> ()
+
+(* Every float input of the serve family is checked so that nan fails:
+   a nan compares false against any bound, so a check written [x < 0.]
+   lets it through. [Dist.zipf]'s theta is checked with its draws above. *)
+let test_float_inputs_refuse_nan () =
+  let nan = Float.nan in
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted nan" what
+  in
+  refused "Dist.exponential ~rate_per_s" (fun () ->
+      ignore (Dist.exponential (Prng.create ~seed:1L) ~rate_per_s:nan));
+  refused "Dist.arrival ~rate_per_s" (fun () ->
+      ignore (Dist.arrival ~rate_per_s:nan ~burst:1. ()));
+  refused "Dist.arrival ~burst" (fun () ->
+      ignore (Dist.arrival ~rate_per_s:1e5 ~burst:nan ()));
+  refused "Dist.arrival ~burst_len_ns" (fun () ->
+      ignore (Dist.arrival ~burst_len_ns:nan ~rate_per_s:1e5 ~burst:2. ()));
+  refused "Dist.arrival ~burst_every_ns" (fun () ->
+      ignore (Dist.arrival ~burst_every_ns:nan ~rate_per_s:1e5 ~burst:2. ()));
+  refused "Serve.make ~rw_mix" (fun () -> ignore (Serve.make ~rw_mix:nan ()));
+  refused "Serve.make ~rw_mix above 1" (fun () -> ignore (Serve.make ~rw_mix:1.5 ()));
+  List.iter
+    (fun spec ->
+      match Dist.arrival_of_string spec with
+      | Ok _ -> Alcotest.failf "arrival spec %S parsed" spec
+      | Error _ -> ())
+    [ "nan"; "1000:nan"; "nan:2"; "-nan" ]
 
 (* --- the open-loop timer ----------------------------------------------------------- *)
 
@@ -280,6 +311,7 @@ let suite =
       test_arrival_times_strictly_increasing;
     Alcotest.test_case "arrival rate plausible" `Quick test_arrival_rate_plausible;
     Alcotest.test_case "arrival spec round-trip" `Quick test_arrival_spec_roundtrip;
+    Alcotest.test_case "float inputs refuse nan" `Quick test_float_inputs_refuse_nan;
     Alcotest.test_case "sleep_until parks without charging" `Quick
       test_sleep_until_parks_without_charging;
     Alcotest.test_case "sleep_until past deadline is a no-op" `Quick
